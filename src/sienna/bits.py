@@ -14,7 +14,6 @@ import numpy as np
 __all__ = [
     "as_bits",
     "bits_from_bytes",
-    "bits_from_int",
     "bits_to_bytes",
     "hamming_distance",
     "random_bits",
@@ -45,13 +44,6 @@ def bits_from_bytes(data: bytes, n_bits: int | None = None) -> np.ndarray:
             raise ValueError(f"need {n_bits} bits, got {bits.size}")
         bits = bits[:n_bits]
     return bits.astype(np.uint8)
-
-
-def bits_from_int(value: int, width: int) -> np.ndarray:
-    """Big-endian fixed-width bit expansion of a non-negative integer."""
-    if value < 0 or value >> width:
-        raise ValueError(f"{value} does not fit in {width} bits")
-    return np.array([(value >> (width - 1 - i)) & 1 for i in range(width)], dtype=np.uint8)
 
 
 def xor_bits(a: np.ndarray, b: np.ndarray) -> np.ndarray:

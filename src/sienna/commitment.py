@@ -33,6 +33,7 @@ __all__ = [
 
 COMMITMENT_MAGIC = b"SNCM"
 COMMITMENT_VERSION = 1
+_HEADER_BYTES = 11  # magic, version, K/M/N as u16
 
 # Domain-separation prefixes: salt digests and key derivation must never
 # collide on identical byte strings.
@@ -164,6 +165,9 @@ def serialize_commitment(commitment: Commitment) -> bytes:
 
 
 def deserialize_commitment(data: bytes, spec: RsCodeSpec) -> Commitment:
+    """Parse an SNCM blob for ``spec``; any malformed input raises ValueError."""
+    if len(data) < _HEADER_BYTES:
+        raise ValueError(f"truncated commitment header: {len(data)} bytes")
     if data[:4] != COMMITMENT_MAGIC:
         raise ValueError("bad commitment magic")
     if data[4] != COMMITMENT_VERSION:
@@ -173,13 +177,11 @@ def deserialize_commitment(data: bytes, spec: RsCodeSpec) -> Commitment:
     n = int.from_bytes(data[9:11], "big")
     if (k, m, n) != (spec.field.k_bits, spec.m_symbols, spec.n_symbols):
         raise ValueError(f"commitment code ({k},{m},{n}) does not match the session spec")
-    mask_nbytes = (spec.codeword_bits + 7) // 8
-    body = data[11 : 11 + mask_nbytes]
-    digest = data[11 + mask_nbytes : 11 + mask_nbytes + 32]
-    if len(body) != mask_nbytes or len(digest) != 32:
-        raise ValueError("truncated commitment")
+    mask_end = _HEADER_BYTES + (spec.codeword_bits + 7) // 8
+    if len(data) != mask_end + 32:
+        raise ValueError(f"commitment is {len(data)} bytes, expected {mask_end + 32}")
     return Commitment(
-        masked_codeword=bits_from_bytes(body, spec.codeword_bits),
-        salt_hash=digest,
+        masked_codeword=bits_from_bytes(data[_HEADER_BYTES:mask_end], spec.codeword_bits),
+        salt_hash=data[mask_end:],
         spec=spec,
     )

@@ -2,8 +2,8 @@
 
 Elements are integers in ``[0, 2^K)``. Addition is XOR; multiplication is
 carry-less polynomial multiplication reduced by the field's irreducible
-polynomial, realized through exp/log tables so vectorized numpy lookups
-can be used in the codec hot paths.
+polynomial, realized through exp/log tables so the codec hot paths are
+plain numpy adds and gathers, often with one operand kept in log form.
 """
 
 from __future__ import annotations
@@ -64,16 +64,26 @@ def default_field(k_bits: int) -> FieldSpec:
 
 
 class GaloisField:
-    """exp/log tables plus vectorized arithmetic for one field instance."""
+    """exp/log tables plus vectorized arithmetic for one field instance.
+
+    ``log[0]`` is the sentinel ``2 * order``, and ``exp`` is zero from that
+    index on: a sum of two logs lands in the periodic half of ``exp`` when
+    both operands are non-zero and in the zero half otherwise. A product is
+    then one add and one gather, with no branch on zero operands.
+    ``inv_log`` holds the log of each element's inverse, with the same
+    sentinel for 0, so a quotient ``a / b`` is ``exp[log[a] + inv_log[b]]``
+    and reads 0 when ``b`` is 0.
+    """
 
     def __init__(self, spec: FieldSpec):
         self.spec = spec
         q = spec.size
-        self.order = q - 1
-        exp = np.zeros(2 * self.order, dtype=np.int64)
-        log = np.zeros(q, dtype=np.int64)
+        self.order = order = q - 1
+        self.zero_log = zero_log = 2 * order
+        exp = np.zeros(2 * zero_log + 1, dtype=np.int64)
+        log = np.full(q, zero_log, dtype=np.int64)
         x = 1
-        for i in range(self.order):
+        for i in range(order):
             exp[i] = x
             log[x] = i
             x <<= 1
@@ -83,49 +93,22 @@ class GaloisField:
             raise ValueError(
                 f"0x{spec.reduction_poly:X} is not primitive for GF(2^{spec.k_bits})"
             )
-        exp[self.order : 2 * self.order] = exp[: self.order]
+        exp[order:zero_log] = exp[:order]
+        inv_log = (order - log) % order
+        inv_log[0] = zero_log
         self.exp = exp
         self.log = log
+        self.inv_log = inv_log
 
     def mul(self, a, b):
         """Element-wise product; scalars and arrays broadcast."""
-        a = np.asarray(a, dtype=np.int64)
-        b = np.asarray(b, dtype=np.int64)
         out = self.exp[self.log[a] + self.log[b]]
-        zero = (a == 0) | (b == 0)
-        if out.ndim == 0:
-            return int(out) if not zero else 0
-        out = np.where(zero, 0, out)
-        return out
+        return int(out) if out.ndim == 0 else out
 
     def inv(self, a: int) -> int:
         if a == 0:
             raise ZeroDivisionError("no inverse for 0")
-        return int(self.exp[self.order - self.log[a]])
-
-    def div(self, a, b: int):
-        return self.mul(a, self.inv(b))
-
-    def pow_alpha(self, e: int) -> int:
-        """alpha**e for any integer exponent (alpha = 0b10, the generator)."""
-        return int(self.exp[e % self.order])
-
-    def poly_mul(self, p, q):
-        """Product of coefficient arrays (lowest degree first)."""
-        p = np.asarray(p, dtype=np.int64)
-        q = np.asarray(q, dtype=np.int64)
-        out = np.zeros(p.size + q.size - 1, dtype=np.int64)
-        for i, c in enumerate(p):
-            if c:
-                out[i : i + q.size] ^= self.mul(int(c), q)
-        return out
-
-    def poly_eval(self, coeffs, x: int) -> int:
-        """Horner evaluation of sum(coeffs[i] * x^i)."""
-        acc = 0
-        for c in reversed(np.asarray(coeffs, dtype=np.int64)):
-            acc = self.mul(acc, x) ^ int(c)
-        return acc
+        return int(self.exp[self.inv_log[a]])
 
 
 @lru_cache(maxsize=None)

@@ -198,21 +198,32 @@ def _split_fields(body: bytes) -> list[bytes]:
     return fields
 
 
+def _uint(data: bytes, width: int, what: str) -> int:
+    if len(data) != width:
+        raise ValueError(f"{what} must be {width} bytes, got {len(data)}")
+    return int.from_bytes(data, "big")
+
+
 def decode_message(data: bytes, rs_spec: RsCodeSpec) -> InitMessage | CommitMessage | AckNak:
+    """Parse an SNNA message; any malformed input raises ValueError."""
+    if len(data) < 6:
+        raise ValueError(f"truncated message header: {len(data)} bytes")
     if data[:4] != WIRE_MAGIC:
         raise ValueError("bad message magic")
     if data[4] != WIRE_VERSION:
         raise ValueError(f"unsupported message version {data[4]}")
     mtype, fields = data[5], _split_fields(data[6:])
     if mtype == MSG_INIT:
-        key_hash, t_str, t_end = fields
-        return InitMessage(key_hash, int.from_bytes(t_str, "big"), int.from_bytes(t_end, "big"))
+        key_hash, t_str, t_end = fields  # a wrong field count raises ValueError
+        return InitMessage(key_hash, _uint(t_str, 8, "window start"), _uint(t_end, 8, "window end"))
     if mtype == MSG_COMMIT:
         level, blob = fields
-        return CommitMessage(int.from_bytes(level, "big"), deserialize_commitment(blob, rs_spec))
+        return CommitMessage(_uint(level, 4, "level"), deserialize_commitment(blob, rs_spec))
     if mtype == MSG_ACKNAK:
         verdict, level = fields
-        return AckNak("ACK" if verdict == b"\x01" else "NAK", int.from_bytes(level, "big"))
+        if verdict not in (b"\x00", b"\x01"):
+            raise ValueError(f"verdict must be 0x00 or 0x01, got {verdict!r}")
+        return AckNak("ACK" if verdict == b"\x01" else "NAK", _uint(level, 4, "level"))
     raise ValueError(f"unknown message type 0x{mtype:02x}")
 
 
@@ -233,6 +244,7 @@ class SessionState:
     phase: Phase = "idle"
     level: int = 0
     pending: list = field(default_factory=list)
+    fail_stage: str | None = None  # set by fail()
 
     def announce_hash(self) -> bytes:
         if self.round_index == 0:

@@ -1,10 +1,11 @@
 """Bounded-distance Reed-Solomon codec over GF(2^K).
 
 The code is systematic with codeword length M and message length N; up to
-``t = (M - N) // 2`` corrupted symbols are corrected. The decoder runs a
-fixed sequence of array operations (syndromes, Berlekamp-Massey, Chien
-search, Forney) whose shapes do not depend on the received word, so the
-decode time is insensitive to the number of errors. Decode failure is a
+``t = (M - N) // 2`` corrupted symbols are corrected. The encoder is one
+product with a precomputed parity matrix. The decoder runs a fixed
+sequence of array operations (syndromes, inversionless Berlekamp-Massey,
+Chien search, Forney) whose shapes do not depend on the received word, so
+the decode time is insensitive to the number of errors. Decode failure is a
 returned value (``None``), not an exception: callers confirm recovered
 messages through a hash, never through the decoder alone.
 """
@@ -16,7 +17,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .bits import as_bits, bits_from_int
+from .bits import as_bits
 from .gf import FieldSpec, default_field
 
 __all__ = ["RsCodeSpec", "RsCodec", "correctable_symbols", "rs_encode", "rs_decode"]
@@ -69,132 +70,137 @@ def correctable_symbols(spec: RsCodeSpec) -> int:
 
 
 class RsCodec:
-    """Encoder/decoder instance with precomputed evaluation matrices."""
+    """Table-driven encoder/decoder; every matrix is built once per code.
+
+    Matrices whose entries are field constants are kept as logs, so a
+    product with a word's symbols is one add of log arrays and one gather
+    from the field's ``exp`` table (see ``GaloisField``). Position ``i`` of
+    a codeword is the coefficient of ``x^(M-1-i)``; the message comes
+    first, then the parity symbols.
+    """
 
     def __init__(self, spec: RsCodeSpec):
         self.spec = spec
-        self.gf = spec.field.tables()
-        gf, order = self.gf, self.gf.order
-        m, p = spec.m_symbols, spec.n_parity
+        self.gf = gf = spec.field.tables()
+        order = gf.order
+        m, n, p, t = spec.m_symbols, spec.n_symbols, spec.n_parity, spec.t
 
-        # Generator polynomial with roots alpha^0 .. alpha^(p-1), highest
-        # degree first for the long-division encoder.
+        # Generator g(x) = prod (x - alpha^i), i < p, lowest degree first.
         gen = np.array([1], dtype=np.int64)
         for i in range(p):
-            gen = gf.poly_mul(gen, np.array([gf.pow_alpha(i), 1], dtype=np.int64))
-        self._gen_high_first = gen[::-1].copy()
+            gen = np.concatenate([[0], gen]) ^ np.append(gf.mul(gf.exp[i], gen), 0)
+        g_low = gen[:p]  # x^p = g_low (mod g) in characteristic 2
 
-        # Syndrome matrix: S[j] = sum_i r[i] * alpha^(j * (m-1-i)).
+        # Parity matrix: row i holds the parity of message symbol i, i.e.
+        # x^(M-1-i) mod g(x) with parity symbol j the coefficient of
+        # x^(p-1-j). Rows follow from x^p mod g by one shift-and-multiply
+        # step each: x * r(x) = (r << 1) + r_{p-1} * g_low.
+        rows = np.empty((n, p), dtype=np.int64)
+        rem = g_low
+        for e in range(n):
+            rows[e] = rem
+            rem = np.concatenate([[0], rem[:-1]]) ^ gf.mul(rem[-1], g_low)
+        self._parity_log = gf.log[rows[::-1, ::-1]]
+
+        # Syndromes S_j = r(alpha^j): log alpha^(j * (M-1-i)) per (j, i).
         poly_pos = np.arange(m - 1, -1, -1, dtype=np.int64)
-        j = np.arange(p, dtype=np.int64)[:, None]
-        self._synd_mat = gf.exp[(j * poly_pos[None, :]) % order]
+        self._synd_log = (np.arange(p)[:, None] * poly_pos[None, :]) % order
 
-        # Powers of the Chien/Forney evaluation points x_i = alpha^(-(m-1-i)),
-        # one row per codeword position, columns d = 0..p.
-        d = np.arange(p + 1, dtype=np.int64)[None, :]
-        self._eval_pows = gf.exp[((-poly_pos[:, None] * d) % order)]
-        # X_i = alpha^(m-1-i), the error-position power used by Forney.
-        self._x_pos = gf.exp[poly_pos % order]
-        # Anti-diagonal index map for the fixed-shape polynomial product.
-        self._conv_idx = np.arange(p + 1)[:, None] + np.arange(p)[None, :]
+        # Chien and Forney evaluate three polynomials at x_i = alpha^-(M-1-i)
+        # in one gather: the locator (degrees 0..t), the high evaluator
+        # times x_i^(p-1) (degrees 0..t-1), and the locator's derivative,
+        # whose degree-2j term is the locator's degree-(2j+1) coefficient.
+        # _chien_coef picks those coefficients out of the riBM register.
+        degrees = np.concatenate([np.arange(t + 1), np.arange(t) + p - 1, np.arange(0, t, 2)])
+        self._chien_log = (-poly_pos[:, None] * degrees[None, :]) % order
+        self._chien_coef = np.concatenate(
+            [np.arange(t, 2 * t + 1), np.arange(t), np.arange(t + 1, 2 * t + 1, 2)]
+        )
+        self._chien_split = np.array([0, t + 1, 2 * t + 1])
+        self._bit_shifts = np.arange(spec.field.k_bits - 1, -1, -1)
 
     # -- encoding ---------------------------------------------------------
 
     def encode(self, message: np.ndarray) -> np.ndarray:
-        spec, gf = self.spec, self.gf
-        message = _check_symbols(message, spec, spec.n_symbols)
-        gen_tail = self._gen_high_first[1:]
-        parity = np.zeros(spec.n_parity, dtype=np.int64)
-        for sym in message:
-            feedback = int(sym) ^ int(parity[0])
-            parity[:-1] = parity[1:]
-            parity[-1] = 0
-            if feedback:
-                parity ^= gf.mul(feedback, gen_tail)
-        return np.concatenate([message, parity])
+        """Systematic codeword: the message, then its parity-matrix product."""
+        exp, log = self.gf.exp, self.gf.log
+        message = _check_symbols(message, self.spec, self.spec.n_symbols)
+        terms = exp[log[message][:, None] + self._parity_log]
+        return np.concatenate([message, np.bitwise_xor.reduce(terms, axis=0)])
 
     # -- decoding ---------------------------------------------------------
 
     def decode(self, received: np.ndarray) -> np.ndarray | None:
+        """The message of the unique codeword within t symbols, else None.
+
+        Syndromes, then reformulated inversionless Berlekamp-Massey (riBM;
+        Sarwate & Shanbhag, IEEE TVLSI 2001) for exactly M - N iterations,
+        then Chien search and Forney over every position at once. No step
+        inverts a field element or branches on the data except to reject,
+        so correctable words of any error count take the same operations.
+        """
         spec, gf = self.spec, self.gf
+        exp, log, inv_log = gf.exp, gf.log, gf.inv_log
         received = _check_symbols(received, spec, spec.m_symbols)
         p, t = spec.n_parity, spec.t
-        log, exp, order = gf.log, gf.exp, gf.order
+        width = p + t + 1  # 3t + 1 for even parity
 
-        synd = self._syndromes(received)
+        # delta starts as S(x) + x^(width-1); theta starts equal to it. After
+        # iteration r, delta holds (lambda * (S + x^(width-1))) / x^r for the
+        # scaled locator lambda, so after p iterations delta[t:] is lambda
+        # and delta[:t] is the high evaluator (lambda * S) / x^p.
+        delta = np.zeros(width + 1, dtype=np.int64)
+        delta[:p] = self._syndromes(received)
+        delta[width - 1] = 1
+        theta_log = log[delta[:width]]
+        gamma_log, k = 0, 0
+        for _ in range(p):
+            delta_log = log[delta]
+            d0_log = int(delta_log[0])
+            shifted_log = delta_log[1:]
+            delta[:width] = exp[shifted_log + gamma_log] ^ exp[theta_log + d0_log]
+            # The swap is a select: both outcomes cost the same.
+            swap = d0_log != gf.zero_log and k >= 0
+            theta_log = shifted_log if swap else theta_log
+            gamma_log = d0_log if swap else gamma_log
+            k = -k - 1 if swap else k + 1
 
-        # Berlekamp-Massey with fixed-width arrays; every iteration performs
-        # the same array operations regardless of where errors lie.
-        loc = np.zeros(p + 1, dtype=np.int64)
-        aux = np.zeros(p + 1, dtype=np.int64)
-        loc[0] = aux[0] = 1
-        synd_pad = np.concatenate([np.zeros(p, dtype=np.int64), synd])
-        L, gap, b_inv = 0, 1, 1
-        for n in range(p):
-            window = synd_pad[n : n + p][::-1]
-            delta = int(synd[n]) ^ _xor_reduce(gf.mul(loc[1:], window))
-            shifted = np.concatenate([np.zeros(gap, dtype=np.int64), aux[: p + 1 - gap]])
-            coef = gf.mul(delta, b_inv)
-            update = loc ^ gf.mul(coef, shifted)
-            if delta != 0 and 2 * L <= n:
-                aux = loc
-                b_inv = gf.inv(delta)
-                L = n + 1 - L
-                gap = 1
-            else:
-                gap += 1
-            loc = update
-
-        nz = np.nonzero(loc)[0]
-        degree = int(nz[-1]) if nz.size else 0
+        locator = delta[t:width]
+        degree = int(np.flatnonzero(locator)[-1]) if locator.any() else 0
         if degree > t:
             return None
 
-        # Chien search over every position at once.
-        loc_eval = _xor_reduce_rows(gf.mul(loc[None, :], self._eval_pows))
-        err_mask = loc_eval == 0
-        if int(err_mask.sum()) != degree:
+        terms = exp[log[delta[self._chien_coef]] + self._chien_log]
+        evals = np.bitwise_xor.reduceat(terms, self._chien_split, axis=1)
+        loc_eval, high_eval, dloc_eval = evals.T
+        roots = loc_eval == 0
+        if int(roots.sum()) != degree or np.any(roots & (dloc_eval == 0)):
             return None
-
-        # Forney: omega = (synd * loc) mod x^p, error = X * omega(x) / loc'(x).
-        # The product is accumulated over anti-diagonals in one shot so the
-        # work done is independent of the locator degree.
-        omega_full = np.zeros(2 * p, dtype=np.int64)
-        terms = gf.mul(loc[:, None], synd[None, :])
-        np.bitwise_xor.at(omega_full, self._conv_idx, terms)
-        omega = omega_full[:p]
-        dloc = np.zeros(p, dtype=np.int64)
-        dloc[0::2] = loc[1::2][: dloc[0::2].size]
-
-        omega_eval = _xor_reduce_rows(gf.mul(omega[None, :], self._eval_pows[:, :p]))
-        dloc_eval = _xor_reduce_rows(gf.mul(dloc[None, :], self._eval_pows[:, :p]))
-        if np.any(err_mask & (dloc_eval == 0)):
-            return None
-        safe = np.where(dloc_eval == 0, 1, dloc_eval)
-        inv_dloc = exp[(order - log[safe]) % order]
-        magnitudes = gf.mul(self._x_pos, gf.mul(omega_eval, inv_dloc))
-        corrected = received ^ np.where(err_mask, magnitudes, 0)
+        # Forney with the high evaluator, e_i = x_i^(p-1) omega_h(x_i) / lambda'(x_i);
+        # the scale of the riBM locator cancels.
+        magnitudes = exp[log[high_eval] + inv_log[dloc_eval]]
+        corrected = received ^ np.where(roots, magnitudes, 0)
 
         if np.any(self._syndromes(corrected)):
             return None
         return corrected[: spec.n_symbols]
 
     def _syndromes(self, word: np.ndarray) -> np.ndarray:
-        return _xor_reduce_rows(self.gf.mul(self._synd_mat, word[None, :]))
+        terms = self.gf.exp[self._synd_log + self.gf.log[word][None, :]]
+        return np.bitwise_xor.reduce(terms, axis=1)
 
     # -- bit-level views ----------------------------------------------------
 
     def symbols_to_bits(self, symbols: np.ndarray) -> np.ndarray:
-        k = self.spec.field.k_bits
-        return np.concatenate([bits_from_int(int(s), k) for s in symbols])
+        symbols = np.asarray(symbols, dtype=np.int64)
+        return ((symbols[:, None] >> self._bit_shifts) & 1).astype(np.uint8).ravel()
 
     def bits_to_symbols(self, bits: np.ndarray) -> np.ndarray:
         k = self.spec.field.k_bits
         bits = as_bits(bits)
         if bits.size % k:
             raise ValueError(f"bit length {bits.size} is not a multiple of {k}")
-        weights = 1 << np.arange(k - 1, -1, -1)
-        return bits.reshape(-1, k).astype(np.int64) @ weights
+        return bits.reshape(-1, k).astype(np.int64) @ (1 << self._bit_shifts)
 
 
 def rs_encode(message: np.ndarray, spec: RsCodeSpec) -> np.ndarray:
@@ -219,11 +225,3 @@ def _check_symbols(values, spec: RsCodeSpec, expected_len: int) -> np.ndarray:
     if arr.size and (arr.min() < 0 or arr.max() >= spec.field.size):
         raise ValueError(f"symbols must lie in [0, {spec.field.size})")
     return arr
-
-
-def _xor_reduce(arr: np.ndarray) -> int:
-    return int(np.bitwise_xor.reduce(arr))
-
-
-def _xor_reduce_rows(arr: np.ndarray) -> np.ndarray:
-    return np.bitwise_xor.reduce(arr, axis=1)

@@ -176,6 +176,17 @@ def test_serialization_round_trip():
         deserialize_commitment(blob, SMALL)
 
 
+def test_deserialize_rejects_short_header_and_trailing_bytes():
+    rng = np.random.default_rng(14)
+    blob = serialize_commitment(commit(new_salt(SMALL, 3), random_bits(21, rng), SMALL))
+    assert deserialize_commitment(blob, SMALL).salt_hash == blob[-32:]
+    for cut in range(len(blob)):  # every strict prefix, b"SNCM" included
+        with pytest.raises(ValueError):
+            deserialize_commitment(blob[:cut], SMALL)
+    with pytest.raises(ValueError):
+        deserialize_commitment(blob + b"xx", SMALL)
+
+
 def test_commitment_field_validation():
     with pytest.raises(ValueError):
         Commitment(np.zeros(20, dtype=np.uint8), b"\x00" * 32, SMALL)

@@ -99,3 +99,16 @@ def test_spec_validation():
         FieldSpec(8, 0x1D)  # degree 4 mask, not 8
     with pytest.raises(ValueError):
         FieldSpec(8, 0x100).tables()  # degree 8 but not primitive (x^8)
+
+
+@pytest.mark.parametrize("k", [3, 4])
+def test_quotient_through_inverse_log_table(k):
+    """exp[log[a] + inv_log[b]] is a / b, and 0 when either operand is 0."""
+    gf = default_field(k).tables()
+    for a in range(gf.spec.size):
+        for b in range(gf.spec.size):
+            quotient = int(gf.exp[gf.log[a] + gf.inv_log[b]])
+            if a == 0 or b == 0:
+                assert quotient == 0
+            else:
+                assert gf.mul(quotient, b) == a

@@ -89,6 +89,36 @@ def test_wire_rejects_garbage():
         decode_message(blob[:-3], CONFIG.rs_spec)
 
 
+def _fields(*values: bytes) -> bytes:
+    return b"".join(len(v).to_bytes(4, "big") + v for v in values)
+
+
+def test_wire_rejects_short_header():
+    blob = encode_message(AckNak("ACK", 0))
+    for cut in range(6):  # b"SNNA" included
+        with pytest.raises(ValueError):
+            decode_message(blob[:cut], CONFIG.rs_spec)
+
+
+def test_wire_rejects_verdict_bytes_other_than_ack_and_nak():
+    for verdict in (b"\x07", b"\x02", b"", b"\x01\x00"):
+        blob = b"SNNA\x01\x03" + _fields(verdict, (0).to_bytes(4, "big"))
+        with pytest.raises(ValueError):
+            decode_message(blob, CONFIG.rs_spec)
+    ack = b"SNNA\x01\x03" + _fields(b"\x01", (0).to_bytes(4, "big"))
+    assert decode_message(ack, CONFIG.rs_spec) == AckNak("ACK", 0)
+
+
+@pytest.mark.parametrize("width", [0, 4, 7, 9])
+def test_wire_rejects_timestamps_not_eight_bytes(width):
+    good = (60_000).to_bytes(8, "big")
+    bad = (30_000).to_bytes(width, "big") if width else b""
+    for t_str, t_end in ((bad, good), (bytes(8), bad)):
+        blob = b"SNNA\x01\x01" + _fields(hash256(b"k"), t_str, t_end)
+        with pytest.raises(ValueError):
+            decode_message(blob, CONFIG.rs_spec)
+
+
 def test_init_message_window_validation():
     with pytest.raises(ValueError):
         InitMessage(hash256(b"k"), 60_000, 60_000)

@@ -187,3 +187,63 @@ def test_codeword_bit_length():
     assert standard_code(8, 255, 201).codeword_bits == 2040
     assert SMALL.codeword_bits == 21
     assert standard_code(8, 255, 201).message_bits == 1608
+
+
+# Odd parity, a shortened code, and fields narrower and wider than a byte.
+SOUNDNESS_CODES = {
+    "255-222": standard_code(8, 255, 222),
+    "K8-100-60": RsCodeSpec(default_field(8), 100, 60),
+    "K4-15-7": RsCodeSpec(default_field(4), 15, 7),
+    "K10-200-150": RsCodeSpec(default_field(10), 200, 150),
+}
+
+
+def random_errors(rng, spec, word, n_err):
+    pos = rng.choice(spec.m_symbols, size=n_err, replace=False)
+    return corrupt(word, pos, rng.integers(1, spec.field.size, size=n_err))
+
+
+@pytest.mark.parametrize("name", sorted(SOUNDNESS_CODES))
+def test_encoder_matches_naive_oracle(name):
+    spec = SOUNDNESS_CODES[name]
+    rng = np.random.default_rng(41)
+    msg = rng.integers(0, spec.field.size, size=spec.n_symbols)
+    assert list(rs_encode(msg, spec)) == naive_systematic_encode(msg, spec)
+
+
+@pytest.mark.parametrize("name", sorted(SOUNDNESS_CODES))
+def test_bounded_distance_soundness(name):
+    """<= t errors recover; t + 1 never do; any output lies within t."""
+    spec = SOUNDNESS_CODES[name]
+    codec, t = spec.codec(), spec.t
+    rng = np.random.default_rng(43)
+    for _ in range(100):
+        msg = rng.integers(0, spec.field.size, size=spec.n_symbols)
+        cw = codec.encode(msg)
+        for n_err in (int(rng.integers(0, t + 1)), t):
+            assert np.array_equal(codec.decode(random_errors(rng, spec, cw, n_err)), msg)
+        for n_err in (t + 1, int(rng.integers(t + 1, spec.m_symbols + 1))):
+            word = random_errors(rng, spec, cw, n_err)
+            got = codec.decode(word)
+            if got is not None:
+                assert not np.array_equal(got, msg)
+                assert np.count_nonzero(codec.encode(got) != word) <= t
+
+
+def test_decode_equals_brute_force_bounded_distance_small_field():
+    """On random words of the (7, 3) code, decode returns exactly the
+    message of the unique codeword within t = 2 symbols, or None."""
+    messages = np.array(list(product(range(8), repeat=3)))
+    codewords = np.array([rs_encode(m, SMALL) for m in messages])
+    rng = np.random.default_rng(47)
+    outcomes = set()
+    for _ in range(2000):
+        word = rng.integers(0, 8, size=7)
+        near = np.flatnonzero((codewords != word).sum(axis=1) <= SMALL.t)
+        got = rs_decode(word, SMALL)
+        if near.size:
+            assert got is not None and np.array_equal(got, messages[near[0]])
+        else:
+            assert got is None
+        outcomes.add(near.size)
+    assert outcomes == {0, 1}
