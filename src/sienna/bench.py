@@ -22,16 +22,21 @@ from .bits import Sha256Drbg, random_bits
 from .breathing import Scene, mix_scene, sample_profile
 from .channel import ChannelParams, QamSpec, ladder_levels, noise_power_for_snr, qam_demodulate, qam_modulate
 from .commitment import commit, new_salt
-from .fingerprint import hamming_similarity
+from .fingerprint import extract, hamming_similarity
 from .ica import jade_separate, match_sources
 from .protocol import (
     BeltDevice,
+    BeltObservation,
+    PairingScene,
     PipelineConfig,
     PrmsDevice,
+    PrmsObservation,
     observe_scene,
+    prepare_series,
     run_pairing,
     two_subject_scene,
 )
+from .randomness import gf2_rank_rate, monobit_test, randomness_tests, runs_test
 from .rs import RsCodeSpec, standard_code
 
 __all__ = ["ExperimentConfig", "SCENARIOS", "run_experiment"]
@@ -159,8 +164,6 @@ def _population_observations(
     duration_s: float = 61.0,
 ):
     """Single-subject belt and radar observations for `population` subjects."""
-    from .protocol import PairingScene, observe_scene as _observe
-
     pipeline = PipelineConfig(rs_spec=config.rs)
     observations = []
     for i in range(config.population):
@@ -174,47 +177,20 @@ def _population_observations(
             radar_phase_noise_std=radar_phase_noise_std,
             duration_s=duration_s,
         )
-        observations.append(_observe(scene))
+        observations.append(observe_scene(scene))
     return pipeline, observations
 
 
 def _slice_observations(belt_obs, prms_obs, t0: float, t1: float):
     """Restrict both observations to [t0, t1], as a session of that length."""
-    from .breathing import DisplacementSeries, RadarIQ
-    from .protocol import BeltObservation, PrmsObservation
-
-    def cut(samples, rate, start):
-        i0 = int(round((t0 - start) * rate))
-        i1 = int(round((t1 - start) * rate))
-        return samples[i0 : i1 + 1]
-
-    b = belt_obs.series
-    belt = BeltObservation(
-        DisplacementSeries(cut(b.samples, b.sample_rate, b.t_start), b.sample_rate, t0)
+    return (
+        BeltObservation(belt_obs.series.slice(t0, t1)),
+        PrmsObservation(tuple(iq.slice(t0, t1) for iq in prms_obs.iq_channels)),
     )
-    iqs = []
-    for iq in prms_obs.iq_channels:
-        iqs.append(
-            RadarIQ(
-                i_channel=cut(iq.i_channel, iq.sample_rate, iq.t_start),
-                q_channel=cut(iq.q_channel, iq.sample_rate, iq.t_start),
-                sample_rate=iq.sample_rate,
-                wavelength=iq.wavelength,
-                theta0=iq.theta0,
-                a_i=iq.a_i,
-                a_q=iq.a_q,
-                phase_noise_std=iq.phase_noise_std,
-                t_start=t0,
-            )
-        )
-    return belt, PrmsObservation(tuple(iqs))
 
 
 def _raw_window_bits(observation, t0: float, t1: float, pipeline: PipelineConfig):
     """Raw quantizer bits of a standalone session over [t0, t1]."""
-    from .fingerprint import extract
-    from .protocol import prepare_series
-
     series = prepare_series(observation, pipeline)[0]
     return extract(series, t0, t1, pipeline.bank).bits
 
@@ -290,13 +266,9 @@ def _run_fingerprint_similarity(config: ExperimentConfig, n_offsets: int = 6):
 
 
 def _run_commitment_entropy(config: ExperimentConfig):
-    from .protocol import _window_fingerprint, prepare_series
-    from .randomness import gf2_rank_rate, monobit_test, randomness_tests, runs_test
-
     n_samples = config.samples or 10_000
     pipeline, observations = _population_observations(replace(config, population=1))
-    belt_series = prepare_series(observations[0][0], pipeline)[0]
-    fingerprint = _window_fingerprint(belt_series, (0, 60_000), pipeline)
+    fingerprint = BeltDevice(observations[0][0], pipeline).derive_fingerprints((0, 60_000))[0]
     spec = config.rs
     codec = spec.codec()
     drbg = Sha256Drbg(config.trial_seed(0, salt=2))
@@ -366,6 +338,7 @@ def _run_rs_timing(config: ExperimentConfig, parities=(16, 32, 54), reps: int = 
     rows = []
     variations = {}
     rng = np.random.default_rng(config.trial_seed(0, salt=3))
+    order_rng = np.random.default_rng(config.trial_seed(0, salt=6))
     for parity in parities:
         spec = RsCodeSpec(config.rs.field, 255, 255 - parity)
         codec = spec.codec()
@@ -379,22 +352,24 @@ def _run_rs_timing(config: ExperimentConfig, parities=(16, 32, 54), reps: int = 
             words.append(word)
         for _ in range(10):
             codec.decode(clean)  # warm-up
-        # Interleave the error counts across measurement rounds so machine
-        # load affects them evenly; the lower-quartile time per count is
-        # robust against both contention stalls and turbo-boost flukes.
+        # Each rep times every error count once, in a fresh seeded order.
+        # Slow spells from co-tenant load last several ms and cover stretches
+        # of a rep; in a fixed order they would land on the same counts in
+        # every rep. Dividing each time by its rep's median cancels a spell
+        # that covers the whole rep, and the per-count median of those
+        # ratios ignores spells that cover fewer than half of the reps.
         times = np.full((len(words), reps), np.inf)
         for rep in range(reps):
-            for n_err, word in enumerate(words):
+            for n_err in order_rng.permutation(len(words)):
                 t0 = time.perf_counter()
-                out = codec.decode(word)
+                out = codec.decode(words[n_err])
                 times[n_err, rep] = time.perf_counter() - t0
                 assert out is not None and np.array_equal(out, msg)
-        best_times = np.quantile(times, 0.25, axis=1)
-        for n_err, best in enumerate(best_times):
-            rows.append((parity, n_err, float(best), float(np.median(times[n_err]))))
-        variations[parity] = float(
-            (best_times.max() - best_times.min()) / best_times.mean()
-        )
+        for n_err, count_times in enumerate(times):
+            q25, median = np.quantile(count_times, [0.25, 0.5])
+            rows.append((parity, n_err, float(q25), float(median)))
+        ratios = np.median(times / np.median(times, axis=0), axis=1)
+        variations[parity] = float((ratios.max() - ratios.min()) / ratios.mean())
     summary = {
         "variation_by_parity": {str(k): v for k, v in variations.items()},
         "checks": {"timing_variation_below_10pct": max(variations.values()) < 0.10},

@@ -14,7 +14,7 @@ gain at its own sample rate. Everything is deterministic per seed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -102,6 +102,16 @@ class DisplacementSeries:
             )
         return np.interp(instants, times, self.samples)
 
+    def slice(self, t0: float, t1: float) -> DisplacementSeries:
+        """The samples at t0 through t1, both ends included, starting at t0."""
+        cut = _sample_range(self.t_start, self.sample_rate, t0, t1)
+        return replace(self, samples=self.samples[cut], t_start=t0)
+
+
+def _sample_range(t_start: float, rate: float, t0: float, t1: float) -> slice:
+    """Indices of the samples nearest t0 through t1, both ends included."""
+    return slice(int(round((t0 - t_start) * rate)), int(round((t1 - t_start) * rate)) + 1)
+
 
 def synth_displacement(
     profile: SubjectProfile, t_start: float, t_end: float, rate: float
@@ -178,6 +188,13 @@ class RadarIQ:
             raise ValueError("I and Q channels must have equal length")
         if self.wavelength <= 0:
             raise ValueError("wavelength must be positive")
+
+    def slice(self, t0: float, t1: float) -> RadarIQ:
+        """The I/Q samples at t0 through t1, both ends included, starting at t0."""
+        cut = _sample_range(self.t_start, self.sample_rate, t0, t1)
+        return replace(
+            self, i_channel=self.i_channel[cut], q_channel=self.q_channel[cut], t_start=t0
+        )
 
 
 def radar_observe(

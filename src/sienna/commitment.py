@@ -33,7 +33,7 @@ __all__ = [
 
 COMMITMENT_MAGIC = b"SNCM"
 COMMITMENT_VERSION = 1
-_HEADER_BYTES = 11  # magic, version, K/M/N as u16
+COMMITMENT_HEADER_BYTES = 11  # magic, version, K/M/N as u16
 
 # Domain-separation prefixes: salt digests and key derivation must never
 # collide on identical byte strings.
@@ -166,7 +166,7 @@ def serialize_commitment(commitment: Commitment) -> bytes:
 
 def deserialize_commitment(data: bytes, spec: RsCodeSpec) -> Commitment:
     """Parse an SNCM blob for ``spec``; any malformed input raises ValueError."""
-    if len(data) < _HEADER_BYTES:
+    if len(data) < COMMITMENT_HEADER_BYTES:
         raise ValueError(f"truncated commitment header: {len(data)} bytes")
     if data[:4] != COMMITMENT_MAGIC:
         raise ValueError("bad commitment magic")
@@ -177,11 +177,13 @@ def deserialize_commitment(data: bytes, spec: RsCodeSpec) -> Commitment:
     n = int.from_bytes(data[9:11], "big")
     if (k, m, n) != (spec.field.k_bits, spec.m_symbols, spec.n_symbols):
         raise ValueError(f"commitment code ({k},{m},{n}) does not match the session spec")
-    mask_end = _HEADER_BYTES + (spec.codeword_bits + 7) // 8
+    mask_end = COMMITMENT_HEADER_BYTES + (spec.codeword_bits + 7) // 8
     if len(data) != mask_end + 32:
         raise ValueError(f"commitment is {len(data)} bytes, expected {mask_end + 32}")
     return Commitment(
-        masked_codeword=bits_from_bytes(data[_HEADER_BYTES:mask_end], spec.codeword_bits),
+        masked_codeword=bits_from_bytes(
+            data[COMMITMENT_HEADER_BYTES:mask_end], spec.codeword_bits
+        ),
         salt_hash=data[mask_end:],
         spec=spec,
     )

@@ -3,11 +3,11 @@
 One round: ``a`` announces an observation window, both devices turn their
 breathing observations into folded fingerprints, and ``a`` commits one
 sub-salt per jamming-ladder level against its fingerprint. Each commitment
-payload ``{masked codeword, salt digest}`` crosses the simulated channel as
-duplicated QAM symbols while ``b`` jams one copy of every pair at that
-level's power, stitches its own clean view, and opens the commitment with
-its best candidate fingerprint. After every level is acknowledged both
-sides XOR the sub-salts into the evolution salt and derive the next key.
+crosses the simulated channel as an SNNA commit frame sent as duplicated
+QAM symbols, while ``b`` jams one copy of every pair at that level's power,
+stitches its own clean view, decodes the frame, and opens the commitment
+with each of its candidate fingerprints. After every level is acknowledged
+both sides XOR the sub-salts into the evolution salt and derive the next key.
 
 The device observations and channel are simulated, the cryptography and
 message formats are real, and every step is deterministic per seed.
@@ -16,7 +16,7 @@ message formats are real, and every step is deterministic per seed.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, Literal, Sequence
 
 import numpy as np
@@ -46,6 +46,7 @@ from .channel import (
     receiver_stitch,
 )
 from .commitment import (
+    COMMITMENT_HEADER_BYTES,
     Commitment,
     commit,
     hash256,
@@ -83,7 +84,6 @@ __all__ = [
     "bootstrap_key",
     "conclude",
     "decode_message",
-    "derive_fingerprint",
     "encode_message",
     "handle_ack",
     "initiate",
@@ -99,6 +99,10 @@ __all__ = [
 WIRE_MAGIC = b"SNNA"
 WIRE_VERSION = 1
 MSG_INIT, MSG_COMMIT, MSG_ACKNAK = 0x01, 0x02, 0x03
+# Where the masked codeword starts in an encoded CommitMessage: after the
+# SNNA header, the length-prefixed 4-byte level, the commitment's length
+# prefix and the SNCM header.
+COMMIT_MASK_OFFSET_BITS = 8 * (len(WIRE_MAGIC) + 2 + (4 + 4) + 4 + COMMITMENT_HEADER_BYTES)
 
 # Known to every party; the first-round announcement carries its hash in
 # place of a key hash, and the first-round prior key derives from it.
@@ -302,9 +306,11 @@ def handle_ack(state: SessionState, msg: AckNak, n_levels: int) -> None:
 
 
 def conclude(state: SessionState, salt_bits: np.ndarray) -> bytes:
+    """Evolve the key and return the session to ``idle`` for the next round."""
     state._require("done")
     state.current_key = kdf(state.current_key, salt_bits)
     state.round_index += 1
+    state.phase, state.level = "idle", 0
     return state.current_key
 
 
@@ -340,16 +346,6 @@ def _orient(series: DisplacementSeries) -> DisplacementSeries:
     return series
 
 
-def _window_fingerprint(
-    series: DisplacementSeries, window_ms: tuple[int, int], config: PipelineConfig
-) -> np.ndarray:
-    """Quantize one already-normalized series over a window and fold."""
-    t_str, t_end = window_ms[0] / 1000.0, window_ms[1] / 1000.0
-    fp = extract(series, t_str, t_end, config.bank)
-    segments = segment_pad(fp.bits, config.rs_spec.codeword_bits)
-    return xor_fold(segments)
-
-
 @dataclass(frozen=True)
 class BeltObservation:
     series: DisplacementSeries
@@ -358,7 +354,6 @@ class BeltObservation:
 @dataclass(frozen=True)
 class PrmsObservation:
     iq_channels: tuple[RadarIQ, ...]
-    low_confidence: bool = False
 
 
 def prepare_series(
@@ -395,40 +390,37 @@ def prepare_series(
     ]
 
 
-def derive_fingerprint(
-    observation: BeltObservation | PrmsObservation,
-    window_ms: tuple[int, int],
-    config: PipelineConfig,
-) -> list[np.ndarray]:
-    """Folded fingerprint(s) over a window: one for the belt, one per
-    separated source for the radar."""
-    if window_ms[1] <= window_ms[0]:
-        raise ValueError("empty observation window")
-    return [
-        _window_fingerprint(series, window_ms, config)
-        for series in prepare_series(observation, config)
-    ]
-
-
 class _Device:
-    """Shared caching: observations are processed once per announced window."""
+    """One device's fingerprint pipeline over one observation.
 
-    def __init__(self, observation, config: PipelineConfig):
-        self.observation = observation
+    Every candidate series is prepared once, at construction: the output of
+    ``prepare_series``, then the leakage-corrected recombinations
+    ``s_i - mu * s_j`` for each ordered pair of distinct sources and each
+    ``mu`` in ``leakage_grid``, each normalized and oriented. A window then
+    only quantizes and folds each candidate.
+    """
+
+    leakage_grid: tuple[float, ...] = ()
+
+    def __init__(self, observation: BeltObservation | PrmsObservation, config: PipelineConfig):
         self.config = config
-        self._prepared: list[DisplacementSeries] | None = None
-
-    def prepared_series(self) -> list[DisplacementSeries]:
-        if self._prepared is None:
-            self._prepared = prepare_series(self.observation, self.config)
-        return self._prepared
+        sources = prepare_series(observation, config)
+        recombined = [
+            replace(primary, samples=primary.samples - mu * other.samples)
+            for i, primary in enumerate(sources)
+            for j, other in enumerate(sources)
+            if i != j
+            for mu in self.leakage_grid
+        ]
+        self.candidates = sources + [_orient(normalize_series(s)) for s in recombined]
 
     def derive_fingerprints(self, window_ms: tuple[int, int]) -> list[np.ndarray]:
-        if window_ms[1] <= window_ms[0]:
-            raise ValueError("empty observation window")
+        """Folded fingerprint of every candidate over a window, in candidate order."""
+        t_str, t_end = window_ms[0] / 1000.0, window_ms[1] / 1000.0
+        n_bits = self.config.rs_spec.codeword_bits
         return [
-            _window_fingerprint(series, window_ms, self.config)
-            for series in self.prepared_series()
+            xor_fold(segment_pad(extract(series, t_str, t_end, self.config.bank).bits, n_bits))
+            for series in self.candidates
         ]
 
 
@@ -447,27 +439,7 @@ class PrmsDevice(_Device):
     worst, never a wrong key.
     """
 
-    leakage_grid: tuple[float, ...] = (-0.08, -0.05, -0.02, 0.02, 0.05, 0.08)
-
-    def derive_fingerprints(self, window_ms: tuple[int, int]) -> list[np.ndarray]:
-        if window_ms[1] <= window_ms[0]:
-            raise ValueError("empty observation window")
-        sources = self.prepared_series()
-        candidates = list(sources)
-        for i, primary in enumerate(sources):
-            for j, other in enumerate(sources):
-                if i == j:
-                    continue
-                for mu in self.leakage_grid:
-                    corrected = DisplacementSeries(
-                        primary.samples - mu * other.samples,
-                        primary.sample_rate,
-                        primary.t_start,
-                    )
-                    candidates.append(_orient(normalize_series(corrected)))
-        return [
-            _window_fingerprint(series, window_ms, self.config) for series in candidates
-        ]
+    leakage_grid = (-0.08, -0.05, -0.02, 0.02, 0.05, 0.08)
 
 
 def slot_window(
@@ -624,18 +596,6 @@ class PairingOutcome:
     sub_salts: list[np.ndarray] = field(default_factory=list)
 
 
-def _payload_bits(commitment: Commitment) -> np.ndarray:
-    return np.concatenate(
-        [commitment.masked_codeword, bits_from_bytes(commitment.salt_hash)]
-    )
-
-
-def _payload_to_commitment(bits: np.ndarray, spec: RsCodeSpec) -> Commitment:
-    mask = bits[: spec.codeword_bits]
-    digest = bits_to_bytes(bits[spec.codeword_bits : spec.codeword_bits + 256])
-    return Commitment(masked_codeword=mask, salt_hash=digest, spec=spec)
-
-
 def run_pairing(
     device_a: BeltDevice,
     device_b: PrmsDevice,
@@ -665,7 +625,7 @@ def run_pairing(
 
     init = initiate(state_a, clock)
     log("a->b", "init", t_str=init.t_str, t_end=init.t_end, key_hash=init.key_hash.hex())
-    receive_init(state_b, init)
+    receive_init(state_b, decode_message(encode_message(init), rs_spec))
 
     drbg = Sha256Drbg(salt_seed if salt_seed is not None else int(rng.integers(1 << 62)))
     sub_salts: list[np.ndarray] = [None] * ladder.count
@@ -678,6 +638,7 @@ def run_pairing(
     recovered_salts: list[np.ndarray] = []
     for level_idx, jam_level in enumerate(ladder.levels):
         begin_commit(state_a, level_idx)
+        begin_commit(state_b, level_idx)
 
         verdict = "NAK"
         outcome_salt = None
@@ -695,7 +656,7 @@ def run_pairing(
             fp_a = device_a.derive_fingerprints(window)[0]
             sub_salts[level_idx] = new_salt(rs_spec, drbg)
             commitment = commit(sub_salts[level_idx], fp_a, rs_spec)
-            payload = _payload_bits(commitment)
+            payload = bits_from_bytes(encode_message(CommitMessage(level_idx, commitment)))
             symbols = qam_modulate(payload, qam)
             mask = random_bits(symbols.size, rng)
             frame_b = dup_and_jam(
@@ -724,23 +685,30 @@ def run_pairing(
             stitched = receiver_stitch(frame_b, mask)
             rx_payload = qam_demodulate(stitched, qam, n_bits=payload.size)
             stitched_errors = int(np.sum(rx_payload != payload))
-            rx_commitment = _payload_to_commitment(rx_payload, rs_spec)
-            for cand_idx, fp_candidate in enumerate(device_b.derive_fingerprints(window)):
-                opened = open_commitment(rx_commitment, fp_candidate, rs_spec)
-                if opened.recovered:
-                    outcome_salt = opened.salt
-                    candidate_used = cand_idx
-                    break
+            try:
+                received = decode_message(bits_to_bytes(rx_payload), rs_spec)
+            except ValueError:
+                received = None
+            # A frame that does not parse as this level's commitment is a NAK.
+            if isinstance(received, CommitMessage) and received.level_index == level_idx:
+                for cand_idx, fp_candidate in enumerate(device_b.derive_fingerprints(window)):
+                    opened = open_commitment(received.commitment, fp_candidate, rs_spec)
+                    if opened.recovered:
+                        outcome_salt = opened.salt
+                        candidate_used = cand_idx
+                        break
             verdict = "ACK" if outcome_salt is not None else "NAK"
             clock.advance(5)
             log("b->a", "acknak", level=level_idx, verdict=verdict)
             ack = AckNak(verdict, level_idx)
             if verdict == "ACK":
                 handle_ack(state_a, ack, ladder.count)
+                handle_ack(state_b, ack, ladder.count)
                 break
             attempt += 1
             if attempt > retry_budget:
                 handle_ack(state_a, ack, ladder.count)
+                handle_ack(state_b, ack, ladder.count)
 
         levels.append(
             LevelRecord(
@@ -770,7 +738,6 @@ def run_pairing(
         recovered_salts.append(outcome_salt)
 
     evolution_salt = xor_fold(sub_salts)
-    state_b.phase = "done"
     key_a = conclude(state_a, evolution_salt)
     key_b = conclude(state_b, xor_fold(recovered_salts))
     log("a<->b", "kdf", round=state_a.round_index)
@@ -872,7 +839,8 @@ def attack(
         rx_bits = qam_demodulate(estimates, qam, n_bits=tap.truth_bits.size)
         ber = float(np.mean(rx_bits != tap.truth_bits))
         bers.append(ber)
-        rx_mask = rx_bits[: rs_spec.codeword_bits]
+        mask_end = COMMIT_MASK_OFFSET_BITS + rs_spec.codeword_bits
+        rx_mask = rx_bits[COMMIT_MASK_OFFSET_BITS:mask_end]
         true_salt = as_bits(true_sub_salts[level_idx])
         recovered = False
 

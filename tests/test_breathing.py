@@ -236,3 +236,23 @@ def test_series_csv_rejects_bad_header(tmp_path):
     path.write_text("time,val\n0,1\n0.1,2\n")
     with pytest.raises(ValueError):
         load_series(path)
+
+
+@pytest.mark.parametrize("t0, t1", [(0.0, 6.0), (12.3, 30.05), (29.0, 90.0)])
+def test_slice_keeps_the_inclusive_end_sample(t0, t1):
+    def cut(samples, rate, start):  # reference: the inclusive cut `slice` must keep
+        return samples[int(round((t0 - start) * rate)) : int(round((t1 - start) * rate)) + 1]
+
+    truth = synth_displacement(sample_profile(4), 0.0, 91.0, 50.0)
+    series = belt_observe(truth, noise_std=0.01, sample_rate=100.0, seed=1)
+    part = series.slice(t0, t1)
+    assert part.t_start == t0 and part.sample_rate == series.sample_rate
+    assert np.array_equal(part.samples, cut(series.samples, 100.0, 0.0))
+
+    iq = radar_observe(truth, theta0=0.7, a_i=1.1, a_q=0.9, phase_noise_std=0.01, seed=2)
+    iq_part = iq.slice(t0, t1)
+    assert np.array_equal(iq_part.i_channel, cut(iq.i_channel, 50.0, 0.0))
+    assert np.array_equal(iq_part.q_channel, cut(iq.q_channel, 50.0, 0.0))
+    assert iq_part.t_start == t0
+    for name in ("sample_rate", "wavelength", "theta0", "a_i", "a_q", "phase_noise_std"):
+        assert getattr(iq_part, name) == getattr(iq, name)

@@ -5,12 +5,14 @@ import json
 import numpy as np
 import pytest
 
-from sienna.bits import random_bits
+from sienna.bits import bits_from_bytes, random_bits
 from sienna.breathing import belt_observe, radar_observe, sample_profile, synth_displacement
 from sienna.channel import ChannelParams, JammingLadder, ladder_levels
-from sienna.commitment import commit, hash256, new_salt
+from sienna.commitment import commit, hash256, new_salt, open_commitment, xor_fold
 from sienna.fingerprint import hamming_similarity
+from sienna import protocol
 from sienna.protocol import (
+    COMMIT_MASK_OFFSET_BITS,
     AckNak,
     AttackKnowledge,
     BeltDevice,
@@ -30,7 +32,6 @@ from sienna.protocol import (
     bootstrap_key,
     conclude,
     decode_message,
-    derive_fingerprint,
     encode_message,
     handle_ack,
     initiate,
@@ -71,6 +72,9 @@ def test_commit_message_round_trip():
     assert back.level_index == 2
     assert np.array_equal(back.commitment.masked_codeword, c.masked_codeword)
     assert back.commitment.salt_hash == c.salt_hash
+    bits = bits_from_bytes(encode_message(msg))
+    mask = bits[COMMIT_MASK_OFFSET_BITS : COMMIT_MASK_OFFSET_BITS + spec.codeword_bits]
+    assert np.array_equal(mask, c.masked_codeword)
 
 
 def test_acknak_round_trip():
@@ -209,6 +213,49 @@ def test_conclude_changes_key_only_when_done():
     old = state.current_key
     new = conclude(state, salt)
     assert new != old and state.round_index == 1
+    assert state.phase == "idle" and state.level == 0
+    with pytest.raises(ProtocolError):
+        conclude(state, salt)  # one key evolution per round
+
+
+def _hand_driven_round(state_a, state_b, fingerprint, salt_seed, n_levels=2):
+    """One round with every message through the SNNA codec; returns (k_a, k_b, init)."""
+    spec = CONFIG.rs_spec
+    init = decode_message(encode_message(initiate(state_a, SimClock())), spec)
+    receive_init(state_b, init)
+    noisy = fingerprint.copy()
+    noisy[:40:4] ^= 1  # b's fingerprint differs in 10 bits
+    salts_a, salts_b = [], []
+    for level in range(n_levels):
+        begin_commit(state_a, level)
+        begin_commit(state_b, level)
+        salts_a.append(new_salt(spec, salt_seed * 100 + level))
+        frame = encode_message(CommitMessage(level, commit(salts_a[-1], fingerprint, spec)))
+        opened = open_commitment(decode_message(frame, spec).commitment, noisy, spec)
+        assert opened.recovered
+        salts_b.append(opened.salt)
+        ack = decode_message(encode_message(AckNak("ACK", level)), spec)
+        handle_ack(state_a, ack, n_levels)
+        handle_ack(state_b, ack, n_levels)
+    return conclude(state_a, xor_fold(salts_a)), conclude(state_b, xor_fold(salts_b)), init
+
+
+def test_two_hand_driven_rounds_carry_the_key_lineage():
+    spec = CONFIG.rs_spec
+    fingerprint = random_bits(spec.codeword_bits, np.random.default_rng(21))
+    state_a = SessionState(role="a", rs_spec=spec)
+    state_b = SessionState(role="b", rs_spec=spec)
+    k1_a, k1_b, _ = _hand_driven_round(state_a, state_b, fingerprint, salt_seed=1)
+    assert k1_a == k1_b != bootstrap_key()
+    k2_a, k2_b, init2 = _hand_driven_round(state_a, state_b, fingerprint, salt_seed=2)
+    assert init2.key_hash == hash256(k1_a)  # and b accepted it
+    assert k2_a == k2_b and k2_a not in (k1_a, bootstrap_key())
+    assert state_a.round_index == state_b.round_index == 2
+
+    skipped_round_one = SessionState(role="b", rs_spec=spec)
+    with pytest.raises(ProtocolError):
+        receive_init(skipped_round_one, init2)
+    assert skipped_round_one.fail_stage == "announce-key-mismatch"
 
 
 def test_bootstrap_key_is_stable():
@@ -231,8 +278,8 @@ def test_single_subject_fingerprints_match_across_modalities():
     scene = single_subject_scene(5, belt_noise_std=0.0, radar_phase_noise_std=0.0)
     belt_obs, prms_obs = observe_scene(scene)
     window = (0, 60_000)
-    fa = derive_fingerprint(belt_obs, window, CONFIG)[0]
-    fbs = derive_fingerprint(prms_obs, window, CONFIG)
+    fa = BeltDevice(belt_obs, CONFIG).derive_fingerprints(window)[0]
+    fbs = PrmsDevice(prms_obs, CONFIG).derive_fingerprints(window)
     best = max(hamming_similarity(fa, fb) for fb in fbs)
     assert best >= 0.95
 
@@ -241,10 +288,10 @@ def test_two_subject_scene_yields_two_fingerprints_one_match():
     scene = two_subject_scene(8)
     belt_obs, prms_obs = observe_scene(scene)
     window = (0, 60_000)
-    fa = derive_fingerprint(belt_obs, window, CONFIG)[0]
-    fbs = derive_fingerprint(prms_obs, window, CONFIG)
-    assert len(fbs) == 2
-    sims = sorted(hamming_similarity(fa, fb) for fb in fbs)
+    fa = BeltDevice(belt_obs, CONFIG).derive_fingerprints(window)[0]
+    fbs = PrmsDevice(prms_obs, CONFIG).derive_fingerprints(window)
+    assert len(fbs) == 2 + 2 * len(PrmsDevice.leakage_grid)
+    sims = sorted(hamming_similarity(fa, fb) for fb in fbs[:2])
     assert sims[1] >= 0.90  # the target's source
     assert sims[0] <= 0.85  # the bystander's source
 
@@ -253,7 +300,7 @@ def test_derive_fingerprint_empty_window():
     scene = single_subject_scene(2)
     belt_obs, _ = observe_scene(scene)
     with pytest.raises(ValueError):
-        derive_fingerprint(belt_obs, (1000, 1000), CONFIG)
+        BeltDevice(belt_obs, CONFIG).derive_fingerprints((1000, 1000))
 
 
 # -- end-to-end pairing ---------------------------------------------------------
@@ -332,7 +379,7 @@ def test_pairing_transcript_jsonl():
     lines = transcript_to_jsonl(out.transcript).strip().splitlines()
     records = [json.loads(line) for line in lines]
     assert records[0]["type"] == "init" and records[0]["direction"] == "a->b"
-    assert any(r["type"] == "commit" for r in records)
+    assert {r["bits"] for r in records if r["type"] == "commit"} == {2528}  # one SNNA frame
     assert any(r["type"] == "acknak" for r in records)
     times = [r["t_ms"] for r in records]
     assert times == sorted(times)
@@ -354,6 +401,76 @@ def test_pairing_deterministic_given_seeds():
     ]
     assert outs[0].success == outs[1].success
     assert outs[0].key_a == outs[1].key_a
+
+
+# Keys and per-level (retries, candidate_used) of seeded rounds. They cover a
+# failed round, retries, and openings by leakage-corrected candidates, so a
+# change to candidate preparation or order moves them.
+PINNED_ROUNDS = {
+    15: (
+        "48da4f7fb6683a0897d99c314fc90d3366eff0017d822800d79365fa918dff75",
+        [(0, 2), (0, 2), (0, 2), (1, 2)],
+    ),
+    49: (None, [(4, None)]),
+    63: (
+        "731cc354c5cd1be229f69be86cabc613f22e6c7c0a12a4428e8ce30e3be681b2",
+        [(0, 11), (0, 13), (0, 13), (0, 13)],
+    ),
+    95: (
+        "ae0a9691c4670ff26d52a41ec7491ffe255d8289f190d7aacccc388a73a8e6e8",
+        [(0, 8), (1, 8), (0, 8), (2, 8)],
+    ),
+}
+
+
+@pytest.mark.parametrize("seed", sorted(PINNED_ROUNDS))
+def test_same_keys_per_seed(seed):
+    key_hex, levels = PINNED_ROUNDS[seed]
+    belt_obs, prms_obs = observe_scene(two_subject_scene(seed))
+    out = run_pairing(
+        BeltDevice(belt_obs, CONFIG),
+        PrmsDevice(prms_obs, CONFIG),
+        CHANNEL,
+        LADDER,
+        np.random.default_rng(seed),
+        salt_seed=seed,
+    )
+    assert out.success == (key_hex is not None)
+    assert (out.key_a.hex() if out.key_a else None) == key_hex
+    assert [(lvl.retries, lvl.candidate_used) for lvl in out.levels] == levels
+
+
+@pytest.mark.parametrize(
+    "flipped_bit",
+    [0, 8 * 13 + 7],  # in the magic (fails to parse); the level's low bit (wrong level)
+)
+def test_commit_frame_b_cannot_accept_is_a_nak_and_opens_nothing(monkeypatch, flipped_bit):
+    demodulate = protocol.qam_demodulate
+    opens = []
+
+    def flip(*args, **kwargs):
+        bits = demodulate(*args, **kwargs).copy()
+        bits[flipped_bit] ^= 1
+        return bits
+
+    monkeypatch.setattr(protocol, "qam_demodulate", flip)
+    monkeypatch.setattr(protocol, "open_commitment", lambda *args: opens.append(args))
+    scene = single_subject_scene(
+        3, belt_noise_std=0.0, radar_phase_noise_std=0.0, drift_std=0.0
+    )
+    belt_obs, prms_obs = observe_scene(scene)
+    out = run_pairing(
+        BeltDevice(belt_obs, CONFIG),
+        PrmsDevice(prms_obs, CONFIG),
+        CHANNEL,
+        JammingLadder((9.0,)),
+        np.random.default_rng(0),
+        salt_seed=1,
+        retry_budget=1,
+    )
+    assert not out.success and out.failed_stage == "open"
+    assert out.levels[0].retries == 2 and out.levels[0].stitched_bit_errors == 1
+    assert opens == []
 
 
 # -- adversary ------------------------------------------------------------------
