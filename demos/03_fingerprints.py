@@ -22,8 +22,7 @@ pipeline = PipelineConfig()
 
 
 def fingerprint_bits(observation, t0, t1):
-    series = prepare_series(observation, pipeline)[0]
-    return extract(series, t0, t1, bank).bits
+    return extract(prepare_series(observation, pipeline), t0, t1, bank).bits[0]
 
 
 subjects = [sample_profile(seed, drift_std=0.015) for seed in (11, 22, 33)]

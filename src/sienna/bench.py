@@ -191,8 +191,7 @@ def _slice_observations(belt_obs, prms_obs, t0: float, t1: float):
 
 def _raw_window_bits(observation, t0: float, t1: float, pipeline: PipelineConfig):
     """Raw quantizer bits of a standalone session over [t0, t1]."""
-    series = prepare_series(observation, pipeline)[0]
-    return extract(series, t0, t1, pipeline.bank).bits
+    return extract(prepare_series(observation, pipeline), t0, t1, pipeline.bank).bits[0]
 
 
 def _run_fingerprint_similarity(config: ExperimentConfig, n_offsets: int = 6):

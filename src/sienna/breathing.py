@@ -69,7 +69,11 @@ class SubjectProfile:
 
 @dataclass(frozen=True)
 class DisplacementSeries:
-    """Uniformly sampled displacement in cm over [t_start, t_end)."""
+    """Uniformly sampled displacement in cm over [t_start, t_end).
+
+    ``samples`` holds one series, shape (T,), or a stack of C series on the
+    same time base, shape (C, T); time runs along the last axis.
+    """
 
     samples: np.ndarray
     sample_rate: float
@@ -77,6 +81,8 @@ class DisplacementSeries:
 
     def __post_init__(self):
         object.__setattr__(self, "samples", np.asarray(self.samples, dtype=np.float64))
+        if self.samples.ndim not in (1, 2):
+            raise ValueError("samples must be one series (T,) or a stack of series (C, T)")
         if self.sample_rate <= 0:
             raise ValueError("sample rate must be positive")
         if not np.all(np.isfinite(self.samples)):
@@ -84,14 +90,19 @@ class DisplacementSeries:
 
     @property
     def t_end(self) -> float:
-        return self.t_start + self.samples.size / self.sample_rate
+        return self.t_start + self.samples.shape[-1] / self.sample_rate
 
     @property
     def times(self) -> np.ndarray:
-        return self.t_start + np.arange(self.samples.size) / self.sample_rate
+        return self.t_start + np.arange(self.samples.shape[-1]) / self.sample_rate
 
     def value_at(self, instants: np.ndarray) -> np.ndarray:
-        """Linear interpolation; instants must fall inside the series span."""
+        """Linear interpolation of every series; instants must fall inside the span.
+
+        Returns shape (..., len(instants)) and reproduces ``np.interp`` bit
+        for bit: the sample itself at a sample instant or beyond either end,
+        else ``slope * (t - t_j) + x_j`` on the enclosing interval.
+        """
         instants = np.asarray(instants, dtype=np.float64)
         times = self.times
         eps = 0.5 / self.sample_rate
@@ -100,12 +111,19 @@ class DisplacementSeries:
                 f"window [{instants.min():.3f}, {instants.max():.3f}] s outside "
                 f"series span [{self.t_start:.3f}, {times[-1]:.3f}] s"
             )
-        return np.interp(instants, times, self.samples)
+        x = self.samples
+        if times.size == 1:
+            return np.broadcast_to(x[..., :1], (*x.shape[:-1], instants.size)).copy()
+        j = np.clip(np.searchsorted(times, instants, side="right") - 1, 0, times.size - 2)
+        slope = (x[..., j + 1] - x[..., j]) / (times[j + 1] - times[j])
+        values = slope * (instants - times[j]) + x[..., j]
+        values = np.where(instants <= times[j], x[..., j], values)
+        return np.where(instants >= times[-1], x[..., -1:], values)
 
     def slice(self, t0: float, t1: float) -> DisplacementSeries:
         """The samples at t0 through t1, both ends included, starting at t0."""
         cut = _sample_range(self.t_start, self.sample_rate, t0, t1)
-        return replace(self, samples=self.samples[cut], t_start=t0)
+        return replace(self, samples=self.samples[..., cut], t_start=t0)
 
 
 def _sample_range(t_start: float, rate: float, t0: float, t1: float) -> slice:

@@ -11,12 +11,17 @@ standard deviation equals ``NORMALIZED_STD`` before quantization, which
 makes the default centimeter-shaped threshold ladder meaningful for belt
 data and variance-normalized ICA outputs alike, and makes the whole
 pipeline insensitive to per-modality gain.
+
+``normalize_series``, ``skew`` and ``extract`` act on the last (time) axis,
+so a stack of C candidate series on one time base is normalized, measured
+and quantized in one call; a single series is the same code with no
+leading axis.
 """
 
 from __future__ import annotations
 
 import io
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -32,6 +37,7 @@ __all__ = [
     "normalize_series",
     "qtz",
     "segment_pad",
+    "skew",
 ]
 
 # Working amplitude unit: observations are rescaled to this standard
@@ -76,9 +82,23 @@ def default_bank(
     return QuantizerBank(levels=levels, sample_interval=sample_interval)
 
 
+def _bit_rows(values) -> np.ndarray:
+    """Bit strings along the last axis, one per leading index."""
+    arr = np.asarray(values, dtype=np.uint8)
+    if arr.ndim == 0:
+        raise ValueError("bit strings need at least one axis")
+    if arr.max(initial=0) > 1:
+        raise ValueError("bit strings may only contain 0 and 1")
+    return arr
+
+
 @dataclass(frozen=True)
 class FingerprintBits:
-    """Branch-major quantized window: count * 2 * samples bits."""
+    """Branch-major quantized window: count * 2 * samples bits per series.
+
+    ``bits`` has shape (count * 2 * samples,) for one series, or
+    (C, count * 2 * samples) for a stack of C series.
+    """
 
     bits: np.ndarray
     branches: int
@@ -86,15 +106,18 @@ class FingerprintBits:
     window: tuple[float, float]
 
     def __post_init__(self):
-        object.__setattr__(self, "bits", as_bits(self.bits))
-        if self.bits.size != self.branches * 2 * self.samples_per_branch:
+        object.__setattr__(self, "bits", _bit_rows(self.bits))
+        if self.bits.shape[-1] != self.branches * 2 * self.samples_per_branch:
             raise ValueError("bit count does not match branches * 2 * samples")
 
     def branch_codes(self, branch: int) -> np.ndarray:
         start = branch * 2 * self.samples_per_branch
-        return self.bits[start : start + 2 * self.samples_per_branch].reshape(-1, 2)
+        codes = self.bits[..., start : start + 2 * self.samples_per_branch]
+        return codes.reshape(*self.bits.shape[:-1], -1, 2)
 
     def to_csv(self) -> str:
+        if self.bits.ndim != 1:
+            raise ValueError("CSV export takes the bits of one series")
         out = io.StringIO()
         out.write("branch,sample_index,code\n")
         for b in range(self.branches):
@@ -117,38 +140,44 @@ def qtz(x: float, q_plus: float, q_minus: float) -> tuple[int, int]:
 def extract(
     series: DisplacementSeries, t_str: float, t_end: float, bank: QuantizerBank
 ) -> FingerprintBits:
-    """Quantize a window at instants t_str + j*T, final floor instant included."""
+    """Quantize a window at instants t_str + j*T, final floor instant included.
+
+    Every series of a stack is quantized by one comparison against the
+    bank's upper and lower threshold vectors; row c of the result is the
+    fingerprint of series c.
+    """
     if t_end <= t_str:
         raise ValueError("window must have positive length")
     T = bank.sample_interval
     n_samples = int(np.floor((t_end - t_str) / T)) + 1
     instants = t_str + np.arange(n_samples) * T
-    values = series.value_at(instants)
+    values = series.value_at(instants)[..., None, :]  # (..., 1, samples)
 
-    chunks = []
-    for q_plus, q_minus in bank.levels:
-        hi = (values >= q_plus).astype(np.uint8)
-        lo = (values <= q_minus).astype(np.uint8)
-        chunks.append(np.stack([hi, lo], axis=1).ravel())
+    uppers, lowers = np.array(bank.levels).T[:, :, None]  # (branches, 1) each
+    codes = np.stack([values >= uppers, values <= lowers], axis=-1)  # (..., branches, samples, 2)
     return FingerprintBits(
-        bits=np.concatenate(chunks),
+        bits=codes.reshape(*values.shape[:-2], -1).astype(np.uint8),
         branches=bank.count,
         samples_per_branch=n_samples,
         window=(t_str, t_end),
     )
 
 
-def segment_pad(bits: np.ndarray, target_len: int) -> list[np.ndarray]:
-    """Split into target_len chunks, zero-padding the final one."""
-    bits = as_bits(bits)
+def segment_pad(bits: np.ndarray, target_len: int) -> np.ndarray:
+    """Split into target_len chunks, zero-padding the final one.
+
+    Returns shape (..., n_segments, target_len): the segments of each bit
+    string along the last axis.
+    """
+    bits = _bit_rows(bits)
     if target_len <= 0:
         raise ValueError("target length must be positive")
-    if bits.size == 0:
+    if bits.shape[-1] == 0:
         raise ValueError("cannot segment an empty bit string")
-    n_segments = -(-bits.size // target_len)
-    padded = np.zeros(n_segments * target_len, dtype=np.uint8)
-    padded[: bits.size] = bits
-    return [padded[i * target_len : (i + 1) * target_len] for i in range(n_segments)]
+    n_segments = -(-bits.shape[-1] // target_len)
+    padded = np.zeros((*bits.shape[:-1], n_segments * target_len), dtype=np.uint8)
+    padded[..., : bits.shape[-1]] = bits
+    return padded.reshape(*bits.shape[:-1], n_segments, target_len)
 
 
 def hamming_similarity(a: np.ndarray, b: np.ndarray) -> float:
@@ -162,11 +191,26 @@ def hamming_similarity(a: np.ndarray, b: np.ndarray) -> float:
 
 
 def normalize_series(series: DisplacementSeries) -> DisplacementSeries:
-    """Rescale to the working amplitude unit (std = NORMALIZED_STD), zero mean."""
+    """Rescale each series to the working unit (std = NORMALIZED_STD), zero mean."""
     x = series.samples
-    std = x.std()
-    if std == 0:
+    std = x.std(axis=-1, keepdims=True)
+    if np.any(std == 0):
         raise ValueError("cannot normalize a constant series")
-    return DisplacementSeries(
-        (x - x.mean()) * (NORMALIZED_STD / std), series.sample_rate, series.t_start
-    )
+    return replace(series, samples=(x - x.mean(axis=-1, keepdims=True)) * (NORMALIZED_STD / std))
+
+
+def skew(samples: np.ndarray) -> np.ndarray | float:
+    """Fisher-Pearson skewness m3 / m2**1.5 along the last axis.
+
+    Computed as ``scipy.stats.skew`` (biased) computes it: central moments
+    about the row mean, ``m3 = mean(d * d * d)``, and NaN where m2 is zero
+    to within the mean's resolution. A 1-D input gives a scalar.
+    """
+    x = np.asarray(samples, dtype=np.float64)
+    mean = x.mean(axis=-1, keepdims=True)
+    d = x - mean
+    m2 = (d * d).mean(axis=-1)
+    m3 = (d * d * d).mean(axis=-1)
+    with np.errstate(all="ignore"):
+        zero = m2 <= (np.finfo(np.float64).eps * mean[..., 0]) ** 2
+        return np.where(zero, np.nan, m3 / m2**1.5)[()]

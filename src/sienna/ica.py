@@ -13,6 +13,7 @@ resolves all three against a reference series.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 from scipy.signal import filtfilt, firwin
@@ -218,5 +219,12 @@ def lowpass_filter(
     if cutoff_hz >= sample_rate / 2:
         return signal
     numtaps = min(numtaps, max(3, signal.shape[-1] // 4) | 1)
+    return filtfilt(_fir_taps(numtaps, cutoff_hz, sample_rate), [1.0], signal, axis=-1)
+
+
+@lru_cache(maxsize=64)
+def _fir_taps(numtaps: int, cutoff_hz: float, sample_rate: float) -> np.ndarray:
+    """Windowed-sinc low-pass taps, designed once per (numtaps, cutoff, rate); read-only."""
     taps = firwin(numtaps, cutoff_hz, fs=sample_rate)
-    return filtfilt(taps, [1.0], signal, axis=-1)
+    taps.flags.writeable = False
+    return taps

@@ -20,7 +20,6 @@ from dataclasses import dataclass, field, replace
 from typing import Callable, Literal, Sequence
 
 import numpy as np
-from scipy.stats import skew
 
 from .bits import Sha256Drbg, as_bits, bits_from_bytes, bits_to_bytes, random_bits
 from .breathing import (
@@ -58,7 +57,14 @@ from .commitment import (
     deserialize_commitment,
     xor_fold,
 )
-from .fingerprint import QuantizerBank, default_bank, extract, normalize_series, segment_pad
+from .fingerprint import (
+    QuantizerBank,
+    default_bank,
+    extract,
+    normalize_series,
+    segment_pad,
+    skew,
+)
 from .ica import jade_separate, lowpass_filter
 from .rs import RsCodeSpec, standard_code
 
@@ -334,16 +340,15 @@ class PipelineConfig:
 
 
 def _orient(series: DisplacementSeries) -> DisplacementSeries:
-    """Fix the sign ambiguity by the breathing waveform's skewness.
+    """Fix the sign ambiguity of every series by its breathing waveform's skewness.
 
     Fast inhales and slow exhales leave positively skewed displacement, so
     orienting every modality to positive skew makes belt and separated
-    radar views comparable regardless of sensor polarity or ICA sign.
+    radar views comparable regardless of sensor polarity or ICA sign. The
+    sign is that of the third central moment.
     """
-    s = skew(series.samples)
-    if s < 0:
-        return DisplacementSeries(-series.samples, series.sample_rate, series.t_start)
-    return series
+    flip = np.asarray(skew(series.samples) < 0)[..., None]
+    return replace(series, samples=np.where(flip, -series.samples, series.samples))
 
 
 @dataclass(frozen=True)
@@ -358,22 +363,20 @@ class PrmsObservation:
 
 def prepare_series(
     observation: BeltObservation | PrmsObservation, config: PipelineConfig
-) -> list[DisplacementSeries]:
+) -> DisplacementSeries:
     """Low-pass, demodulate/separate, normalize, and orient one observation.
 
-    Returns the candidate breathing series this device can quantize: one
-    for the belt, one per separated source for the radar (in separation
-    confidence order). Normalization and orientation happen once over the
-    whole observation so every sub-window is quantized consistently.
+    Returns the candidate breathing series this device can quantize, stacked
+    on one time base with shape (n, T): one row for the belt, one per
+    separated source for the radar (in separation confidence order).
+    Normalization and orientation happen once over the whole observation so
+    every sub-window is quantized consistently.
     """
     if isinstance(observation, BeltObservation):
         series = observation.series
-        filtered = DisplacementSeries(
-            lowpass_filter(series.samples, series.sample_rate, config.lowpass_hz),
-            series.sample_rate,
-            series.t_start,
-        )
-        return [_orient(normalize_series(filtered))]
+        filtered = lowpass_filter(series.samples, series.sample_rate, config.lowpass_hz)
+        stacked = DisplacementSeries(filtered[None, :], series.sample_rate, series.t_start)
+        return _orient(normalize_series(stacked))
 
     rate = observation.iq_channels[0].sample_rate
     t_start = observation.iq_channels[0].t_start
@@ -384,44 +387,42 @@ def prepare_series(
     effective = int(np.sum(eigvals > config.source_rank_rel * eigvals[0]))
     n_sources = max(1, min(config.n_sources, mixture.shape[0], effective))
     separation = jade_separate(mixture, n_sources)
-    return [
-        _orient(normalize_series(DisplacementSeries(row, rate, t_start)))
-        for row in separation.sources
-    ]
+    return _orient(normalize_series(DisplacementSeries(separation.sources, rate, t_start)))
 
 
 class _Device:
     """One device's fingerprint pipeline over one observation.
 
-    Every candidate series is prepared once, at construction: the output of
-    ``prepare_series``, then the leakage-corrected recombinations
-    ``s_i - mu * s_j`` for each ordered pair of distinct sources and each
-    ``mu`` in ``leakage_grid``, each normalized and oriented. A window then
-    only quantizes and folds each candidate.
+    Every candidate series is prepared once, at construction, into one
+    (C, T) matrix on one time base: the rows of ``prepare_series``, then the
+    leakage-corrected recombinations ``s_i - mu * s_j`` for each ordered
+    pair of distinct sources and each ``mu`` in ``leakage_grid``, built by
+    one fancy-indexed subtraction and normalized and oriented together. A
+    window then interpolates, quantizes and folds all candidates at once.
     """
 
     leakage_grid: tuple[float, ...] = ()
 
     def __init__(self, observation: BeltObservation | PrmsObservation, config: PipelineConfig):
         self.config = config
-        sources = prepare_series(observation, config)
-        recombined = [
-            replace(primary, samples=primary.samples - mu * other.samples)
-            for i, primary in enumerate(sources)
-            for j, other in enumerate(sources)
-            if i != j
-            for mu in self.leakage_grid
-        ]
-        self.candidates = sources + [_orient(normalize_series(s)) for s in recombined]
+        self.candidates = sources = prepare_series(observation, config)
+        n = sources.samples.shape[0]
+        pairs = [(i, j) for i in range(n) for j in range(n) if i != j]
+        if pairs and self.leakage_grid:
+            # Rows in the order (i, j, mu): every mu of a pair, pair by pair.
+            first, second = np.repeat(pairs, len(self.leakage_grid), axis=0).T
+            mu = np.tile(self.leakage_grid, len(pairs))[:, None]
+            S = sources.samples
+            recombined = replace(sources, samples=S[first] - mu * S[second])
+            oriented = _orient(normalize_series(recombined)).samples
+            self.candidates = replace(sources, samples=np.concatenate([S, oriented]))
 
     def derive_fingerprints(self, window_ms: tuple[int, int]) -> list[np.ndarray]:
         """Folded fingerprint of every candidate over a window, in candidate order."""
         t_str, t_end = window_ms[0] / 1000.0, window_ms[1] / 1000.0
-        n_bits = self.config.rs_spec.codeword_bits
-        return [
-            xor_fold(segment_pad(extract(series, t_str, t_end, self.config.bank).bits, n_bits))
-            for series in self.candidates
-        ]
+        bits = extract(self.candidates, t_str, t_end, self.config.bank).bits
+        segments = segment_pad(bits, self.config.rs_spec.codeword_bits)
+        return list(np.bitwise_xor.reduce(segments, axis=-2))
 
 
 class BeltDevice(_Device):
@@ -649,9 +650,13 @@ def run_pairing(
             clock.advance(10)
             # Every (re)attempt binds a fresh sub-salt to a fresh slot of
             # the announced window; b derives its candidates for the same
-            # slot, and re-randomizes its jam mask per transmission.
+            # slot of the window it received, and re-randomizes its jam mask
+            # per transmission.
             window = slot_window(
                 state_a.window_ms, ladder.count, config.commit_slot_s, level_idx, attempt
+            )
+            window_b = slot_window(
+                state_b.window_ms, ladder.count, config.commit_slot_s, level_idx, attempt
             )
             fp_a = device_a.derive_fingerprints(window)[0]
             sub_salts[level_idx] = new_salt(rs_spec, drbg)
@@ -691,7 +696,7 @@ def run_pairing(
                 received = None
             # A frame that does not parse as this level's commitment is a NAK.
             if isinstance(received, CommitMessage) and received.level_index == level_idx:
-                for cand_idx, fp_candidate in enumerate(device_b.derive_fingerprints(window)):
+                for cand_idx, fp_candidate in enumerate(device_b.derive_fingerprints(window_b)):
                     opened = open_commitment(received.commitment, fp_candidate, rs_spec)
                     if opened.recovered:
                         outcome_salt = opened.salt

@@ -216,6 +216,40 @@ def test_window_outside_series_rejected():
         x.value_at(np.array([9.0, 10.5]))
 
 
+@pytest.mark.parametrize("rate,t_start", [(10.0, 0.0), (50.0, 2.0), (7.3, -1.1)])
+def test_value_at_matches_np_interp_bit_for_bit(rate, t_start):
+    rng = np.random.default_rng(int(rate))
+    stacked = DisplacementSeries(rng.normal(0, 0.3, size=(3, 400)), rate, t_start)
+    times, eps = stacked.times, 0.49 / rate
+    instants = np.concatenate([
+        rng.uniform(t_start, times[-1], 500),  # inside intervals
+        times[rng.integers(0, times.size, 50)],  # on sample instants
+        [t_start - eps, t_start, times[-1], times[-1] + eps],  # both ends
+        t_start + 0.35 + np.arange(60) * 0.1,  # a quantizer grid
+    ])
+    got = stacked.value_at(instants)
+    assert got.shape == (3, instants.size)
+    for row, out in zip(stacked.samples, got):
+        ref = np.interp(instants, times, row)
+        assert np.array_equal(out.view(np.uint64), ref.view(np.uint64))
+        single = DisplacementSeries(row, rate, t_start).value_at(instants)
+        assert np.array_equal(single.view(np.uint64), ref.view(np.uint64))
+
+
+def test_value_at_of_a_one_sample_series():
+    x = DisplacementSeries(np.array([[0.25], [-0.5]]), 10.0)
+    assert np.array_equal(x.value_at(np.array([0.0, 0.04])), [[0.25, 0.25], [-0.5, -0.5]])
+
+
+def test_stacked_series_slice_and_span():
+    x = DisplacementSeries(np.arange(20.0).reshape(2, 10), 10.0, 1.0)
+    assert x.t_end == 2.0 and x.times.size == 10
+    cut = x.slice(1.2, 1.5)
+    assert np.array_equal(cut.samples, [[2, 3, 4, 5], [12, 13, 14, 15]])
+    with pytest.raises(ValueError):
+        DisplacementSeries(np.zeros((2, 2, 2)), 10.0)
+
+
 def test_series_csv_round_trip(tmp_path):
     from sienna.breathing import load_series, save_series
 

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from scipy import stats
 
 from sienna.breathing import (
     DisplacementSeries,
@@ -21,6 +22,7 @@ from sienna.fingerprint import (
     normalize_series,
     qtz,
     segment_pad,
+    skew,
 )
 
 
@@ -181,3 +183,81 @@ def test_fingerprint_csv_dump():
 def test_fingerprint_bits_validation():
     with pytest.raises(ValueError):
         FingerprintBits(np.zeros(5, dtype=np.uint8), 1, 3, (0, 1))
+
+
+# -- stacked series: one call over every row, the single series as C = 1 ----
+
+
+def _stacked_breathing(n_series=5, seconds=30.0, rate=50.0):
+    profiles = [SubjectProfile(resp_rate=10.0 + 2 * i, seed=i) for i in range(n_series)]
+    rows = [synth_displacement(p, 0, seconds, rate).samples for p in profiles]
+    return DisplacementSeries(np.stack(rows), rate)
+
+
+@pytest.mark.parametrize("shape", [(3000,), (6, 2500), (1, 7)])
+def test_skew_matches_scipy(shape):
+    rng = np.random.default_rng(21)
+    x = rng.gamma(2.0, size=shape) * rng.choice([-1.0, 1.0], size=shape[:-1] + (1,)) + 3.0
+    ours, ref = skew(x), stats.skew(x, axis=-1)
+    assert np.shape(ours) == np.shape(ref)
+    np.testing.assert_allclose(ours, ref, rtol=1e-12, atol=0)
+    assert np.array_equal(np.sign(ours), np.sign(ref))
+
+
+def test_skew_sign_on_breathing_rows_matches_scipy():
+    series = normalize_series(_stacked_breathing())
+    flipped = series.samples * np.array([1, -1, 1, -1, -1])[:, None]
+    for x in (series.samples, flipped):
+        assert np.array_equal(np.sign(skew(x)), np.sign(stats.skew(x, axis=-1)))
+        for row in x:
+            assert np.sign(skew(row)) == np.sign(stats.skew(row))
+
+
+def test_skew_of_a_constant_series_is_nan():
+    assert np.isnan(skew(np.full(10, 2.5)))
+    assert np.isnan(skew(np.ones((2, 10)))).all()
+
+
+def test_stacked_normalize_equals_each_row_normalized():
+    stacked = _stacked_breathing()
+    norm = normalize_series(stacked)
+    for row, out in zip(stacked.samples, norm.samples):
+        assert np.array_equal(out, normalize_series(DisplacementSeries(row, 50.0)).samples)
+    with pytest.raises(ValueError):
+        normalize_series(DisplacementSeries(np.stack([stacked.samples[0], np.ones(1500)]), 50.0))
+
+
+@pytest.mark.parametrize("window", [(0.0, 29.0), (0.35, 7.3), (12.0, 12.05)])
+def test_stacked_extract_equals_stack_of_single_extracts(window):
+    stacked = normalize_series(_stacked_breathing())
+    bank = default_bank()
+    fp = extract(stacked, *window, bank)
+    singles = [extract(DisplacementSeries(row, 50.0), *window, bank) for row in stacked.samples]
+    assert fp.bits.shape == (5, singles[0].bits.size)
+    assert np.array_equal(fp.bits, np.stack([s.bits for s in singles]))
+    assert fp.samples_per_branch == singles[0].samples_per_branch
+    assert np.array_equal(fp.branch_codes(3)[2], singles[2].branch_codes(3))
+    with pytest.raises(ValueError):
+        fp.to_csv()
+
+
+def test_extract_matches_per_branch_qtz():
+    """Branch-major layout: branch b, sample i holds qtz(x_i, q+_b, q-_b)."""
+    rng = np.random.default_rng(8)
+    series = DisplacementSeries(rng.normal(0, 0.3, size=61), 10.0)
+    bank = default_bank()
+    fp = extract(series, 0.0, 6.0, bank)
+    for b, (q_plus, q_minus) in enumerate(bank.levels):
+        expected = [qtz(x, q_plus, q_minus) for x in series.samples]
+        assert np.array_equal(fp.branch_codes(b), np.array(expected))
+
+
+def test_stacked_segment_pad_equals_each_row_segmented():
+    rng = np.random.default_rng(9)
+    bits = rng.integers(0, 2, size=(3, 5000), dtype=np.uint8)
+    segs = segment_pad(bits, 2040)
+    assert segs.shape == (3, 3, 2040)
+    for row, row_segs in zip(bits, segs):
+        assert np.array_equal(row_segs, segment_pad(row, 2040))
+    with pytest.raises(ValueError):
+        segment_pad(np.array([[0, 2]]), 2040)

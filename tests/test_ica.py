@@ -2,9 +2,10 @@
 
 import numpy as np
 import pytest
+from scipy.signal import filtfilt, firwin
 
 from sienna.breathing import Scene, mix_scene, sample_profile
-from sienna.ica import jade_separate, lowpass_filter, match_sources, whiten
+from sienna.ica import _fir_taps, jade_separate, lowpass_filter, match_sources, whiten
 
 
 def sine_sawtooth(t_samples=6000, rate=100.0, seed=0):
@@ -162,3 +163,14 @@ def test_lowpass_removes_high_frequency():
     fast = 0.5 * np.sin(2 * np.pi * 30.0 * t)
     filtered = lowpass_filter(slow + fast, sample_rate=100.0, cutoff_hz=10.0)
     assert np.sqrt(np.mean((filtered - slow) ** 2)) < 0.02
+
+
+def test_lowpass_taps_designed_once_and_read_only():
+    taps = _fir_taps(65, 10.0, 50.0)
+    assert _fir_taps(65, 10.0, 50.0) is taps
+    assert np.array_equal(taps, firwin(65, 10.0, fs=50.0))
+    with pytest.raises(ValueError):
+        taps[0] = 1.0
+    x = np.random.default_rng(3).normal(size=(2, 3000))
+    expected = filtfilt(firwin(65, 10.0, fs=50.0), [1.0], x, axis=-1)
+    assert np.array_equal(lowpass_filter(x, 50.0, 10.0), expected)

@@ -1,5 +1,6 @@
 """Pairing protocol: wire formats, state machine, end-to-end runs, attacks."""
 
+import hashlib
 import json
 
 import numpy as np
@@ -440,6 +441,42 @@ def test_same_keys_per_seed(seed):
     assert [(lvl.retries, lvl.candidate_used) for lvl in out.levels] == levels
 
 
+# SHA-256 over the packed bits of every candidate fingerprint of a belt and a
+# radar device, per scene seed: the four ladder slots of a 60 s session, then
+# 6/12/24/48/60 s windows over observations one second longer. Captured from
+# the per-candidate pipeline (one normalize, scipy skew and extract per
+# series), so the candidate matrix must reproduce it bit for bit.
+PINNED_CANDIDATE_BITS = {
+    1: "6cdacf0beeeb995f16d37e7fecd5ed3b2270369a1b77cc147b9c05ab653b10db",
+    2: "6b0c4a1ea16a035b3bbc5c431a21931429c31ee807ee15aabed99c2e0bedaf3d",
+    3: "4c8662e0e3ff563a06b66519ee0bca9ce796680bd5861c0d7b5f643aa9755d47",
+    4: "7f77ba682fccfd9e3073c17f8f69acbe78622bf53073683221c7e92cf73f5ac0",
+    5: "b7ad0dd789fa04c6881fdc56fb1bdcb18e9dd8ca4493ba0fb37eb60a0095e9b6",
+    6: "a8e6bbc2757c96def57fb484aa85e6407009468a3cb37fb5cb678898bc941762",
+}
+
+
+@pytest.mark.parametrize("seed", sorted(PINNED_CANDIDATE_BITS))
+def test_candidate_bits_per_seed(seed):
+    digest = hashlib.sha256()
+
+    def add(fingerprints):
+        for fp in fingerprints:
+            digest.update(np.packbits(fp).tobytes())
+
+    belt_obs, prms_obs = observe_scene(two_subject_scene(seed))
+    belt, radar = BeltDevice(belt_obs, CONFIG), PrmsDevice(prms_obs, CONFIG)
+    for level in range(LADDER.count):
+        window = slot_window((0, 60_000), LADDER.count, CONFIG.commit_slot_s, level, 0)
+        add(belt.derive_fingerprints(window))
+        add(radar.derive_fingerprints(window))
+    for d in (6, 12, 24, 48, 60):
+        belt_obs, prms_obs = observe_scene(two_subject_scene(seed, duration_s=d + 1.0))
+        add(BeltDevice(belt_obs, CONFIG).derive_fingerprints((0, d * 1000)))
+        add(PrmsDevice(prms_obs, CONFIG).derive_fingerprints((0, d * 1000)))
+    assert digest.hexdigest() == PINNED_CANDIDATE_BITS[seed]
+
+
 @pytest.mark.parametrize(
     "flipped_bit",
     [0, 8 * 13 + 7],  # in the magic (fails to parse); the level's low bit (wrong level)
@@ -471,6 +508,41 @@ def test_commit_frame_b_cannot_accept_is_a_nak_and_opens_nothing(monkeypatch, fl
     assert not out.success and out.failed_stage == "open"
     assert out.levels[0].retries == 2 and out.levels[0].stitched_bit_errors == 1
     assert opens == []
+
+
+def test_b_derives_candidates_from_the_window_it_received(monkeypatch):
+    """b quantizes the window it decoded from the init frame, not a's copy.
+
+    The init frame is made to decode as a window shifted by 2.5 s, so every
+    commitment slot b measures lies 2.5 s off a's. The same round untampered
+    is pinned to succeed (seed 63 in PINNED_ROUNDS).
+    """
+    decode = protocol.decode_message
+    windows_b = []
+
+    def shifted_init(data, rs_spec):
+        msg = decode(data, rs_spec)
+        if isinstance(msg, InitMessage):
+            msg = InitMessage(msg.key_hash, msg.t_str + 2_500, msg.t_end - 7_500)
+        return msg
+
+    monkeypatch.setattr(protocol, "decode_message", shifted_init)
+    belt_obs, prms_obs = observe_scene(two_subject_scene(63))
+    device_b = PrmsDevice(prms_obs, CONFIG)
+    derive_b = device_b.derive_fingerprints
+    device_b.derive_fingerprints = lambda window: windows_b.append(window) or derive_b(window)
+    out = run_pairing(
+        BeltDevice(belt_obs, CONFIG),
+        device_b,
+        CHANNEL,
+        LADDER,
+        np.random.default_rng(63),
+        salt_seed=63,
+    )
+    assert not out.success and out.key_a is None and out.key_b is None
+    assert out.failed_level == 0 and out.failed_stage == "open"
+    assert out.levels[0].verdict == "NAK"
+    assert windows_b == [slot_window((2_500, 52_500), LADDER.count, 10.0, 0, k) for k in range(4)]
 
 
 # -- adversary ------------------------------------------------------------------
