@@ -9,7 +9,7 @@ person's bits disagree far beyond what error correction would bridge.
 import numpy as np
 
 from sienna.fingerprint import default_bank, extract, hamming_similarity, qtz
-from sienna.protocol import PairingScene, PipelineConfig, observe_scene, prepare_series
+from sienna.protocol import PairingScene, observe_scene, prepare_series
 from sienna.breathing import sample_profile
 
 bank = default_bank()
@@ -18,18 +18,16 @@ print(f"qtz(0.7)  -> {qtz(0.7, 0.5, -0.5)}   (at or above the upper threshold)")
 print(f"qtz(-0.6) -> {qtz(-0.6, 0.5, -0.5)}   (at or below the lower threshold)")
 print(f"qtz(0.0)  -> {qtz(0.0, 0.5, -0.5)}   (inside the band)")
 
-pipeline = PipelineConfig()
-
 
 def fingerprint_bits(observation, t0, t1):
-    return extract(prepare_series(observation, pipeline), t0, t1, bank).bits[0]
+    return extract(prepare_series(observation), t0, t1, bank).bits[0]
 
 
 subjects = [sample_profile(seed, drift_std=0.015) for seed in (11, 22, 33)]
 views = {}
 for idx, profile in enumerate(subjects):
     scene = PairingScene(
-        subjects=(profile,), target_index=0, seed=idx,
+        subjects=(profile,), seed=idx,
         belt_noise_std=0.02, radar_phase_noise_std=0.05,
     )
     belt_obs, prms_obs = observe_scene(scene)

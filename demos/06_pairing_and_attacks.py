@@ -16,7 +16,6 @@ from sienna.protocol import (
     AttackKnowledge,
     BeltDevice,
     BeltObservation,
-    EavesdropperConfig,
     PipelineConfig,
     PrmsDevice,
     attack,
@@ -43,11 +42,10 @@ device_b = PrmsDevice(prms_obs, config)
 true_series = synth_displacement(scene.subjects[0], 0, scene.duration_s, 100.0)
 insider = BeltDevice(BeltObservation(belt_observe(true_series, noise_std=0.0)), config)
 knowledge = AttackKnowledge("perfect", fingerprint=lambda w: insider.derive_fingerprints(w)[0])
-eve = EavesdropperConfig(p2=channel.p1, p0=1.0)
 
 outcome = run_pairing(
     device_a, device_b, channel, ladder, np.random.default_rng(1),
-    salt_seed=99, eavesdropper=eve,
+    salt_seed=99, eavesdropper_p2=channel.p1,
 )
 print(f"\npairing: success={outcome.success}, keys match={outcome.key_a == outcome.key_b}")
 for record in outcome.levels:
@@ -68,7 +66,7 @@ for lvl in result.per_level:
 
 quiet = run_pairing(
     device_a, device_b, channel, JammingLadder((0.0,)), np.random.default_rng(3),
-    salt_seed=100, eavesdropper=eve,
+    salt_seed=100, eavesdropper_p2=channel.p1,
 )
 undefended = attack(quiet.taps, quiet.sub_salts, knowledge, config.rs_spec,
                     rng=np.random.default_rng(4))

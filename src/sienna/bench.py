@@ -19,12 +19,14 @@ from pathlib import Path
 import numpy as np
 
 from .bits import Sha256Drbg, random_bits
-from .breathing import Scene, mix_scene, sample_profile
-from .channel import ChannelParams, QamSpec, ladder_levels, noise_power_for_snr, qam_demodulate, qam_modulate
+from .breathing import Scene, mix_scene, sample_profile, sample_separable_pair
+from .channel import ChannelParams, ladder_levels, noise_power_for_snr, qam_demodulate, qam_modulate
 from .commitment import commit, new_salt
 from .fingerprint import extract, hamming_similarity
 from .ica import jade_separate, match_sources
 from .protocol import (
+    BANK,
+    QAM,
     BeltDevice,
     BeltObservation,
     PairingScene,
@@ -39,16 +41,7 @@ from .protocol import (
 from .randomness import gf2_rank_rate, monobit_test, randomness_tests, runs_test
 from .rs import RsCodeSpec, standard_code
 
-__all__ = ["ExperimentConfig", "SCENARIOS", "run_experiment"]
-
-SCENARIOS = (
-    "separation",
-    "fingerprint-similarity",
-    "commitment-entropy",
-    "rs-timing",
-    "adversarial-ber",
-    "pairing-success",
-)
+__all__ = ["ExperimentConfig", "SCENARIOS", "SCENARIO_TABLE", "run_experiment"]
 
 
 @dataclass(frozen=True)
@@ -78,7 +71,7 @@ class ExperimentConfig:
         return (base * 1_000_003 + index * 7919 + salt * 104_729) % (1 << 31)
 
 
-def _write_csv(path: Path, header: list[str], rows: list[tuple]) -> None:
+def _write_csv(path: Path, header: tuple[str, ...], rows: list[tuple]) -> None:
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w") as fh:
         fh.write(",".join(header) + "\n")
@@ -88,15 +81,8 @@ def _write_csv(path: Path, header: list[str], rows: list[tuple]) -> None:
 
 def run_experiment(config: ExperimentConfig) -> dict:
     """Run one scenario, write its CSV and summary JSON, return the summary."""
-    runner = {
-        "separation": _run_separation,
-        "fingerprint-similarity": _run_fingerprint_similarity,
-        "commitment-entropy": _run_commitment_entropy,
-        "rs-timing": _run_rs_timing,
-        "adversarial-ber": _run_adversarial_ber,
-        "pairing-success": _run_pairing_success,
-    }[config.scenario]
-    header, rows, summary = runner(config)
+    runner, header = SCENARIO_TABLE[config.scenario]
+    rows, summary = runner(config)
     out_dir = Path(config.output_path)
     _write_csv(out_dir / f"{config.scenario}.csv", header, rows)
     summary_blob = {"scenario": config.scenario, "seeds": list(config.seeds), **summary}
@@ -117,10 +103,7 @@ def _run_separation(config: ExperimentConfig):
     for i in range(trials):
         seed = config.trial_seed(i)
         rng = np.random.default_rng(seed)
-        p1 = sample_profile(int(rng.integers(1 << 31)), 0.01)
-        p2 = sample_profile(int(rng.integers(1 << 31)), 0.01)
-        while abs(p1.resp_rate - p2.resp_rate) < 1.2:
-            p2 = sample_profile(int(rng.integers(1 << 31)), 0.01)
+        p1, p2 = sample_separable_pair(rng)
         mixing = np.array([[1.0, 0.0], [0.0, 1.0]]) + rng.uniform(0.3, 0.7) * np.array(
             [[0.0, 1.0], [1.0, 0.0]]
         )
@@ -146,11 +129,7 @@ def _run_separation(config: ExperimentConfig):
         "fraction_target_corr_ge_090": hits / trials,
         "checks": {"separation_ge_090_in_90pct": hits / trials >= 0.90},
     }
-    return (
-        ["trial", "seed", "target_corr", "other_corr", "converged", "target_ok"],
-        rows,
-        summary,
-    )
+    return rows, summary
 
 
 # -- fingerprint similarity -------------------------------------------------------
@@ -164,21 +143,19 @@ def _population_observations(
     duration_s: float = 61.0,
 ):
     """Single-subject belt and radar observations for `population` subjects."""
-    pipeline = PipelineConfig(rs_spec=config.rs)
     observations = []
     for i in range(config.population):
         seed = config.trial_seed(i, salt=1)
         profile = sample_profile(seed, drift_std=drift_std)
         scene = PairingScene(
             subjects=(profile,),
-            target_index=0,
             seed=seed,
             belt_noise_std=belt_noise_std,
             radar_phase_noise_std=radar_phase_noise_std,
             duration_s=duration_s,
         )
         observations.append(observe_scene(scene))
-    return pipeline, observations
+    return observations
 
 
 def _slice_observations(belt_obs, prms_obs, t0: float, t1: float):
@@ -189,9 +166,9 @@ def _slice_observations(belt_obs, prms_obs, t0: float, t1: float):
     )
 
 
-def _raw_window_bits(observation, t0: float, t1: float, pipeline: PipelineConfig):
+def _raw_window_bits(observation, t0: float, t1: float):
     """Raw quantizer bits of a standalone session over [t0, t1]."""
-    return extract(prepare_series(observation, pipeline), t0, t1, pipeline.bank).bits[0]
+    return extract(prepare_series(observation), t0, t1, BANK).bits[0]
 
 
 def _run_fingerprint_similarity(config: ExperimentConfig, n_offsets: int = 6):
@@ -205,7 +182,7 @@ def _run_fingerprint_similarity(config: ExperimentConfig, n_offsets: int = 6):
     estimation over one or two breathing cycles) is visible.
     """
     obs_len = 91.0
-    pipeline, observations = _population_observations(
+    observations = _population_observations(
         config,
         belt_noise_std=0.025,
         radar_phase_noise_std=0.06,
@@ -221,8 +198,8 @@ def _run_fingerprint_similarity(config: ExperimentConfig, n_offsets: int = 6):
             for w, off in enumerate(offsets):
                 t0, t1 = float(off), float(off + duration)
                 belt_cut, prms_cut = _slice_observations(belt_obs, prms_obs, t0, t1)
-                bits_a = _raw_window_bits(belt_cut, t0, t1, pipeline)
-                bits_b = _raw_window_bits(prms_cut, t0, t1, pipeline)
+                bits_a = _raw_window_bits(belt_cut, t0, t1)
+                bits_b = _raw_window_bits(prms_cut, t0, t1)
                 sim = hamming_similarity(bits_a, bits_b)
                 sims_same.append(sim)
                 rows.append(("same", i, i, duration, w, sim))
@@ -231,8 +208,8 @@ def _run_fingerprint_similarity(config: ExperimentConfig, n_offsets: int = 6):
     full_bits_radar = []
     for belt_obs, prms_obs in observations:
         belt_cut, prms_cut = _slice_observations(belt_obs, prms_obs, 0.0, 60.0)
-        full_bits_belt.append(_raw_window_bits(belt_cut, 0.0, 60.0, pipeline))
-        full_bits_radar.append(_raw_window_bits(prms_cut, 0.0, 60.0, pipeline))
+        full_bits_belt.append(_raw_window_bits(belt_cut, 0.0, 60.0))
+        full_bits_radar.append(_raw_window_bits(prms_cut, 0.0, 60.0))
     cross_sims = []
     for i in range(config.population):
         for j in range(config.population):
@@ -254,11 +231,7 @@ def _run_fingerprint_similarity(config: ExperimentConfig, n_offsets: int = 6):
             "gap_at_60s_ge_015": gap >= 0.15,
         },
     }
-    return (
-        ["kind", "subject_i", "subject_j", "duration_s", "window", "similarity"],
-        rows,
-        summary,
-    )
+    return rows, summary
 
 
 # -- commitment entropy -----------------------------------------------------------
@@ -266,8 +239,9 @@ def _run_fingerprint_similarity(config: ExperimentConfig, n_offsets: int = 6):
 
 def _run_commitment_entropy(config: ExperimentConfig):
     n_samples = config.samples or 10_000
-    pipeline, observations = _population_observations(replace(config, population=1))
-    fingerprint = BeltDevice(observations[0][0], pipeline).derive_fingerprints((0, 60_000))[0]
+    belt_obs, _ = _population_observations(replace(config, population=1))[0]
+    pipeline = PipelineConfig(rs_spec=config.rs)
+    fingerprint = BeltDevice(belt_obs, pipeline).derive_fingerprints((0, 60_000))[0]
     spec = config.rs
     codec = spec.codec()
     drbg = Sha256Drbg(config.trial_seed(0, salt=2))
@@ -327,7 +301,7 @@ def _run_commitment_entropy(config: ExperimentConfig):
         ),
         "commitment_rank_rate_below_salt": measurable and rate_commit < rate_salt,
     }
-    return (["kind", "sample", "monobit_p", "runs_p", "apen_per_bit"], rows, summary)
+    return rows, summary
 
 
 # -- RS decode timing ---------------------------------------------------------------
@@ -373,7 +347,7 @@ def _run_rs_timing(config: ExperimentConfig, parities=(16, 32, 54), reps: int = 
         "variation_by_parity": {str(k): v for k, v in variations.items()},
         "checks": {"timing_variation_below_10pct": max(variations.values()) < 0.10},
     }
-    return (["parity_symbols", "n_errors", "min_s", "median_s"], rows, summary)
+    return rows, summary
 
 
 # -- adversarial BER ------------------------------------------------------------------
@@ -381,7 +355,6 @@ def _run_rs_timing(config: ExperimentConfig, parities=(16, 32, 54), reps: int = 
 
 def _insider_success_mask(
     spec: RsCodeSpec,
-    qam: QamSpec,
     ladder_powers: tuple[float, ...],
     p2: float,
     p0: float,
@@ -397,9 +370,9 @@ def _insider_success_mask(
     """
     n_bits = spec.codeword_bits
     payload = random_bits(n_bits, rng)
-    symbols = qam_modulate(payload, qam)
+    symbols = qam_modulate(payload, QAM)
     n_sym = symbols.size
-    noise_tap = noise_power_for_snr(p2 / p0, qam) if p2 > 0 else 0.0
+    noise_tap = noise_power_for_snr(p2 / p0, QAM) if p2 > 0 else 0.0
     success = np.zeros((len(ladder_powers), trials), dtype=bool)
     bers = np.zeros(len(ladder_powers))
     for li, level in enumerate(ladder_powers):
@@ -412,7 +385,7 @@ def _insider_success_mask(
             jam_ratio / 2
         )
         received = symbols[None, :] + noise + np.where(picked_jammed, jam, 0)
-        bits = qam_demodulate(received.ravel(), qam, n_bits=None).reshape(trials, -1)[
+        bits = qam_demodulate(received.ravel(), QAM, n_bits=None).reshape(trials, -1)[
             :, :n_bits
         ]
         errors = bits != payload[None, :]
@@ -424,7 +397,6 @@ def _insider_success_mask(
 
 def _run_adversarial_ber(config: ExperimentConfig, grid_points: int = 20):
     trials = config.trials or 1000
-    qam = QamSpec(4)
     spec = config.rs
     ladder = ladder_levels(config.p_max, config.channel.p0)
     grid = np.logspace(
@@ -436,7 +408,7 @@ def _run_adversarial_ber(config: ExperimentConfig, grid_points: int = 20):
     all_bers = []
     for p2 in grid:
         success, bers = _insider_success_mask(
-            spec, qam, ladder.levels, float(p2), config.channel.p0, trials, rng
+            spec, ladder.levels, float(p2), config.channel.p0, trials, rng
         )
         insider_wins = success.all(axis=0)
         failure_rate = float(1.0 - insider_wins.mean())
@@ -455,7 +427,7 @@ def _run_adversarial_ber(config: ExperimentConfig, grid_points: int = 20):
             )
     # sanity inversion: jamming disabled at the insider's nominal position
     disabled_success, disabled_bers = _insider_success_mask(
-        spec, qam, (0.0,), config.channel.p1, config.channel.p0, trials, rng
+        spec, (0.0,), config.channel.p1, config.channel.p0, trials, rng
     )
     disabled_rate = float(disabled_success.all(axis=0).mean())
     summary = {
@@ -475,11 +447,7 @@ def _run_adversarial_ber(config: ExperimentConfig, grid_points: int = 20):
             "disabled_jamming_insider_succeeds": disabled_rate >= 0.99,
         },
     }
-    return (
-        ["p2", "level", "jam_to_signal", "mean_ber", "level_success_rate", "insider_failure_rate"],
-        rows,
-        summary,
-    )
+    return rows, summary
 
 
 # -- end-to-end pairing -----------------------------------------------------------------
@@ -528,8 +496,31 @@ def _run_pairing_success(config: ExperimentConfig):
             "keys_identical": key_matches == successes,
         },
     }
-    return (
-        ["trial", "seed", "success", "keys_equal", "total_retries", "failed_level"],
-        rows,
-        summary,
-    )
+    return rows, summary
+
+
+# Every scenario: its runner and the header of the CSV it writes.
+SCENARIO_TABLE = {
+    "separation": (
+        _run_separation,
+        ("trial", "seed", "target_corr", "other_corr", "converged", "target_ok"),
+    ),
+    "fingerprint-similarity": (
+        _run_fingerprint_similarity,
+        ("kind", "subject_i", "subject_j", "duration_s", "window", "similarity"),
+    ),
+    "commitment-entropy": (
+        _run_commitment_entropy,
+        ("kind", "sample", "monobit_p", "runs_p", "apen_per_bit"),
+    ),
+    "rs-timing": (_run_rs_timing, ("parity_symbols", "n_errors", "min_s", "median_s")),
+    "adversarial-ber": (
+        _run_adversarial_ber,
+        ("p2", "level", "jam_to_signal", "mean_ber", "level_success_rate", "insider_failure_rate"),
+    ),
+    "pairing-success": (
+        _run_pairing_success,
+        ("trial", "seed", "success", "keys_equal", "total_retries", "failed_level"),
+    ),
+}
+SCENARIOS = tuple(SCENARIO_TABLE)

@@ -15,7 +15,6 @@ __all__ = [
     "as_bits",
     "bits_from_bytes",
     "bits_to_bytes",
-    "hamming_distance",
     "random_bits",
     "Sha256Drbg",
     "xor_bits",
@@ -51,10 +50,6 @@ def xor_bits(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     if a.size != b.size:
         raise ValueError(f"length mismatch: {a.size} vs {b.size}")
     return np.bitwise_xor(a, b)
-
-
-def hamming_distance(a: np.ndarray, b: np.ndarray) -> int:
-    return int(xor_bits(a, b).sum())
 
 
 def random_bits(n: int, rng: np.random.Generator) -> np.ndarray:

@@ -30,6 +30,7 @@ __all__ = [
     "mix_scene",
     "radar_observe",
     "sample_profile",
+    "sample_separable_pair",
     "save_series",
     "synth_displacement",
 ]
@@ -183,6 +184,20 @@ def sample_profile(seed: int, drift_std: float = 0.01) -> SubjectProfile:
         drift_std=drift_std,
         seed=seed,
     )
+
+
+def sample_separable_pair(rng: np.random.Generator) -> tuple[SubjectProfile, SubjectProfile]:
+    """Two random profiles whose breathing rates differ by at least 1.2 breaths/min.
+
+    The second is redrawn until they do: near-identical rates leave the two
+    sources mutually coherent over a one-minute window and no fourth-order
+    method can separate them (nor could a radar hope to tell the people apart).
+    """
+    first = sample_profile(int(rng.integers(1 << 31)))
+    second = sample_profile(int(rng.integers(1 << 31)))
+    while abs(second.resp_rate - first.resp_rate) < 1.2:
+        second = sample_profile(int(rng.integers(1 << 31)))
+    return first, second
 
 
 @dataclass(frozen=True)

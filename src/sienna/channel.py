@@ -90,7 +90,6 @@ class ChannelParams:
     p1: float = 31.622776601683793  # 15 dB above the noise floor
     p2: float = 31.622776601683793
     p_jam: float = 0.0
-    seed: int = 0
 
     def __post_init__(self):
         if min(self.p0, self.p1, self.p2, self.p_jam) < 0:

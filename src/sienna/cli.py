@@ -20,7 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .bench import SCENARIOS, ExperimentConfig, run_experiment
+from .bench import SCENARIO_TABLE, SCENARIOS, ExperimentConfig, run_experiment
 from .channel import ChannelParams
 from .gf import default_field
 from .rs import RsCodeSpec
@@ -152,18 +152,13 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
+    schemas = "; ".join(
+        f"{name}.csv({','.join(header)})" for name, (_, header) in SCENARIO_TABLE.items()
+    )
     run_p = sub.add_parser(
         "run",
         help="run one scenario and write CSV + summary JSON",
-        description=(
-            "Scenario CSV schemas: separation.csv(trial,seed,target_corr,other_corr,"
-            "converged,target_ok); fingerprint-similarity.csv(kind,subject_i,subject_j,"
-            "duration_s,window,similarity); commitment-entropy.csv(kind,sample,monobit_p,"
-            "runs_p,apen_per_bit); rs-timing.csv(parity_symbols,n_errors,min_s,median_s); "
-            "adversarial-ber.csv(p2,level,jam_to_signal,mean_ber,level_success_rate,"
-            "insider_failure_rate); pairing-success.csv(trial,seed,success,keys_equal,"
-            "total_retries,failed_level)."
-        ),
+        description=f"Scenario CSV schemas: {schemas}.",
     )
     run_p.add_argument("scenario", choices=SCENARIOS)
     run_p.add_argument("--config", type=str, help="flat key=value config file")

@@ -28,6 +28,15 @@ __all__ = [
     "whiten",
 ]
 
+# Jacobi sweeps stop once the largest Givens angle of a sweep is below
+# JADE_TOL radians, or after JADE_MAX_SWEEPS sweeps.
+JADE_TOL = 1e-8
+JADE_MAX_SWEEPS = 100
+# Breathing and heartbeat lie far below 10 Hz; the FIR has 65 taps unless
+# the signal is too short for them.
+LOWPASS_CUTOFF_HZ = 10.0
+LOWPASS_TAPS = 65
+
 
 @dataclass(frozen=True)
 class WhiteningResult:
@@ -116,17 +125,12 @@ def _off_criterion(cm: np.ndarray) -> float:
     return total - diag
 
 
-def jade_separate(
-    observations: np.ndarray,
-    n_sources: int,
-    tol: float = 1e-8,
-    max_sweeps: int = 100,
-) -> SeparationResult:
+def jade_separate(observations: np.ndarray, n_sources: int) -> SeparationResult:
     """Recover independent non-Gaussian sources from linear mixtures.
 
     Returns sources equal to the true ones up to permutation, sign, and
     scale. ``converged`` is set when the largest Givens angle of a full
-    sweep drops below ``tol`` radians.
+    sweep drops below ``JADE_TOL`` radians.
     """
     white = whiten(observations, n_sources)
     Z = white.whitened.T.copy()  # (N, T)
@@ -137,7 +141,7 @@ def jade_separate(
 
     sweeps = 0
     converged = False
-    while sweeps < max_sweeps:
+    while sweeps < JADE_MAX_SWEEPS:
         sweeps += 1
         largest_angle = 0.0
         for p in range(n - 1):
@@ -155,7 +159,7 @@ def jade_separate(
                     cm[:, [p, q], :] = np.einsum("ab,nbt->nat", G.T, cm[:, [p, q], :])
                     cm[:, :, [p, q]] = np.einsum("nta,ab->ntb", cm[:, :, [p, q]], G)
         history.append(_off_criterion(cm))
-        if largest_angle < tol:
+        if largest_angle < JADE_TOL:
             converged = True
             break
 
@@ -211,20 +215,18 @@ def match_sources(candidates: np.ndarray, reference: np.ndarray) -> MatchResult:
     return best
 
 
-def lowpass_filter(
-    signal: np.ndarray, sample_rate: float, cutoff_hz: float = 10.0, numtaps: int = 65
-) -> np.ndarray:
-    """Zero-phase FIR low-pass; identity when the cutoff is at or above Nyquist."""
+def lowpass_filter(signal: np.ndarray, sample_rate: float) -> np.ndarray:
+    """Zero-phase FIR low-pass at ``LOWPASS_CUTOFF_HZ``; identity at or above Nyquist."""
     signal = np.asarray(signal, dtype=np.float64)
-    if cutoff_hz >= sample_rate / 2:
+    if LOWPASS_CUTOFF_HZ >= sample_rate / 2:
         return signal
-    numtaps = min(numtaps, max(3, signal.shape[-1] // 4) | 1)
-    return filtfilt(_fir_taps(numtaps, cutoff_hz, sample_rate), [1.0], signal, axis=-1)
+    numtaps = min(LOWPASS_TAPS, max(3, signal.shape[-1] // 4) | 1)
+    return filtfilt(_fir_taps(numtaps, sample_rate), [1.0], signal, axis=-1)
 
 
 @lru_cache(maxsize=64)
-def _fir_taps(numtaps: int, cutoff_hz: float, sample_rate: float) -> np.ndarray:
-    """Windowed-sinc low-pass taps, designed once per (numtaps, cutoff, rate); read-only."""
-    taps = firwin(numtaps, cutoff_hz, fs=sample_rate)
+def _fir_taps(numtaps: int, sample_rate: float) -> np.ndarray:
+    """Windowed-sinc low-pass taps, designed once per (numtaps, rate); read-only."""
+    taps = firwin(numtaps, LOWPASS_CUTOFF_HZ, fs=sample_rate)
     taps.flags.writeable = False
     return taps

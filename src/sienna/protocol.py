@@ -29,7 +29,7 @@ from .breathing import (
     belt_observe,
     linear_demodulate,
     radar_observe,
-    sample_profile,
+    sample_separable_pair,
     synth_displacement,
 )
 from .channel import (
@@ -58,7 +58,6 @@ from .commitment import (
     xor_fold,
 )
 from .fingerprint import (
-    QuantizerBank,
     default_bank,
     extract,
     normalize_series,
@@ -73,14 +72,15 @@ __all__ = [
     "AttackKnowledge",
     "AttackResult",
     "BeltDevice",
+    "BeltObservation",
     "CommitMessage",
-    "EavesdropperConfig",
     "EavesdropTap",
     "InitMessage",
     "PairingOutcome",
     "PairingScene",
     "PipelineConfig",
     "PrmsDevice",
+    "PrmsObservation",
     "ProtocolError",
     "PUBLIC_PARAMETER",
     "SessionState",
@@ -113,6 +113,20 @@ COMMIT_MASK_OFFSET_BITS = 8 * (len(WIRE_MAGIC) + 2 + (4 + 4) + 4 + COMMITMENT_HE
 # Known to every party; the first-round announcement carries its hash in
 # place of a key hash, and the first-round prior key derives from it.
 PUBLIC_PARAMETER = b"SIENNA-V1-BOOTSTRAP"
+
+# Fixed parameters of the protocol, its devices and its simulated scenes.
+QAM = QamSpec(4)  # dialog-code modulation of every frame
+RETRY_BUDGET = 3  # reattempts of a ladder level after its first NAK
+# Each ladder level commits against its own slot of the announced window;
+# 10 s of 10 Hz quantization is 2020 bits, one padded codeword.
+COMMIT_SLOT_MS = 10_000
+BANK = default_bank()  # the quantizer bank both devices fingerprint with
+MAX_SOURCES = 2  # the radar separates at most this many subjects
+# Model-order selection: mixture eigenvalues below this fraction of the
+# leading one are treated as distortion/noise, not extra subjects.
+SOURCE_RANK_REL = 0.02
+RADAR_RATE_HZ = 50.0
+BELT_RATE_HZ = 100.0
 
 
 def announce_parameter_hash() -> bytes:
@@ -253,7 +267,6 @@ class SessionState:
     round_index: int = 0
     phase: Phase = "idle"
     level: int = 0
-    pending: list = field(default_factory=list)
     fail_stage: str | None = None  # set by fail()
 
     def announce_hash(self) -> bytes:
@@ -325,18 +338,9 @@ def conclude(state: SessionState, salt_bits: np.ndarray) -> bytes:
 
 @dataclass(frozen=True)
 class PipelineConfig:
-    """Shared fingerprinting parameters both devices must agree on."""
+    """The RS code both devices must agree on; it sets the fingerprint length."""
 
-    bank: QuantizerBank = field(default_factory=default_bank)
     rs_spec: RsCodeSpec = field(default_factory=standard_code)
-    n_sources: int = 2
-    lowpass_hz: float = 10.0
-    # Each ladder level commits against its own slot of the announced
-    # window; 10 s of 10 Hz quantization is 2020 bits, one padded codeword.
-    commit_slot_s: float = 10.0
-    # Model-order selection: mixture eigenvalues below this fraction of the
-    # leading one are treated as distortion/noise, not extra subjects.
-    source_rank_rel: float = 0.02
 
 
 def _orient(series: DisplacementSeries) -> DisplacementSeries:
@@ -361,9 +365,7 @@ class PrmsObservation:
     iq_channels: tuple[RadarIQ, ...]
 
 
-def prepare_series(
-    observation: BeltObservation | PrmsObservation, config: PipelineConfig
-) -> DisplacementSeries:
+def prepare_series(observation: BeltObservation | PrmsObservation) -> DisplacementSeries:
     """Low-pass, demodulate/separate, normalize, and orient one observation.
 
     Returns the candidate breathing series this device can quantize, stacked
@@ -374,18 +376,18 @@ def prepare_series(
     """
     if isinstance(observation, BeltObservation):
         series = observation.series
-        filtered = lowpass_filter(series.samples, series.sample_rate, config.lowpass_hz)
+        filtered = lowpass_filter(series.samples, series.sample_rate)
         stacked = DisplacementSeries(filtered[None, :], series.sample_rate, series.t_start)
         return _orient(normalize_series(stacked))
 
     rate = observation.iq_channels[0].sample_rate
     t_start = observation.iq_channels[0].t_start
     mixture = np.stack([linear_demodulate(iq) for iq in observation.iq_channels])
-    mixture = lowpass_filter(mixture, rate, config.lowpass_hz)
+    mixture = lowpass_filter(mixture, rate)
     centered = mixture - mixture.mean(axis=1, keepdims=True)
     eigvals = np.linalg.eigvalsh(centered @ centered.T / centered.shape[1])[::-1]
-    effective = int(np.sum(eigvals > config.source_rank_rel * eigvals[0]))
-    n_sources = max(1, min(config.n_sources, mixture.shape[0], effective))
+    effective = int(np.sum(eigvals > SOURCE_RANK_REL * eigvals[0]))
+    n_sources = max(1, min(MAX_SOURCES, mixture.shape[0], effective))
     separation = jade_separate(mixture, n_sources)
     return _orient(normalize_series(DisplacementSeries(separation.sources, rate, t_start)))
 
@@ -405,7 +407,7 @@ class _Device:
 
     def __init__(self, observation: BeltObservation | PrmsObservation, config: PipelineConfig):
         self.config = config
-        self.candidates = sources = prepare_series(observation, config)
+        self.candidates = sources = prepare_series(observation)
         n = sources.samples.shape[0]
         pairs = [(i, j) for i in range(n) for j in range(n) if i != j]
         if pairs and self.leakage_grid:
@@ -420,7 +422,7 @@ class _Device:
     def derive_fingerprints(self, window_ms: tuple[int, int]) -> list[np.ndarray]:
         """Folded fingerprint of every candidate over a window, in candidate order."""
         t_str, t_end = window_ms[0] / 1000.0, window_ms[1] / 1000.0
-        bits = extract(self.candidates, t_str, t_end, self.config.bank).bits
+        bits = extract(self.candidates, t_str, t_end, BANK).bits
         segments = segment_pad(bits, self.config.rs_spec.codeword_bits)
         return list(np.bitwise_xor.reduce(segments, axis=-2))
 
@@ -444,7 +446,7 @@ class PrmsDevice(_Device):
 
 
 def slot_window(
-    window_ms: tuple[int, int], n_levels: int, slot_s: float, level: int, attempt: int
+    window_ms: tuple[int, int], n_levels: int, level: int, attempt: int
 ) -> tuple[int, int]:
     """Commitment sub-window for one (level, attempt) pair.
 
@@ -453,12 +455,10 @@ def slot_window(
     a different stretch of breathing. Wraps around when the ladder and
     retries need more slots than the window holds.
     """
-    slot_ms = int(round(slot_s * 1000))
-    total = window_ms[1] - window_ms[0]
-    n_slots = max(1, total // slot_ms)
+    n_slots = max(1, (window_ms[1] - window_ms[0]) // COMMIT_SLOT_MS)
     slot = (level + attempt * n_levels) % n_slots
-    t0 = window_ms[0] + slot * slot_ms
-    return (t0, min(t0 + slot_ms, window_ms[1]))
+    t0 = window_ms[0] + slot * COMMIT_SLOT_MS
+    return (t0, min(t0 + COMMIT_SLOT_MS, window_ms[1]))
 
 
 # -- scene harness ------------------------------------------------------------
@@ -466,32 +466,19 @@ def slot_window(
 
 @dataclass(frozen=True)
 class PairingScene:
-    """Everything needed to simulate one pairing attempt's observations."""
+    """Everything needed to simulate one pairing attempt's observations.
+
+    The belt wearer is ``subjects[0]``; the radar sees everyone.
+    """
 
     subjects: tuple[SubjectProfile, ...]
-    target_index: int = 0
-    radar_mixing: np.ndarray = None  # (n_channels, n_subjects), path gains
-    belt_gain: float = 1.0
     belt_noise_std: float = 0.002  # cm
     radar_phase_noise_std: float = 0.004  # rad
-    wavelength_cm: float = 1.07
     duration_s: float = 61.0
-    radar_rate_hz: float = 50.0
-    belt_rate_hz: float = 100.0
     seed: int = 0
 
-    def __post_init__(self):
-        mixing = self.radar_mixing
-        if mixing is None:
-            mixing = _default_radar_mixing(len(self.subjects), self.seed)
-        object.__setattr__(self, "radar_mixing", np.asarray(mixing, dtype=np.float64))
-        if self.radar_mixing.shape[1] != len(self.subjects):
-            raise ValueError("radar mixing needs one column per subject")
-        if not 0 <= self.target_index < len(self.subjects):
-            raise ValueError("target index out of range")
 
-
-def _default_radar_mixing(n_subjects: int, seed: int) -> np.ndarray:
+def _radar_mixing(n_subjects: int, seed: int) -> np.ndarray:
     """Path gains keeping each channel's phase arc within the linear regime."""
     rng = np.random.default_rng(seed ^ 0x5CE9E)
     n_channels = max(2, n_subjects)
@@ -500,49 +487,34 @@ def _default_radar_mixing(n_subjects: int, seed: int) -> np.ndarray:
     return base + cross
 
 
-def two_subject_scene(seed: int, drift_std: float = 0.01, **overrides) -> PairingScene:
-    """Default noisy two-person scene; the belt wearer is subject 0.
-
-    The bystander is redrawn until the breathing rates differ by at least
-    1.2 breaths/min: near-identical rates leave the two sources mutually
-    coherent over a one-minute window and no fourth-order method can
-    separate them (nor could the radar hope to tell the people apart).
-    """
+def two_subject_scene(seed: int, **overrides) -> PairingScene:
+    """Default noisy two-person scene with two separable breathing rates."""
     rng = np.random.default_rng(seed)
-    target = sample_profile(int(rng.integers(1 << 31)), drift_std)
-    other = sample_profile(int(rng.integers(1 << 31)), drift_std)
-    while abs(other.resp_rate - target.resp_rate) < 1.2:
-        other = sample_profile(int(rng.integers(1 << 31)), drift_std)
-    return PairingScene(subjects=(target, other), target_index=0, seed=seed, **overrides)
+    return PairingScene(subjects=sample_separable_pair(rng), seed=seed, **overrides)
 
 
 def observe_scene(scene: PairingScene) -> tuple[BeltObservation, PrmsObservation]:
     """Belt view of the target subject and the radar's view of everyone."""
     rng = np.random.default_rng(scene.seed)
-    sources = [
-        synth_displacement(p, 0.0, scene.duration_s, scene.radar_rate_hz)
-        for p in scene.subjects
-    ]
-    target_hi = synth_displacement(
-        scene.subjects[scene.target_index], 0.0, scene.duration_s, scene.belt_rate_hz
+    sources = np.stack(
+        [
+            synth_displacement(p, 0.0, scene.duration_s, RADAR_RATE_HZ).samples
+            for p in scene.subjects
+        ]
     )
+    target_hi = synth_displacement(scene.subjects[0], 0.0, scene.duration_s, BELT_RATE_HZ)
     belt = belt_observe(
         target_hi,
-        gain=scene.belt_gain,
         noise_std=scene.belt_noise_std,
-        sample_rate=scene.belt_rate_hz,
+        sample_rate=BELT_RATE_HZ,
         seed=int(rng.integers(1 << 31)),
     )
-
-    source_matrix = np.stack([s.samples for s in sources])
     iqs = []
-    for m in range(scene.radar_mixing.shape[0]):
-        mixed = scene.radar_mixing[m] @ source_matrix
-        series = DisplacementSeries(mixed, scene.radar_rate_hz, 0.0)
+    for gains in _radar_mixing(len(scene.subjects), scene.seed):
+        series = DisplacementSeries(gains @ sources, RADAR_RATE_HZ, 0.0)
         iqs.append(
             radar_observe(
                 series,
-                wavelength=scene.wavelength_cm,
                 theta0=float(rng.uniform(0, 2 * np.pi)),
                 phase_noise_std=scene.radar_phase_noise_std,
                 seed=int(rng.integers(1 << 31)),
@@ -552,15 +524,6 @@ def observe_scene(scene: PairingScene) -> tuple[BeltObservation, PrmsObservation
 
 
 # -- pairing run --------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class EavesdropperConfig:
-    """Insider tap: its own signal power, thermal floor, and pick strategy."""
-
-    p2: float
-    p0: float = 1.0
-    strategy: str = "random-pick"
 
 
 @dataclass(frozen=True)
@@ -604,16 +567,18 @@ def run_pairing(
     ladder: JammingLadder,
     rng: np.random.Generator,
     *,
-    qam: QamSpec = QamSpec(4),
     clock: SimClock | None = None,
-    retry_budget: int = 3,
     salt_seed: int | None = None,
-    eavesdropper: EavesdropperConfig | None = None,
+    eavesdropper_p2: float | None = None,
 ) -> PairingOutcome:
-    """Execute one full key-evolution round over the simulated channel."""
+    """Execute one full key-evolution round over the simulated channel.
+
+    ``eavesdropper_p2`` places an insider tap that receives the frames at
+    that signal power over the channel's noise floor ``p0``; its frames are
+    returned in ``taps``.
+    """
     clock = clock or SimClock()
-    config = device_a.config
-    rs_spec = config.rs_spec
+    rs_spec = device_a.config.rs_spec
     state_a = SessionState(role="a", rs_spec=rs_spec)
     state_b = SessionState(role="b", rs_spec=rs_spec)
     transcript: list[dict] = []
@@ -630,50 +595,39 @@ def run_pairing(
 
     drbg = Sha256Drbg(salt_seed if salt_seed is not None else int(rng.integers(1 << 62)))
     sub_salts: list[np.ndarray] = [None] * ladder.count
-    noise_main = noise_power_for_snr(channel.snr_main, qam)
-    noise_tap = (
-        noise_power_for_snr(eavesdropper.p2 / eavesdropper.p0, qam) if eavesdropper else 0.0
-    )
+    noise_main = noise_power_for_snr(channel.snr_main, QAM)
 
     levels: list[LevelRecord] = []
     recovered_salts: list[np.ndarray] = []
     for level_idx, jam_level in enumerate(ladder.levels):
-        begin_commit(state_a, level_idx)
-        begin_commit(state_b, level_idx)
-
-        verdict = "NAK"
         outcome_salt = None
         candidate_used = None
-        stitched_errors = 0
-        attempt = 0
-        while attempt <= retry_budget:
+        for attempt in range(RETRY_BUDGET + 1):
+            begin_commit(state_a, level_idx)
+            begin_commit(state_b, level_idx)
             clock.advance(10)
             # Every (re)attempt binds a fresh sub-salt to a fresh slot of
             # the announced window; b derives its candidates for the same
             # slot of the window it received, and re-randomizes its jam mask
             # per transmission.
-            window = slot_window(
-                state_a.window_ms, ladder.count, config.commit_slot_s, level_idx, attempt
-            )
-            window_b = slot_window(
-                state_b.window_ms, ladder.count, config.commit_slot_s, level_idx, attempt
-            )
+            window = slot_window(state_a.window_ms, ladder.count, level_idx, attempt)
+            window_b = slot_window(state_b.window_ms, ladder.count, level_idx, attempt)
             fp_a = device_a.derive_fingerprints(window)[0]
             sub_salts[level_idx] = new_salt(rs_spec, drbg)
             commitment = commit(sub_salts[level_idx], fp_a, rs_spec)
             payload = bits_from_bytes(encode_message(CommitMessage(level_idx, commitment)))
-            symbols = qam_modulate(payload, qam)
+            symbols = qam_modulate(payload, QAM)
             mask = random_bits(symbols.size, rng)
             frame_b = dup_and_jam(
                 symbols, mask, jam_level / channel.p1, rng, noise_power=noise_main
             )
-            if eavesdropper is not None:
+            if eavesdropper_p2 is not None:
                 frame_e = dup_and_jam(
                     symbols,
                     mask,
-                    jam_level / eavesdropper.p2,
+                    jam_level / eavesdropper_p2,
                     rng,
-                    noise_power=noise_tap,
+                    noise_power=noise_power_for_snr(eavesdropper_p2 / channel.p0, QAM),
                 )
                 taps.append(
                     EavesdropTap(
@@ -688,7 +642,7 @@ def run_pairing(
             log("a->b", "commit", level=level_idx, retry=attempt, bits=int(payload.size))
 
             stitched = receiver_stitch(frame_b, mask)
-            rx_payload = qam_demodulate(stitched, qam, n_bits=payload.size)
+            rx_payload = qam_demodulate(stitched, QAM, n_bits=payload.size)
             stitched_errors = int(np.sum(rx_payload != payload))
             try:
                 received = decode_message(bits_to_bytes(rx_payload), rs_spec)
@@ -706,20 +660,17 @@ def run_pairing(
             clock.advance(5)
             log("b->a", "acknak", level=level_idx, verdict=verdict)
             ack = AckNak(verdict, level_idx)
+            handle_ack(state_a, ack, ladder.count)
+            handle_ack(state_b, ack, ladder.count)
             if verdict == "ACK":
-                handle_ack(state_a, ack, ladder.count)
-                handle_ack(state_b, ack, ladder.count)
                 break
-            attempt += 1
-            if attempt > retry_budget:
-                handle_ack(state_a, ack, ladder.count)
-                handle_ack(state_b, ack, ladder.count)
 
         levels.append(
             LevelRecord(
                 level_index=level_idx,
                 jam_power=jam_level,
-                retries=attempt,
+                # The ACKed attempt's index, or the attempt count on failure.
+                retries=attempt if verdict == "ACK" else attempt + 1,
                 verdict=verdict,
                 stitched_bit_errors=stitched_errors,
                 candidate_used=candidate_used,
@@ -771,21 +722,13 @@ class AttackKnowledge:
 
     ``none``: nothing. ``distribution``: a generative sampler of plausible
     fingerprints. ``perfect``: the insider measures their own breathing,
-    so it can produce the exact fingerprint for any commitment window;
-    supply either one array (reused everywhere) or a callable mapping a
-    window in ms to the fingerprint bits.
+    so ``fingerprint`` maps any commitment window in ms to the exact
+    fingerprint bits.
     """
 
     kind: Literal["none", "distribution", "perfect"]
-    fingerprint: np.ndarray | Callable[[tuple[int, int]], np.ndarray] | None = None
+    fingerprint: Callable[[tuple[int, int]], np.ndarray] | None = None
     sampler: Callable[[int], np.ndarray] | None = None
-
-    def fingerprint_for(self, tap: "EavesdropTap") -> np.ndarray:
-        if self.fingerprint is None:
-            raise ValueError("perfect knowledge requires the fingerprint(s)")
-        if callable(self.fingerprint):
-            return self.fingerprint(tap.window_ms)
-        return self.fingerprint
 
 
 @dataclass(frozen=True)
@@ -809,13 +752,12 @@ def attack(
     knowledge: AttackKnowledge,
     rs_spec: RsCodeSpec,
     *,
-    qam: QamSpec = QamSpec(4),
-    strategy: str = "random-pick",
     budget: int = 1000,
     rng: np.random.Generator | None = None,
 ) -> AttackResult:
     """Process eavesdropped frames and try to recover the evolution salt.
 
+    The attacker picks one copy of every duplicated symbol pair at random.
     Success requires every sub-salt: a single undecodable level destroys
     the XOR-folded evolution salt. ``observed_ber`` is measured against the
     transmitted payload ground truth.
@@ -823,7 +765,8 @@ def attack(
     rng = rng or np.random.default_rng(0)
     if not taps:
         raise ValueError("attack needs at least one eavesdropped frame")
-    codec = rs_spec.codec()
+    if knowledge.kind == "perfect" and knowledge.fingerprint is None:
+        raise ValueError("perfect knowledge requires the fingerprint")
     n_levels = max(t.level_index for t in taps) + 1
     attempts_used = 0
 
@@ -840,32 +783,28 @@ def attack(
     per_level = []
     for level_idx in range(n_levels):
         tap = final_tap[level_idx]
-        estimates = eavesdrop(tap.frame, strategy, rng)
-        rx_bits = qam_demodulate(estimates, qam, n_bits=tap.truth_bits.size)
+        estimates = eavesdrop(tap.frame, "random-pick", rng)
+        rx_bits = qam_demodulate(estimates, QAM, n_bits=tap.truth_bits.size)
         ber = float(np.mean(rx_bits != tap.truth_bits))
         bers.append(ber)
         mask_end = COMMIT_MASK_OFFSET_BITS + rs_spec.codeword_bits
-        rx_mask = rx_bits[COMMIT_MASK_OFFSET_BITS:mask_end]
-        true_salt = as_bits(true_sub_salts[level_idx])
+        true_digest = salt_digest(as_bits(true_sub_salts[level_idx]))
+        # The intercepted mask, checked against the true salt's digest.
+        intercepted = Commitment(rx_bits[COMMIT_MASK_OFFSET_BITS:mask_end], true_digest, rs_spec)
         recovered = False
 
         if knowledge.kind == "perfect":
             attempts_used += 1
-            noisy = np.bitwise_xor(rx_mask, as_bits(knowledge.fingerprint_for(tap)))
-            message = codec.decode(codec.bits_to_symbols(noisy))
-            if message is not None:
-                recovered = np.array_equal(codec.symbols_to_bits(message), true_salt)
+            fp = knowledge.fingerprint(tap.window_ms)
+            recovered = open_commitment(intercepted, fp, rs_spec).recovered
         elif knowledge.kind == "distribution":
-            true_digest = salt_digest(true_salt)
             for _ in range(max(1, budget // n_levels)):
                 attempts_used += 1
-                noisy = np.bitwise_xor(rx_mask, as_bits(knowledge.sampler(attempts_used)))
-                message = codec.decode(codec.bits_to_symbols(noisy))
-                if message is not None and salt_digest(codec.symbols_to_bits(message)) == true_digest:
+                fp = knowledge.sampler(attempts_used)
+                if open_commitment(intercepted, fp, rs_spec).recovered:
                     recovered = True
                     break
         else:  # no knowledge: brute-force salts against the digest
-            true_digest = salt_digest(true_salt)
             drbg = Sha256Drbg(int(rng.integers(1 << 62)))
             for _ in range(max(1, budget // n_levels)):
                 attempts_used += 1

@@ -85,12 +85,12 @@ def approximate_entropy(bits: np.ndarray, block_len: int = 2) -> tuple[float, fl
     return apen, p_value
 
 
-def randomness_tests(bits: np.ndarray, block_len: int = 2) -> RandomnessReport:
-    """Monobit, runs, and approximate-entropy statistics for one bit string."""
+def randomness_tests(bits: np.ndarray) -> RandomnessReport:
+    """Monobit, runs, and approximate-entropy (m = 2) statistics for one bit string."""
     bits = as_bits(bits)
     if bits.size < 100:
         raise ValueError(f"need at least 100 bits, got {bits.size}")
-    apen, apen_p = approximate_entropy(bits, block_len)
+    apen, apen_p = approximate_entropy(bits)
     per_bit = min(max(apen / math.log(2.0), 0.0), 1.0)
     return RandomnessReport(
         monobit_p=monobit_test(bits),

@@ -29,7 +29,6 @@ from sienna.protocol import (
     AttackKnowledge,
     BeltDevice,
     BeltObservation,
-    EavesdropperConfig,
     PipelineConfig,
     PrmsDevice,
     attack,
@@ -262,7 +261,7 @@ def test_criterion_07_insider_defeat():
             out = run_pairing(
                 device_a, device_b, channel, ladder,
                 np.random.default_rng(900 + trial), salt_seed=7000 + trial,
-                eavesdropper=EavesdropperConfig(p2=float(p2), p0=1.0),
+                eavesdropper_p2=float(p2),
             )
             result = attack(out.taps, out.sub_salts, knowledge, config.rs_spec,
                             rng=np.random.default_rng(trial))
@@ -271,7 +270,7 @@ def test_criterion_07_insider_defeat():
     disabled_out = run_pairing(
         device_a, device_b, channel, JammingLadder((0.0,)),
         np.random.default_rng(901), salt_seed=7100,
-        eavesdropper=EavesdropperConfig(p2=channel.p1, p0=1.0),
+        eavesdropper_p2=channel.p1,
     )
     disabled_attack = attack(
         disabled_out.taps, disabled_out.sub_salts, knowledge, config.rs_spec,

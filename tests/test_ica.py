@@ -154,23 +154,23 @@ def test_match_sources_zero_variance():
 def test_lowpass_identity_below_nyquist():
     rng = np.random.default_rng(8)
     x = rng.normal(size=600)
-    assert np.array_equal(lowpass_filter(x, sample_rate=10.0, cutoff_hz=10.0), x)
+    assert np.array_equal(lowpass_filter(x, sample_rate=10.0), x)
 
 
 def test_lowpass_removes_high_frequency():
     t = np.arange(6000) / 100.0
     slow = np.sin(2 * np.pi * 0.3 * t)
     fast = 0.5 * np.sin(2 * np.pi * 30.0 * t)
-    filtered = lowpass_filter(slow + fast, sample_rate=100.0, cutoff_hz=10.0)
+    filtered = lowpass_filter(slow + fast, sample_rate=100.0)
     assert np.sqrt(np.mean((filtered - slow) ** 2)) < 0.02
 
 
 def test_lowpass_taps_designed_once_and_read_only():
-    taps = _fir_taps(65, 10.0, 50.0)
-    assert _fir_taps(65, 10.0, 50.0) is taps
+    taps = _fir_taps(65, 50.0)
+    assert _fir_taps(65, 50.0) is taps
     assert np.array_equal(taps, firwin(65, 10.0, fs=50.0))
     with pytest.raises(ValueError):
         taps[0] = 1.0
     x = np.random.default_rng(3).normal(size=(2, 3000))
     expected = filtfilt(firwin(65, 10.0, fs=50.0), [1.0], x, axis=-1)
-    assert np.array_equal(lowpass_filter(x, 50.0, 10.0), expected)
+    assert np.array_equal(lowpass_filter(x, 50.0), expected)

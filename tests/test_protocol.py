@@ -19,7 +19,6 @@ from sienna.protocol import (
     BeltDevice,
     BeltObservation,
     CommitMessage,
-    EavesdropperConfig,
     InitMessage,
     PairingScene,
     PipelineConfig,
@@ -50,7 +49,7 @@ LADDER = ladder_levels(p_max=1000.0, p0=1.0)
 
 def single_subject_scene(seed, **overrides):
     profile = sample_profile(seed, drift_std=overrides.pop("drift_std", 0.01))
-    return PairingScene(subjects=(profile,), target_index=0, seed=seed, **overrides)
+    return PairingScene(subjects=(profile,), seed=seed, **overrides)
 
 
 # -- wire format ---------------------------------------------------------------
@@ -265,11 +264,11 @@ def test_bootstrap_key_is_stable():
 
 def test_slot_window_layout():
     win = (0, 60_000)
-    assert slot_window(win, 4, 10.0, 0, 0) == (0, 10_000)
-    assert slot_window(win, 4, 10.0, 3, 0) == (30_000, 40_000)
-    assert slot_window(win, 4, 10.0, 0, 1) == (40_000, 50_000)  # retry moves on
-    assert slot_window(win, 4, 10.0, 1, 1) == (50_000, 60_000)
-    assert slot_window(win, 4, 10.0, 2, 1) == (0, 10_000)  # wraps
+    assert slot_window(win, 4, 0, 0) == (0, 10_000)
+    assert slot_window(win, 4, 3, 0) == (30_000, 40_000)
+    assert slot_window(win, 4, 0, 1) == (40_000, 50_000)  # retry moves on
+    assert slot_window(win, 4, 1, 1) == (50_000, 60_000)
+    assert slot_window(win, 4, 2, 1) == (0, 10_000)  # wraps
 
 
 # -- fingerprints from observations ---------------------------------------------
@@ -352,7 +351,7 @@ def test_cross_subject_pairing_fails():
     from sienna.protocol import PrmsObservation
 
     prms_obs = PrmsObservation((iq,))
-    config = PipelineConfig(n_sources=1)
+    config = PipelineConfig()
     out = run_pairing(
         BeltDevice(belt_obs, config),
         PrmsDevice(prms_obs, config),
@@ -467,7 +466,7 @@ def test_candidate_bits_per_seed(seed):
     belt_obs, prms_obs = observe_scene(two_subject_scene(seed))
     belt, radar = BeltDevice(belt_obs, CONFIG), PrmsDevice(prms_obs, CONFIG)
     for level in range(LADDER.count):
-        window = slot_window((0, 60_000), LADDER.count, CONFIG.commit_slot_s, level, 0)
+        window = slot_window((0, 60_000), LADDER.count, level, 0)
         add(belt.derive_fingerprints(window))
         add(radar.derive_fingerprints(window))
     for d in (6, 12, 24, 48, 60):
@@ -503,10 +502,9 @@ def test_commit_frame_b_cannot_accept_is_a_nak_and_opens_nothing(monkeypatch, fl
         JammingLadder((9.0,)),
         np.random.default_rng(0),
         salt_seed=1,
-        retry_budget=1,
     )
     assert not out.success and out.failed_stage == "open"
-    assert out.levels[0].retries == 2 and out.levels[0].stitched_bit_errors == 1
+    assert out.levels[0].retries == 4 and out.levels[0].stitched_bit_errors == 1
     assert opens == []
 
 
@@ -542,7 +540,7 @@ def test_b_derives_candidates_from_the_window_it_received(monkeypatch):
     assert not out.success and out.key_a is None and out.key_b is None
     assert out.failed_level == 0 and out.failed_stage == "open"
     assert out.levels[0].verdict == "NAK"
-    assert windows_b == [slot_window((2_500, 52_500), LADDER.count, 10.0, 0, k) for k in range(4)]
+    assert windows_b == [slot_window((2_500, 52_500), LADDER.count, 0, k) for k in range(4)]
 
 
 # -- adversary ------------------------------------------------------------------
@@ -557,7 +555,7 @@ def _insider_setup(seed=3):
     knowledge = AttackKnowledge(
         "perfect", fingerprint=lambda w: insider.derive_fingerprints(w)[0]
     )
-    eve = EavesdropperConfig(p2=CHANNEL.p1, p0=1.0)
+    eve = CHANNEL.p1
     return a, b, knowledge, eve
 
 
@@ -565,7 +563,7 @@ def test_insider_succeeds_without_jamming():
     a, b, knowledge, eve = _insider_setup()
     out = run_pairing(
         a, b, CHANNEL, JammingLadder((0.0,)), np.random.default_rng(7),
-        salt_seed=11, eavesdropper=eve,
+        salt_seed=11, eavesdropper_p2=eve,
     )
     assert out.success
     res = attack(out.taps, out.sub_salts, knowledge, CONFIG.rs_spec,
@@ -576,7 +574,7 @@ def test_insider_succeeds_without_jamming():
 def test_insider_defeated_by_ladder():
     a, b, knowledge, eve = _insider_setup()
     out = run_pairing(
-        a, b, CHANNEL, LADDER, np.random.default_rng(8), salt_seed=12, eavesdropper=eve
+        a, b, CHANNEL, LADDER, np.random.default_rng(8), salt_seed=12, eavesdropper_p2=eve
     )
     assert out.success  # legitimate side is unaffected
     res = attack(out.taps, out.sub_salts, knowledge, CONFIG.rs_spec,
@@ -589,7 +587,7 @@ def test_no_knowledge_attacker_exhausts_budget():
     a, b, _, eve = _insider_setup()
     out = run_pairing(
         a, b, CHANNEL, JammingLadder((0.0,)), np.random.default_rng(9),
-        salt_seed=13, eavesdropper=eve,
+        salt_seed=13, eavesdropper_p2=eve,
     )
     res = attack(
         out.taps, out.sub_salts, AttackKnowledge("none"), CONFIG.rs_spec,
@@ -603,7 +601,7 @@ def test_distribution_attacker_rejected():
     a, b, _, eve = _insider_setup()
     out = run_pairing(
         a, b, CHANNEL, JammingLadder((0.0,)), np.random.default_rng(10),
-        salt_seed=14, eavesdropper=eve,
+        salt_seed=14, eavesdropper_p2=eve,
     )
     rng = np.random.default_rng(4)
 
