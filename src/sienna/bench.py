@@ -43,6 +43,12 @@ from .rs import RsCodeSpec, standard_code
 
 __all__ = ["ExperimentConfig", "SCENARIOS", "SCENARIO_TABLE", "run_experiment"]
 
+# Fixed shapes of three scenarios.
+SIMILARITY_OFFSETS = 6  # window start offsets per duration in fingerprint-similarity
+RS_TIMING_PARITIES = (16, 32, 54)  # parity symbols of the codes rs-timing decodes
+RS_TIMING_REPS = 40  # timed decodes of every error count in rs-timing
+ADVERSARIAL_GRID_POINTS = 20  # insider powers, log-spaced from p0 to p_max
+
 
 @dataclass(frozen=True)
 class ExperimentConfig:
@@ -171,7 +177,7 @@ def _raw_window_bits(observation, t0: float, t1: float):
     return extract(prepare_series(observation), t0, t1, BANK).bits[0]
 
 
-def _run_fingerprint_similarity(config: ExperimentConfig, n_offsets: int = 6):
+def _run_fingerprint_similarity(config: ExperimentConfig):
     """Per-bit Hamming similarity of raw fingerprints, session per window.
 
     Each (subject, duration, offset) is processed as its own session:
@@ -192,7 +198,7 @@ def _run_fingerprint_similarity(config: ExperimentConfig, n_offsets: int = 6):
     rows = []
     same_means = {}
     for duration in sorted(config.durations):
-        offsets = np.linspace(0.0, obs_len - 1.0 - duration, n_offsets)
+        offsets = np.linspace(0.0, obs_len - 1.0 - duration, SIMILARITY_OFFSETS)
         sims_same = []
         for i, (belt_obs, prms_obs) in enumerate(observations):
             for w, off in enumerate(offsets):
@@ -307,12 +313,12 @@ def _run_commitment_entropy(config: ExperimentConfig):
 # -- RS decode timing ---------------------------------------------------------------
 
 
-def _run_rs_timing(config: ExperimentConfig, parities=(16, 32, 54), reps: int = 40):
+def _run_rs_timing(config: ExperimentConfig):
     rows = []
     variations = {}
     rng = np.random.default_rng(config.trial_seed(0, salt=3))
     order_rng = np.random.default_rng(config.trial_seed(0, salt=6))
-    for parity in parities:
+    for parity in RS_TIMING_PARITIES:
         spec = RsCodeSpec(config.rs.field, 255, 255 - parity)
         codec = spec.codec()
         msg = rng.integers(0, spec.field.size, size=spec.n_symbols)
@@ -331,8 +337,8 @@ def _run_rs_timing(config: ExperimentConfig, parities=(16, 32, 54), reps: int = 
         # every rep. Dividing each time by its rep's median cancels a spell
         # that covers the whole rep, and the per-count median of those
         # ratios ignores spells that cover fewer than half of the reps.
-        times = np.full((len(words), reps), np.inf)
-        for rep in range(reps):
+        times = np.full((len(words), RS_TIMING_REPS), np.inf)
+        for rep in range(RS_TIMING_REPS):
             for n_err in order_rng.permutation(len(words)):
                 t0 = time.perf_counter()
                 out = codec.decode(words[n_err])
@@ -395,12 +401,12 @@ def _insider_success_mask(
     return success, bers
 
 
-def _run_adversarial_ber(config: ExperimentConfig, grid_points: int = 20):
+def _run_adversarial_ber(config: ExperimentConfig):
     trials = config.trials or 1000
     spec = config.rs
     ladder = ladder_levels(config.p_max, config.channel.p0)
     grid = np.logspace(
-        np.log10(config.channel.p0), np.log10(config.p_max), grid_points
+        np.log10(config.channel.p0), np.log10(config.p_max), ADVERSARIAL_GRID_POINTS
     )
     rows = []
     failure_rates = []
@@ -431,7 +437,7 @@ def _run_adversarial_ber(config: ExperimentConfig, grid_points: int = 20):
     )
     disabled_rate = float(disabled_success.all(axis=0).mean())
     summary = {
-        "grid_points": grid_points,
+        "grid_points": ADVERSARIAL_GRID_POINTS,
         "trials_per_point": trials,
         "ladder_levels": list(ladder.levels),
         "min_insider_failure_rate": min(failure_rates),

@@ -16,7 +16,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.signal import filtfilt, firwin
 
 __all__ = [
     "MatchResult",
@@ -216,17 +215,47 @@ def match_sources(candidates: np.ndarray, reference: np.ndarray) -> MatchResult:
 
 
 def lowpass_filter(signal: np.ndarray, sample_rate: float) -> np.ndarray:
-    """Zero-phase FIR low-pass at ``LOWPASS_CUTOFF_HZ``; identity at or above Nyquist."""
+    """Zero-phase FIR low-pass at ``LOWPASS_CUTOFF_HZ``; identity at or above Nyquist.
+
+    The same numbers as ``scipy.signal.filtfilt(taps, [1.0], signal)``: each
+    row is extended by an odd reflection of ``3 * numtaps`` samples at both
+    ends, convolved with the taps forward and then backward, and trimmed.
+    filtfilt's initial-condition terms only reach outputs inside the trimmed
+    pad, so plain convolutions give its output bit for bit.
+    """
     signal = np.asarray(signal, dtype=np.float64)
     if LOWPASS_CUTOFF_HZ >= sample_rate / 2:
         return signal
-    numtaps = min(LOWPASS_TAPS, max(3, signal.shape[-1] // 4) | 1)
-    return filtfilt(_fir_taps(numtaps, sample_rate), [1.0], signal, axis=-1)
+    n = signal.shape[-1]
+    numtaps = min(LOWPASS_TAPS, max(3, n // 4) | 1)
+    padlen = 3 * numtaps
+    if n <= padlen:
+        raise ValueError(f"signal of {n} samples is too short for a pad of {padlen}")
+    taps = _fir_taps(numtaps, sample_rate)
+    rows = signal.reshape(-1, n)
+    out = np.empty_like(rows)
+    for x, y in zip(rows, out):
+        ext = np.concatenate(
+            (2 * x[0] - x[padlen:0:-1], x, 2 * x[-1] - x[-2 : -padlen - 2 : -1])
+        )
+        forward = np.convolve(ext, taps)[: ext.size]
+        backward = np.convolve(forward[::-1], taps)[: ext.size][::-1]
+        y[:] = backward[padlen:-padlen]
+    return out.reshape(signal.shape)
 
 
 @lru_cache(maxsize=64)
 def _fir_taps(numtaps: int, sample_rate: float) -> np.ndarray:
-    """Windowed-sinc low-pass taps, designed once per (numtaps, rate); read-only."""
-    taps = firwin(numtaps, LOWPASS_CUTOFF_HZ, fs=sample_rate)
+    """Hamming-windowed sinc low-pass taps with unit DC gain, designed once per
+    (numtaps, rate); read-only.
+
+    Bit for bit what ``scipy.signal.firwin(numtaps, LOWPASS_CUTOFF_HZ,
+    fs=sample_rate)`` returns, window coefficient ``1.0 - 0.54`` included.
+    """
+    c = LOWPASS_CUTOFF_HZ / (0.5 * sample_rate)
+    m = np.arange(numtaps, dtype=np.float64) - 0.5 * (numtaps - 1)
+    window = 0.54 + (1.0 - 0.54) * np.cos(np.linspace(-np.pi, np.pi, numtaps))
+    taps = c * np.sinc(c * m) * window
+    taps /= taps.sum()
     taps.flags.writeable = False
     return taps

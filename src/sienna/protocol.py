@@ -261,7 +261,6 @@ class SessionState:
     """Per-device key-evolution state. The key changes only on ``done``."""
 
     role: Literal["a", "b"]
-    rs_spec: RsCodeSpec
     current_key: bytes = field(default_factory=bootstrap_key)
     window_ms: tuple[int, int] = (0, 60_000)
     round_index: int = 0
@@ -579,8 +578,8 @@ def run_pairing(
     """
     clock = clock or SimClock()
     rs_spec = device_a.config.rs_spec
-    state_a = SessionState(role="a", rs_spec=rs_spec)
-    state_b = SessionState(role="b", rs_spec=rs_spec)
+    state_a = SessionState(role="a")
+    state_b = SessionState(role="b")
     transcript: list[dict] = []
     taps: list[EavesdropTap] = []
 

@@ -13,7 +13,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaincc
 
 from .bits import as_bits
 
@@ -60,8 +59,6 @@ def runs_test(bits: np.ndarray) -> float:
 def _phi(bits: np.ndarray, m: int) -> float:
     """Sum of p*ln(p) over overlapping m-bit patterns (circular extension)."""
     n = bits.size
-    if m == 0:
-        return 0.0
     ext = np.concatenate([bits, bits[: m - 1]]).astype(np.int64)
     codes = np.zeros(n, dtype=np.int64)
     for j in range(m):
@@ -71,17 +68,34 @@ def _phi(bits: np.ndarray, m: int) -> float:
     return float(np.sum(probs * np.log(probs)))
 
 
+def _gammaincc(a: int, x: float) -> float:
+    """Regularized upper incomplete gamma Q(a, x) for integer a >= 1.
+
+    For integer a it is the Poisson tail ``exp(-x) * sum(x**k / k!, k < a)``,
+    1.0 at x = 0; like ``scipy.special.gammaincc`` it is NaN for x < 0.
+    """
+    if x < 0:
+        return math.nan
+    term = total = 1.0
+    for k in range(1, a):
+        term *= x / k
+        total += term
+    return math.exp(-x) * total
+
+
 def approximate_entropy(bits: np.ndarray, block_len: int = 2) -> tuple[float, float]:
     """ApEn(m) in nats and its NIST p-value.
 
     ApEn compares the empirical entropy of overlapping ``block_len`` and
     ``block_len + 1`` bit patterns; i.i.d. fair bits approach ln 2 per bit.
     """
+    if block_len < 1:
+        raise ValueError(f"block_len must be at least 1, got {block_len}")
     bits = as_bits(bits)
     n = bits.size
     apen = _phi(bits, block_len) - _phi(bits, block_len + 1)
     chi2 = 2.0 * n * (math.log(2.0) - apen)
-    p_value = float(gammaincc(2 ** (block_len - 1), chi2 / 2.0))
+    p_value = _gammaincc(2 ** (block_len - 1), chi2 / 2.0)
     return apen, p_value
 
 

@@ -262,6 +262,8 @@ def test_ofdm_gaussianity():
     wide = ofdm_gaussianity_demo(1024, QamSpec(16), trials=10, seed=2)
     assert wide.p_value >= 0.01
     assert abs(wide.excess_kurtosis) <= 0.1
+    with pytest.raises(ValueError):
+        ofdm_gaussianity_demo(1, QamSpec(4), trials=3)  # 6 samples; the test needs 8
 
 
 def test_jamming_ladder_validation():

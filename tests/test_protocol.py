@@ -132,21 +132,21 @@ def test_init_message_window_validation():
 
 
 def test_initiate_round_one_uses_public_parameter():
-    state = SessionState(role="a", rs_spec=CONFIG.rs_spec)
+    state = SessionState(role="a")
     msg = initiate(state, SimClock())
     assert msg.key_hash == hash256(PUBLIC_PARAMETER)
     assert state.phase == "announced"
 
 
 def test_initiate_round_two_uses_key_hash():
-    state = SessionState(role="a", rs_spec=CONFIG.rs_spec, round_index=1)
+    state = SessionState(role="a", round_index=1)
     state.current_key = hash256(b"prior-key")
     msg = initiate(state, SimClock())
     assert msg.key_hash == hash256(state.current_key)
 
 
 def test_receive_init_rejects_wrong_lineage():
-    state = SessionState(role="b", rs_spec=CONFIG.rs_spec, round_index=1)
+    state = SessionState(role="b", round_index=1)
     state.current_key = hash256(b"different")
     with pytest.raises(ProtocolError):
         receive_init(state, InitMessage(hash256(b"not-it"), 0, 1000))
@@ -154,7 +154,7 @@ def test_receive_init_rejects_wrong_lineage():
 
 
 def test_phase_order_enforced():
-    state = SessionState(role="a", rs_spec=CONFIG.rs_spec)
+    state = SessionState(role="a")
     clock = SimClock()
     with pytest.raises(ProtocolError):
         handle_ack(state, AckNak("ACK", 0), 2)  # ack before anything
@@ -172,10 +172,10 @@ def test_phase_order_enforced():
 
 
 def test_roles_enforced():
-    b_state = SessionState(role="b", rs_spec=CONFIG.rs_spec)
+    b_state = SessionState(role="b")
     with pytest.raises(ProtocolError):
         initiate(b_state, SimClock())
-    a_state = SessionState(role="a", rs_spec=CONFIG.rs_spec)
+    a_state = SessionState(role="a")
     with pytest.raises(ProtocolError):
         receive_init(a_state, InitMessage(hash256(PUBLIC_PARAMETER), 0, 1000))
 
@@ -188,7 +188,7 @@ def test_exhaustive_message_permutations_small_ladder():
 
     outcomes = set()
     for perm in permutations(legal):
-        state = SessionState(role="a", rs_spec=CONFIG.rs_spec)
+        state = SessionState(role="a")
         initiate(state, SimClock())
         try:
             for op, level in perm:
@@ -205,7 +205,7 @@ def test_exhaustive_message_permutations_small_ladder():
 
 
 def test_conclude_changes_key_only_when_done():
-    state = SessionState(role="a", rs_spec=CONFIG.rs_spec)
+    state = SessionState(role="a")
     salt = new_salt(CONFIG.rs_spec, 9)
     with pytest.raises(ProtocolError):
         conclude(state, salt)
@@ -243,8 +243,8 @@ def _hand_driven_round(state_a, state_b, fingerprint, salt_seed, n_levels=2):
 def test_two_hand_driven_rounds_carry_the_key_lineage():
     spec = CONFIG.rs_spec
     fingerprint = random_bits(spec.codeword_bits, np.random.default_rng(21))
-    state_a = SessionState(role="a", rs_spec=spec)
-    state_b = SessionState(role="b", rs_spec=spec)
+    state_a = SessionState(role="a")
+    state_b = SessionState(role="b")
     k1_a, k1_b, _ = _hand_driven_round(state_a, state_b, fingerprint, salt_seed=1)
     assert k1_a == k1_b != bootstrap_key()
     k2_a, k2_b, init2 = _hand_driven_round(state_a, state_b, fingerprint, salt_seed=2)
@@ -252,7 +252,7 @@ def test_two_hand_driven_rounds_carry_the_key_lineage():
     assert k2_a == k2_b and k2_a not in (k1_a, bootstrap_key())
     assert state_a.round_index == state_b.round_index == 2
 
-    skipped_round_one = SessionState(role="b", rs_spec=spec)
+    skipped_round_one = SessionState(role="b")
     with pytest.raises(ProtocolError):
         receive_init(skipped_round_one, init2)
     assert skipped_round_one.fail_stage == "announce-key-mismatch"

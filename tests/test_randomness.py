@@ -55,6 +55,11 @@ def test_nist_worked_example_apen():
     assert p == pytest.approx(0.261961, abs=1e-4)
 
 
+def test_apen_needs_a_block_of_at_least_one_bit():
+    with pytest.raises(ValueError):
+        approximate_entropy(np.zeros(100, dtype=np.uint8), block_len=0)
+
+
 def test_csprng_output_passes_all_three():
     bits = Sha256Drbg(1234).bits(1_000_000)
     report = randomness_tests(bits)
