@@ -20,7 +20,7 @@ print(f"qtz(0.0)  -> {qtz(0.0, 0.5, -0.5)}   (inside the band)")
 
 
 def fingerprint_bits(observation, t0, t1):
-    return extract(prepare_series(observation), t0, t1, bank).bits[0]
+    return extract(prepare_series(observation), t0, t1, bank)[0]
 
 
 subjects = [sample_profile(seed, drift_std=0.015) for seed in (11, 22, 33)]

@@ -21,7 +21,7 @@ import numpy as np
 from .bits import Sha256Drbg, random_bits
 from .breathing import Scene, mix_scene, sample_profile, sample_separable_pair
 from .channel import ChannelParams, ladder_levels, noise_power_for_snr, qam_demodulate, qam_modulate
-from .commitment import commit, new_salt
+from .commitment import new_salt
 from .fingerprint import extract, hamming_similarity
 from .ica import jade_separate, match_sources
 from .protocol import (
@@ -71,6 +71,10 @@ class ExperimentConfig:
         for d in self.durations:
             if not 6.0 <= d <= 60.0:
                 raise ValueError(f"window durations must lie in [6, 60] s, got {d}")
+        for name in ("population", "trials", "samples"):
+            value = getattr(self, name)
+            if value is not None and value < 1:
+                raise ValueError(f"{name} must be at least 1, got {value}")
 
     def trial_seed(self, index: int, salt: int = 0) -> int:
         base = self.seeds[index % len(self.seeds)]
@@ -174,7 +178,7 @@ def _slice_observations(belt_obs, prms_obs, t0: float, t1: float):
 
 def _raw_window_bits(observation, t0: float, t1: float):
     """Raw quantizer bits of a standalone session over [t0, t1]."""
-    return extract(prepare_series(observation), t0, t1, BANK).bits[0]
+    return extract(prepare_series(observation), t0, t1, BANK)[0]
 
 
 def _run_fingerprint_similarity(config: ExperimentConfig):

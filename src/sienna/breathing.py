@@ -26,12 +26,10 @@ __all__ = [
     "arctan_demodulate",
     "belt_observe",
     "linear_demodulate",
-    "load_series",
     "mix_scene",
     "radar_observe",
     "sample_profile",
     "sample_separable_pair",
-    "save_series",
     "synth_displacement",
 ]
 
@@ -208,10 +206,8 @@ class RadarIQ:
     q_channel: np.ndarray
     sample_rate: float
     wavelength: float = DEFAULT_WAVELENGTH_CM  # cm
-    theta0: float = 0.0
     a_i: float = 1.0
     a_q: float = 1.0
-    phase_noise_std: float = 0.0
     t_start: float = 0.0
 
     def __post_init__(self):
@@ -254,10 +250,8 @@ def radar_observe(
         q_channel=a_q * np.sin(theta),
         sample_rate=displacement.sample_rate,
         wavelength=wavelength,
-        theta0=theta0,
         a_i=a_i,
         a_q=a_q,
-        phase_noise_std=phase_noise_std,
         t_start=displacement.t_start,
     )
 
@@ -354,26 +348,3 @@ def mix_scene(scene: Scene) -> tuple[np.ndarray, np.ndarray]:
         mixed = mixed + rng.normal(0.0, scene.noise_std, size=mixed.shape)
     return mixed, sources
 
-
-def save_series(series: DisplacementSeries, path) -> None:
-    """One series per CSV file with a `t_seconds,value` header."""
-    with open(path, "w") as fh:
-        fh.write("t_seconds,value\n")
-        for t, v in zip(series.times, series.samples):
-            fh.write(f"{float(t)!r},{float(v)!r}\n")
-
-
-def load_series(path) -> DisplacementSeries:
-    with open(path) as fh:
-        header = fh.readline().strip()
-        if header != "t_seconds,value":
-            raise ValueError(f"expected 't_seconds,value' header, got {header!r}")
-        pairs = [line.split(",") for line in fh if line.strip()]
-    times = np.array([float(t) for t, _ in pairs])
-    values = np.array([float(v) for _, v in pairs])
-    if times.size < 2:
-        raise ValueError("need at least two samples")
-    steps = np.diff(times)
-    if not np.allclose(steps, steps[0], rtol=1e-6, atol=1e-9):
-        raise ValueError("series must be uniformly sampled")
-    return DisplacementSeries(values, 1.0 / steps[0], float(times[0]))

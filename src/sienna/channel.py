@@ -29,7 +29,6 @@ __all__ = [
     "JammingLadder",
     "QamSpec",
     "awgn",
-    "ber_sweep_rows",
     "ber_theoretical",
     "dup_and_jam",
     "eavesdrop",
@@ -40,14 +39,7 @@ __all__ = [
     "qam_modulate",
     "receiver_stitch",
     "secrecy_capacity",
-    "write_ber_sweep",
 ]
-
-# Friendly jamming degrades an eavesdropper only while the jam-to-signal
-# ratio sits in (1, 9]: below it the jam is too weak, above it the jammed
-# copies become detectable by their energy.
-JAM_RATIO_LOW = 1.0
-JAM_RATIO_HIGH = 9.0
 
 
 @dataclass(frozen=True)
@@ -78,36 +70,19 @@ class QamSpec:
 
 @dataclass(frozen=True)
 class ChannelParams:
-    """Powers of the main and tap channels plus the jamming signal.
-
-    ``p1``/``p2`` are the signal powers seen by the legitimate receiver and
-    the eavesdropper, ``p0`` the intrinsic noise power, ``p_jam`` the
-    jamming power at the eavesdropper.
-    """
+    """Powers of the main channel: ``p0`` the intrinsic noise power, ``p1``
+    the signal power seen by the legitimate receiver."""
 
     p0: float = 1.0
     p1: float = 31.622776601683793  # 15 dB above the noise floor
-    p2: float = 31.622776601683793
-    p_jam: float = 0.0
 
     def __post_init__(self):
-        if min(self.p0, self.p1, self.p2, self.p_jam) < 0:
+        if min(self.p0, self.p1) < 0:
             raise ValueError("powers must be non-negative")
 
     @property
     def snr_main(self) -> float:
         return self.p1 / self.p0
-
-    @property
-    def snr_tap(self) -> float:
-        return self.p2 / self.p0
-
-    @property
-    def effective_jamming(self) -> bool:
-        if self.p2 == 0:
-            return False
-        ratio = self.p_jam / self.p2
-        return JAM_RATIO_LOW < ratio < JAM_RATIO_HIGH
 
 
 @dataclass(frozen=True)
@@ -116,7 +91,6 @@ class DialogFrame:
 
     symbols: np.ndarray  # complex, length 2 * n_pairs
     jam_mask: np.ndarray  # uint8, jam_mask[i] selects the jammed copy of pair i
-    jam_power: float
 
     def __post_init__(self):
         object.__setattr__(self, "symbols", np.asarray(self.symbols, dtype=np.complex128))
@@ -147,7 +121,13 @@ class JammingLadder:
 
 
 def ladder_levels(p_max: float, p0: float) -> JammingLadder:
-    """Smallest factor-9 ladder covering eavesdroppers anywhere in [p0, p_max]."""
+    """Smallest factor-9 ladder covering eavesdroppers anywhere in [p0, p_max].
+
+    Friendly jamming degrades an eavesdropper only while the jam-to-signal
+    ratio sits in (1, 9]: below it the jam is too weak, above it the jammed
+    copies become detectable by their energy. Levels a factor 9 apart give
+    every eavesdropper power in the range one level inside that band.
+    """
     if not p_max > p0 > 0:
         raise ValueError(f"need p_max > p0 > 0, got p_max={p_max}, p0={p0}")
     count = max(1, math.ceil(math.log(p_max / p0, 9.0)))
@@ -258,7 +238,7 @@ def dup_and_jam(
             rng.normal(size=symbols.size) + 1j * rng.normal(size=symbols.size)
         )
     on_air = awgn(on_air, noise_power, rng)
-    return DialogFrame(symbols=on_air, jam_mask=jam_mask, jam_power=jam_power)
+    return DialogFrame(symbols=on_air, jam_mask=jam_mask)
 
 
 def receiver_stitch(frame: DialogFrame, jam_mask: np.ndarray) -> np.ndarray:
@@ -323,33 +303,6 @@ def secrecy_capacity(p1: float, p0: float, p2: float, p_jam: float) -> float:
     if p0 <= 0 or p_jam <= 0:
         raise ValueError("noise and jamming powers must be positive")
     return max(0.0, math.log2(1 + p1 / p0) - math.log2(1 + p2 / p_jam))
-
-
-def ber_sweep_rows(
-    orders: tuple[int, ...],
-    snr_dbs: tuple[float, ...],
-    n_bits: int,
-    seed: int = 0,
-) -> list[tuple]:
-    """Measured-vs-formula BER grid as `m_order,snr_db,ber_theory,ber_measured,trials` rows."""
-    rng = np.random.default_rng(seed)
-    rows = []
-    for order in orders:
-        spec = QamSpec(order)
-        for snr_db in snr_dbs:
-            snr = 10.0 ** (snr_db / 10.0)
-            bits = rng.integers(0, 2, size=n_bits, dtype=np.uint8)
-            rx = awgn(qam_modulate(bits, spec), noise_power_for_snr(snr, spec), rng)
-            measured = float(np.mean(qam_demodulate(rx, spec, n_bits=n_bits) != bits))
-            rows.append((order, snr_db, ber_theoretical(order, snr), measured, n_bits))
-    return rows
-
-
-def write_ber_sweep(path, orders=(4, 16, 64), snr_dbs=(0.0, 5.0, 10.0, 15.0), n_bits=200_000, seed=0):
-    with open(path, "w") as fh:
-        fh.write("m_order,snr_db,ber_theory,ber_measured,trials\n")
-        for row in ber_sweep_rows(orders, snr_dbs, n_bits, seed):
-            fh.write(",".join(repr(float(v)) if isinstance(v, float) else str(v) for v in row) + "\n")
 
 
 # -- OFDM Gaussianity ---------------------------------------------------------

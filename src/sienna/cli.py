@@ -37,7 +37,7 @@ def default_config_text(config: ExperimentConfig | None = None) -> str:
         f"population={config.population}",
         "durations=" + ",".join(f"{d:g}" for d in config.durations),
         f"rs={config.rs.field.k_bits},{config.rs.m_symbols},{config.rs.n_symbols}",
-        f"channel={ch.p0:g},{ch.p1:g},{ch.p2:g},{ch.p_jam:g}",
+        f"channel={ch.p0:g},{ch.p1:g}",
         f"p_max={config.p_max:g}",
         f"output_path={config.output_path}",
     ]
@@ -69,8 +69,8 @@ def parse_config_text(text: str, base: ExperimentConfig | None = None) -> Experi
             k, m, n = (int(v) for v in value.split(","))
             config = replace(config, rs=RsCodeSpec(default_field(k), m, n))
         elif key == "channel":
-            p0, p1, p2, p_jam = (float(v) for v in value.split(","))
-            config = replace(config, channel=ChannelParams(p0=p0, p1=p1, p2=p2, p_jam=p_jam))
+            p0, p1 = (float(v) for v in value.split(","))
+            config = replace(config, channel=ChannelParams(p0=p0, p1=p1))
         elif key == "p_max":
             config = replace(config, p_max=float(value))
         elif key == "trials":
@@ -204,10 +204,14 @@ def cli_entry(argv: list[str] | None = None) -> int:
         config = replace(config, seeds=(seed,))
     if args.out is not None:
         config = replace(config, output_path=args.out)
-    if args.trials is not None:
-        config = replace(config, trials=args.trials)
-    if args.samples is not None:
-        config = replace(config, samples=args.samples)
+    try:
+        if args.trials is not None:
+            config = replace(config, trials=args.trials)
+        if args.samples is not None:
+            config = replace(config, samples=args.samples)
+    except ValueError as exc:
+        print(f"bad override: {exc}", file=sys.stderr)
+        return 2
 
     summary = run_experiment(config)
     checks = summary.get("checks", {})

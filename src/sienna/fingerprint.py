@@ -20,7 +20,6 @@ leading axis.
 
 from __future__ import annotations
 
-import io
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -29,7 +28,6 @@ from .bits import as_bits
 from .breathing import DisplacementSeries
 
 __all__ = [
-    "FingerprintBits",
     "QuantizerBank",
     "default_bank",
     "extract",
@@ -92,40 +90,6 @@ def _bit_rows(values) -> np.ndarray:
     return arr
 
 
-@dataclass(frozen=True)
-class FingerprintBits:
-    """Branch-major quantized window: count * 2 * samples bits per series.
-
-    ``bits`` has shape (count * 2 * samples,) for one series, or
-    (C, count * 2 * samples) for a stack of C series.
-    """
-
-    bits: np.ndarray
-    branches: int
-    samples_per_branch: int
-    window: tuple[float, float]
-
-    def __post_init__(self):
-        object.__setattr__(self, "bits", _bit_rows(self.bits))
-        if self.bits.shape[-1] != self.branches * 2 * self.samples_per_branch:
-            raise ValueError("bit count does not match branches * 2 * samples")
-
-    def branch_codes(self, branch: int) -> np.ndarray:
-        start = branch * 2 * self.samples_per_branch
-        codes = self.bits[..., start : start + 2 * self.samples_per_branch]
-        return codes.reshape(*self.bits.shape[:-1], -1, 2)
-
-    def to_csv(self) -> str:
-        if self.bits.ndim != 1:
-            raise ValueError("CSV export takes the bits of one series")
-        out = io.StringIO()
-        out.write("branch,sample_index,code\n")
-        for b in range(self.branches):
-            for i, (hi, lo) in enumerate(self.branch_codes(b)):
-                out.write(f"{b},{i},{hi}{lo}\n")
-        return out.getvalue()
-
-
 def qtz(x: float, q_plus: float, q_minus: float) -> tuple[int, int]:
     """Two-bit level-crossing code; thresholds are boundary-inclusive."""
     if q_plus <= q_minus:
@@ -139,9 +103,10 @@ def qtz(x: float, q_plus: float, q_minus: float) -> tuple[int, int]:
 
 def extract(
     series: DisplacementSeries, t_str: float, t_end: float, bank: QuantizerBank
-) -> FingerprintBits:
+) -> np.ndarray:
     """Quantize a window at instants t_str + j*T, final floor instant included.
 
+    Returns uint8 bits of shape (..., branches * samples * 2), branch-major.
     Every series of a stack is quantized by one comparison against the
     bank's upper and lower threshold vectors; row c of the result is the
     fingerprint of series c.
@@ -155,12 +120,7 @@ def extract(
 
     uppers, lowers = np.array(bank.levels).T[:, :, None]  # (branches, 1) each
     codes = np.stack([values >= uppers, values <= lowers], axis=-1)  # (..., branches, samples, 2)
-    return FingerprintBits(
-        bits=codes.reshape(*values.shape[:-2], -1).astype(np.uint8),
-        branches=bank.count,
-        samples_per_branch=n_samples,
-        window=(t_str, t_end),
-    )
+    return codes.reshape(*values.shape[:-2], -1).astype(np.uint8)
 
 
 def segment_pad(bits: np.ndarray, target_len: int) -> np.ndarray:

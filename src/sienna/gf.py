@@ -60,6 +60,8 @@ class FieldSpec:
 
 
 def default_field(k_bits: int) -> FieldSpec:
+    if k_bits not in DEFAULT_POLYS:
+        raise ValueError(f"symbol width must be in [2, 16], got {k_bits}")
     return FieldSpec(k_bits, DEFAULT_POLYS[k_bits])
 
 
@@ -104,11 +106,6 @@ class GaloisField:
         """Element-wise product; scalars and arrays broadcast."""
         out = self.exp[self.log[a] + self.log[b]]
         return int(out) if out.ndim == 0 else out
-
-    def inv(self, a: int) -> int:
-        if a == 0:
-            raise ZeroDivisionError("no inverse for 0")
-        return int(self.exp[self.inv_log[a]])
 
 
 @lru_cache(maxsize=None)

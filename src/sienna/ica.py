@@ -43,7 +43,6 @@ class WhiteningResult:
 
     whitened: np.ndarray  # shape (T, K')
     whitener: np.ndarray  # shape (K', M), applies to mean-centered rows
-    retained_components: int
     row_means: np.ndarray
 
 
@@ -94,7 +93,7 @@ def whiten(observations: np.ndarray, n_components: int) -> WhiteningResult:
     lead_vecs = eigvecs[:, :n_components]
     whitener = lead_vecs.T / np.sqrt(lead_vals)[:, None]
     whitened = (whitener @ centered).T
-    return WhiteningResult(whitened, whitener, n_components, means)
+    return WhiteningResult(whitened, whitener, means)
 
 
 def _cumulant_matrices(Z: np.ndarray) -> np.ndarray:

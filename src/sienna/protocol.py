@@ -421,7 +421,7 @@ class _Device:
     def derive_fingerprints(self, window_ms: tuple[int, int]) -> list[np.ndarray]:
         """Folded fingerprint of every candidate over a window, in candidate order."""
         t_str, t_end = window_ms[0] / 1000.0, window_ms[1] / 1000.0
-        bits = extract(self.candidates, t_str, t_end, BANK).bits
+        bits = extract(self.candidates, t_str, t_end, BANK)
         segments = segment_pad(bits, self.config.rs_spec.codeword_bits)
         return list(np.bitwise_xor.reduce(segments, axis=-2))
 
@@ -531,7 +531,6 @@ class EavesdropTap:
     retry: int
     window_ms: tuple[int, int]
     frame: DialogFrame
-    jam_power: float
     truth_bits: np.ndarray
 
 
@@ -554,7 +553,6 @@ class PairingOutcome:
     transcript: list[dict]
     levels: list[LevelRecord]
     failed_level: int | None = None
-    failed_stage: str | None = None
     taps: list[EavesdropTap] = field(default_factory=list)
     sub_salts: list[np.ndarray] = field(default_factory=list)
 
@@ -634,7 +632,6 @@ def run_pairing(
                         retry=attempt,
                         window_ms=window,
                         frame=frame_e,
-                        jam_power=jam_level,
                         truth_bits=payload,
                     )
                 )
@@ -686,7 +683,6 @@ def run_pairing(
                 transcript=transcript,
                 levels=levels,
                 failed_level=level_idx,
-                failed_stage="open",
                 taps=taps,
                 sub_salts=[s for s in sub_salts if s is not None],
             )
@@ -729,6 +725,12 @@ class AttackKnowledge:
     fingerprint: Callable[[tuple[int, int]], np.ndarray] | None = None
     sampler: Callable[[int], np.ndarray] | None = None
 
+    def __post_init__(self):
+        if self.kind == "perfect" and self.fingerprint is None:
+            raise ValueError("perfect knowledge requires the fingerprint")
+        if self.kind == "distribution" and self.sampler is None:
+            raise ValueError("distribution knowledge requires a sampler")
+
 
 @dataclass(frozen=True)
 class LevelAttackOutcome:
@@ -764,8 +766,6 @@ def attack(
     rng = rng or np.random.default_rng(0)
     if not taps:
         raise ValueError("attack needs at least one eavesdropped frame")
-    if knowledge.kind == "perfect" and knowledge.fingerprint is None:
-        raise ValueError("perfect knowledge requires the fingerprint")
     n_levels = max(t.level_index for t in taps) + 1
     attempts_used = 0
 

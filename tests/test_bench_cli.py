@@ -20,6 +20,9 @@ def test_config_validation():
         ExperimentConfig(durations=(5.0,))
     with pytest.raises(ValueError):
         ExperimentConfig(durations=(61.0,))
+    for name in ("population", "trials", "samples"):
+        with pytest.raises(ValueError, match=name):
+            ExperimentConfig(**{name: 0})
 
 
 def test_config_round_trip_through_text():
@@ -29,7 +32,7 @@ def test_config_round_trip_through_text():
         population=5,
         durations=(6.0, 24.0),
         rs=RsCodeSpec(default_field(8), 255, 223),
-        channel=ChannelParams(p0=2.0, p1=20.0, p2=8.0, p_jam=16.0),
+        channel=ChannelParams(p0=2.0, p1=20.0),
         p_max=500.0,
         trials=7,
         output_path="artifacts",
@@ -40,7 +43,7 @@ def test_config_round_trip_through_text():
     assert back.population == 5
     assert back.durations == (6.0, 24.0)
     assert back.rs.n_symbols == 223
-    assert back.channel.p_jam == 16.0
+    assert back.channel == ChannelParams(p0=2.0, p1=20.0)
     assert back.p_max == 500.0
     assert back.trials == 7
     assert back.output_path == "artifacts"
@@ -51,6 +54,8 @@ def test_config_text_errors():
         parse_config_text("justnonsense")
     with pytest.raises(ValueError, match="unknown key"):
         parse_config_text("wat=1")
+    with pytest.raises(ValueError):
+        parse_config_text("channel=1,31.6,31.6,0")  # the eavesdropper and jam powers are gone
 
 
 def test_separation_scenario(tmp_path):
@@ -154,6 +159,21 @@ def test_cli_bad_config_exits_2(tmp_path, capsys):
     bad = tmp_path / "bad.cfg"
     bad.write_text("mystery=1\n")
     assert cli_entry(["run", "separation", "--config", str(bad)]) == 2
+
+
+def test_cli_config_with_unsupported_symbol_width_exits_2(tmp_path, capsys):
+    bad = tmp_path / "bad.cfg"
+    bad.write_text("rs=17,255,201\n")
+    assert cli_entry(["run", "separation", "--config", str(bad)]) == 2
+    assert "bad config" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flag", ["--trials", "--samples"])
+def test_cli_override_below_one_exits_2(tmp_path, capsys, flag):
+    out = tmp_path / "out"
+    assert cli_entry(["run", "separation", flag, "0", "--out", str(out)]) == 2
+    assert flag.lstrip("-") in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_cli_config_file_applies(tmp_path):

@@ -125,10 +125,6 @@ def test_ladder_guarantee_band_coverage():
 
 
 def test_channel_params_flags():
-    ch = ChannelParams(p0=1.0, p1=31.6, p2=4.0, p_jam=16.0)
-    assert ch.effective_jamming
-    assert not ChannelParams(p0=1.0, p1=31.6, p2=4.0, p_jam=2.0).effective_jamming
-    assert not ChannelParams(p0=1.0, p1=31.6, p2=4.0, p_jam=40.0).effective_jamming
     with pytest.raises(ValueError):
         ChannelParams(p0=-1.0)
 
@@ -271,18 +267,3 @@ def test_jamming_ladder_validation():
         JammingLadder(())
     with pytest.raises(ValueError):
         JammingLadder((10.0, 2.0))
-
-
-def test_ber_sweep_csv(tmp_path):
-    from sienna.channel import write_ber_sweep
-
-    path = tmp_path / "ber.csv"
-    write_ber_sweep(path, orders=(4, 16), snr_dbs=(5.0, 10.0), n_bits=50_000, seed=3)
-    lines = path.read_text().strip().splitlines()
-    assert lines[0] == "m_order,snr_db,ber_theory,ber_measured,trials"
-    assert len(lines) == 5
-    for line in lines[1:]:
-        order, snr_db, theory, measured, trials = line.split(",")
-        assert int(order) in (4, 16)
-        assert int(trials) == 50_000
-        assert 0.0 <= float(theory) <= 0.5

@@ -81,7 +81,7 @@ def test_inverse_round_trips():
     for k in (3, 8):
         gf = default_field(k).tables()
         for a in range(1, gf.spec.size):
-            assert gf.mul(a, gf.inv(a)) == 1
+            assert gf.mul(a, int(gf.exp[gf.inv_log[a]])) == 1
 
 
 def test_out_of_range_elements_rejected():
@@ -99,6 +99,9 @@ def test_spec_validation():
         FieldSpec(8, 0x1D)  # degree 4 mask, not 8
     with pytest.raises(ValueError):
         FieldSpec(8, 0x100).tables()  # degree 8 but not primitive (x^8)
+    for k in (1, 17):
+        with pytest.raises(ValueError, match=r"\[2, 16\]"):
+            default_field(k)
 
 
 @pytest.mark.parametrize("k", [3, 4])

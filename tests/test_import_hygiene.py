@@ -1,11 +1,21 @@
-"""The runtime needs numpy alone: importing the package loads no scipy."""
+"""What the package imports and exports.
 
+The runtime needs numpy alone: importing the package loads no scipy. Every
+name a module exports has a reader outside the tests.
+"""
+
+import ast
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parent.parent / "src"
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src"
+MODULES = {path.name: path.read_text() for path in sorted((SRC / "sienna").glob("*.py"))}
 
 
 def test_import_loads_no_scipy():
@@ -21,3 +31,29 @@ def test_import_loads_no_scipy():
         check=True,
     )
     assert out.stdout.strip() == "[]"
+
+
+def _exports(text: str):
+    """The names in a module's ``__all__`` and the source with it cut out."""
+    node = next(
+        n for n in ast.parse(text).body
+        if isinstance(n, ast.Assign) and getattr(n.targets[0], "id", None) == "__all__"
+    )
+    return ast.literal_eval(node.value), text.replace(ast.get_source_segment(text, node), "")
+
+
+@pytest.mark.parametrize("module", [name for name, text in MODULES.items() if "__all__" in text])
+def test_every_exported_name_has_a_reader_outside_the_tests(module):
+    """A name is read in another module (re-exports in ``__init__`` do not
+    count), in its own beyond its definition, or by the demos or the benchmark."""
+    names, own = _exports(MODULES[module])
+    others = [text for name, text in MODULES.items() if name not in (module, "__init__.py")]
+    others += [p.read_text() for d in ("demos", "perfbench") for p in (ROOT / d).rglob("*.py")]
+    others = "\n".join(others)
+    unread = [
+        name
+        for name in names
+        if len(re.findall(rf"\b{re.escape(name)}\b", own)) < 2
+        and not re.search(rf"\b{re.escape(name)}\b", others)
+    ]
+    assert unread == []

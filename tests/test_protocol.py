@@ -362,7 +362,6 @@ def test_cross_subject_pairing_fails():
     )
     assert not out.success
     assert out.failed_level == 0
-    assert out.failed_stage == "open"
 
 
 def test_pairing_transcript_jsonl():
@@ -503,7 +502,7 @@ def test_commit_frame_b_cannot_accept_is_a_nak_and_opens_nothing(monkeypatch, fl
         np.random.default_rng(0),
         salt_seed=1,
     )
-    assert not out.success and out.failed_stage == "open"
+    assert not out.success
     assert out.levels[0].retries == 4 and out.levels[0].stitched_bit_errors == 1
     assert opens == []
 
@@ -538,7 +537,7 @@ def test_b_derives_candidates_from_the_window_it_received(monkeypatch):
         salt_seed=63,
     )
     assert not out.success and out.key_a is None and out.key_b is None
-    assert out.failed_level == 0 and out.failed_stage == "open"
+    assert out.failed_level == 0
     assert out.levels[0].verdict == "NAK"
     assert windows_b == [slot_window((2_500, 52_500), LADDER.count, 0, k) for k in range(4)]
 
@@ -621,3 +620,10 @@ def test_distribution_attacker_rejected():
 def test_attack_requires_taps():
     with pytest.raises(ValueError):
         attack([], [], AttackKnowledge("none"), CONFIG.rs_spec)
+
+
+@pytest.mark.parametrize("kind, needs", [("distribution", "sampler"), ("perfect", "fingerprint")])
+def test_attack_knowledge_checks_what_its_kind_needs(kind, needs):
+    with pytest.raises(ValueError, match=needs):
+        AttackKnowledge(kind)
+    AttackKnowledge(kind, **{needs: lambda arg: np.zeros(8, dtype=np.uint8)})
