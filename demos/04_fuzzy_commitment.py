@@ -11,7 +11,7 @@ import numpy as np
 from sienna.bits import random_bits
 from sienna.commitment import commit, kdf, new_salt, open_commitment, serialize_commitment
 from sienna.gf import default_field, gf_mul
-from sienna.rs import RsCodeSpec, correctable_symbols, rs_decode, rs_encode, standard_code
+from sienna.rs import RsCodeSpec, standard_code
 
 # Field arithmetic underneath it all
 field = default_field(8)
@@ -19,21 +19,22 @@ print(f"GF(2^8) under 0x11D: 0x02 * 0x80 = 0x{gf_mul(0x02, 0x80, field):02X}")
 
 # A small code makes the correction radius easy to see
 small = RsCodeSpec(default_field(3), 7, 3)
-word = rs_encode([1, 0, 0], small)
+codec = small.codec()
+word = codec.encode([1, 0, 0])
 print(f"RS(2^3,7,3): message [1,0,0] -> codeword {[int(s) for s in word]} (corrects t={small.t})")
 corrupted = word.copy()
 corrupted[1] ^= 5
 corrupted[6] ^= 3
-print(f"two corrupted symbols decode back to {[int(s) for s in rs_decode(corrupted, small)]}")
+print(f"two corrupted symbols decode back to {[int(s) for s in codec.decode(corrupted)]}")
 corrupted[3] ^= 6
-beyond = rs_decode(corrupted, small)
+beyond = codec.decode(corrupted)
 beyond = beyond if beyond is None else [int(s) for s in beyond]
 print(f"three corrupted symbols -> {beyond} (beyond t, digest would reject)")
 
 # The production-size commitment
 spec = standard_code()
 print(f"\nproduction code: RS(2^8,255,201), {spec.codeword_bits}-bit codewords, "
-      f"t={correctable_symbols(spec)} symbols")
+      f"t={spec.t} symbols")
 
 rng = np.random.default_rng(1)
 salt = new_salt(spec, 2024)

@@ -55,6 +55,6 @@ from .protocol import (
     two_subject_scene,
 )
 from .randomness import randomness_tests
-from .rs import RsCodeSpec, correctable_symbols, rs_decode, rs_encode, standard_code
+from .rs import RsCodeSpec, standard_code
 
 __version__ = "0.1.0"

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import json
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -21,7 +21,7 @@ import numpy as np
 from .bits import Sha256Drbg, random_bits
 from .breathing import Scene, mix_scene, sample_profile, sample_separable_pair
 from .channel import ChannelParams, ladder_levels, noise_power_for_snr, qam_demodulate, qam_modulate
-from .commitment import new_salt
+from .commitment import commit, new_salt
 from .fingerprint import extract, hamming_similarity
 from .ica import jade_separate, match_sources
 from .protocol import (
@@ -145,29 +145,6 @@ def _run_separation(config: ExperimentConfig):
 # -- fingerprint similarity -------------------------------------------------------
 
 
-def _population_observations(
-    config: ExperimentConfig,
-    belt_noise_std: float = 0.002,
-    radar_phase_noise_std: float = 0.004,
-    drift_std: float = 0.01,
-    duration_s: float = 61.0,
-):
-    """Single-subject belt and radar observations for `population` subjects."""
-    observations = []
-    for i in range(config.population):
-        seed = config.trial_seed(i, salt=1)
-        profile = sample_profile(seed, drift_std=drift_std)
-        scene = PairingScene(
-            subjects=(profile,),
-            seed=seed,
-            belt_noise_std=belt_noise_std,
-            radar_phase_noise_std=radar_phase_noise_std,
-            duration_s=duration_s,
-        )
-        observations.append(observe_scene(scene))
-    return observations
-
-
 def _slice_observations(belt_obs, prms_obs, t0: float, t1: float):
     """Restrict both observations to [t0, t1], as a session of that length."""
     return (
@@ -192,13 +169,17 @@ def _run_fingerprint_similarity(config: ExperimentConfig):
     estimation over one or two breathing cycles) is visible.
     """
     obs_len = 91.0
-    observations = _population_observations(
-        config,
-        belt_noise_std=0.025,
-        radar_phase_noise_std=0.06,
-        drift_std=0.02,
-        duration_s=obs_len,
-    )
+    observations = []
+    for i in range(config.population):
+        seed = config.trial_seed(i, salt=1)
+        scene = PairingScene(
+            subjects=(sample_profile(seed, drift_std=0.02),),
+            belt_noise_std=0.025,
+            radar_phase_noise_std=0.06,
+            duration_s=obs_len,
+            seed=seed,
+        )
+        observations.append(observe_scene(scene))
     rows = []
     same_means = {}
     for duration in sorted(config.durations):
@@ -249,11 +230,11 @@ def _run_fingerprint_similarity(config: ExperimentConfig):
 
 def _run_commitment_entropy(config: ExperimentConfig):
     n_samples = config.samples or 10_000
-    belt_obs, _ = _population_observations(replace(config, population=1))[0]
-    pipeline = PipelineConfig(rs_spec=config.rs)
-    fingerprint = BeltDevice(belt_obs, pipeline).derive_fingerprints((0, 60_000))[0]
     spec = config.rs
-    codec = spec.codec()
+    seed = config.trial_seed(0, salt=1)
+    belt_obs, _ = observe_scene(PairingScene(subjects=(sample_profile(seed),), seed=seed))
+    belt = BeltDevice(belt_obs, PipelineConfig(rs_spec=spec))
+    fingerprint = belt.derive_fingerprints((0, 60_000))[0]
     drbg = Sha256Drbg(config.trial_seed(0, salt=2))
     # The rank rate stacks R = codeword_bits + 64 differences x_i ^ x_0, so a
     # uniform source falls short of full rank with probability below 2^-64.
@@ -266,8 +247,8 @@ def _run_commitment_entropy(config: ExperimentConfig):
     pooled = {"salt": [], "opening": [], "commitment": []}
     for i in range(n_samples):
         salt = new_salt(spec, drbg)
-        opening = codec.symbols_to_bits(codec.encode(codec.bits_to_symbols(salt)))
-        commitment_bits = np.bitwise_xor(opening, fingerprint)
+        commitment_bits = commit(salt, fingerprint, spec).masked_codeword
+        opening = commitment_bits ^ fingerprint
         for kind, bits in (("salt", salt), ("opening", opening), ("commitment", commitment_bits)):
             report = randomness_tests(bits)
             stats[kind].append(report)

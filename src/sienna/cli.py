@@ -3,10 +3,11 @@
 Subcommands: ``run <scenario>`` executes one bench scenario and writes its
 CSV plus summary JSON, ``selftest`` runs the exhaustive small-field codec
 and commitment suites, ``dump-config`` prints the default configuration in
-the flat key=value format the ``--config`` flag accepts. ``--check`` makes
+the flat key=value format the ``--config`` flag accepts; its floats are
+exact, so ``--config`` of its output is the default run. ``--check`` makes
 the exit status reflect the scenario's acceptance gates. The environment
 variable ``SIENNA_SEED`` overrides the default seed when ``--seed`` is not
-given.
+given; a value that is not an integer exits 2, like any bad override.
 """
 
 from __future__ import annotations
@@ -35,10 +36,10 @@ def default_config_text(config: ExperimentConfig | None = None) -> str:
         f"scenario={config.scenario}",
         "seeds=" + ",".join(str(s) for s in config.seeds),
         f"population={config.population}",
-        "durations=" + ",".join(f"{d:g}" for d in config.durations),
+        "durations=" + ",".join(repr(d) for d in config.durations),
         f"rs={config.rs.field.k_bits},{config.rs.m_symbols},{config.rs.n_symbols}",
-        f"channel={ch.p0:g},{ch.p1:g}",
-        f"p_max={config.p_max:g}",
+        f"channel={ch.p0!r},{ch.p1!r}",
+        f"p_max={config.p_max!r}",
         f"output_path={config.output_path}",
     ]
     if config.trials is not None:
@@ -89,7 +90,6 @@ def _selftest() -> int:
     from .bits import random_bits
     from .commitment import commit, new_salt, open_commitment
     from .gf import gf_mul
-    from .rs import rs_decode
 
     field = default_field(3)
     gf = field.tables()
@@ -102,6 +102,7 @@ def _selftest() -> int:
     print("selftest: GF(2^3) field axioms (exhaustive) ... PASS")
 
     spec = RsCodeSpec(field, 7, 3)
+    codec = spec.codec()
     zero = np.zeros(7, dtype=np.int64)
     for n_err in (1, 2):
         for positions in combinations(range(7), n_err):
@@ -109,7 +110,7 @@ def _selftest() -> int:
                 word = zero.copy()
                 for pos, val in zip(positions, values):
                     word[pos] ^= val
-                out = rs_decode(word, spec)
+                out = codec.decode(word)
                 assert out is not None and not out.any()
     print("selftest: RS(2^3,7,3) corrects every <=2-symbol pattern ... PASS")
 
@@ -118,7 +119,7 @@ def _selftest() -> int:
             word = zero.copy()
             for pos, val in zip(positions, values):
                 word[pos] ^= val
-            out = rs_decode(word, spec)
+            out = codec.decode(word)
             assert out is None or out.any()
     print("selftest: RS(2^3,7,3) never silently accepts 3 errors ... PASS")
 
@@ -197,9 +198,13 @@ def cli_entry(argv: list[str] | None = None) -> int:
             print(f"bad config {path}: {exc}", file=sys.stderr)
             return 2
         config = replace(config, scenario=args.scenario)
-    seed = args.seed
-    if seed is None and os.environ.get("SIENNA_SEED"):
-        seed = int(os.environ["SIENNA_SEED"])
+    seed, env_seed = args.seed, os.environ.get("SIENNA_SEED")
+    if seed is None and env_seed:
+        try:
+            seed = int(env_seed)
+        except ValueError:
+            print(f"bad override: SIENNA_SEED={env_seed}", file=sys.stderr)
+            return 2
     if seed is not None:
         config = replace(config, seeds=(seed,))
     if args.out is not None:

@@ -130,8 +130,11 @@ def open_commitment(
     """Unmask with the candidate fingerprint, RS-decode, confirm the digest.
 
     A decode that produces a salt failing the digest check is classified
-    ``hash-mismatch`` (a binding event), not ``decode-failure``.
+    ``hash-mismatch`` (a binding event), not ``decode-failure``. ``spec``
+    must be the commitment's own code.
     """
+    if spec != commitment.spec:
+        raise ValueError("commitment was made under a different RS code than spec")
     fingerprint_bits = as_bits(fingerprint_bits)
     if fingerprint_bits.size != spec.codeword_bits:
         raise ValueError(

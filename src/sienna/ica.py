@@ -53,7 +53,6 @@ class SeparationResult:
     rotation: np.ndarray  # orthogonal (N, N)
     iterations: int
     converged: bool
-    row_means: np.ndarray
     off_diagonal_history: tuple[float, ...]
 
 
@@ -183,7 +182,6 @@ def jade_separate(observations: np.ndarray, n_sources: int) -> SeparationResult:
         rotation=rotation,
         iterations=sweeps,
         converged=converged,
-        row_means=white.row_means,
         off_diagonal_history=tuple(history),
     )
 

@@ -129,10 +129,6 @@ RADAR_RATE_HZ = 50.0
 BELT_RATE_HZ = 100.0
 
 
-def announce_parameter_hash() -> bytes:
-    return hash256(PUBLIC_PARAMETER)
-
-
 def bootstrap_key() -> bytes:
     return hash256(PUBLIC_PARAMETER + b":key0")
 
@@ -269,9 +265,7 @@ class SessionState:
     fail_stage: str | None = None  # set by fail()
 
     def announce_hash(self) -> bytes:
-        if self.round_index == 0:
-            return announce_parameter_hash()
-        return hash256(self.current_key)
+        return hash256(PUBLIC_PARAMETER if self.round_index == 0 else self.current_key)
 
     def _require(self, *phases: Phase):
         if self.phase not in phases:
@@ -282,14 +276,13 @@ class SessionState:
         self.fail_stage = stage
 
 
-def initiate(state: SessionState, clock: SimClock) -> InitMessage:
+def initiate(state: SessionState) -> InitMessage:
     """Device a announces the observation window (and key lineage)."""
     if state.role != "a":
         raise ProtocolError("only device a initiates")
     state._require("idle")
     msg = InitMessage(state.announce_hash(), state.window_ms[0], state.window_ms[1])
     state.phase = "announced"
-    clock.advance(1)
     return msg
 
 
@@ -564,12 +557,13 @@ def run_pairing(
     ladder: JammingLadder,
     rng: np.random.Generator,
     *,
+    salt_seed: int,
     clock: SimClock | None = None,
-    salt_seed: int | None = None,
     eavesdropper_p2: float | None = None,
 ) -> PairingOutcome:
     """Execute one full key-evolution round over the simulated channel.
 
+    ``salt_seed`` seeds the deterministic CSPRNG that draws a's sub-salts.
     ``eavesdropper_p2`` places an insider tap that receives the frames at
     that signal power over the channel's noise floor ``p0``; its frames are
     returned in ``taps``.
@@ -586,16 +580,18 @@ def run_pairing(
             {"t_ms": clock.now_ms, "direction": direction, "type": mtype, **extra}
         )
 
-    init = initiate(state_a, clock)
+    init = initiate(state_a)
+    clock.advance(1)
     log("a->b", "init", t_str=init.t_str, t_end=init.t_end, key_hash=init.key_hash.hex())
     receive_init(state_b, decode_message(encode_message(init), rs_spec))
 
-    drbg = Sha256Drbg(salt_seed if salt_seed is not None else int(rng.integers(1 << 62)))
-    sub_salts: list[np.ndarray] = [None] * ladder.count
+    drbg = Sha256Drbg(salt_seed)
     noise_main = noise_power_for_snr(channel.snr_main, QAM)
 
     levels: list[LevelRecord] = []
+    sub_salts: list[np.ndarray] = []
     recovered_salts: list[np.ndarray] = []
+    failed_level = None
     for level_idx, jam_level in enumerate(ladder.levels):
         outcome_salt = None
         candidate_used = None
@@ -610,8 +606,8 @@ def run_pairing(
             window = slot_window(state_a.window_ms, ladder.count, level_idx, attempt)
             window_b = slot_window(state_b.window_ms, ladder.count, level_idx, attempt)
             fp_a = device_a.derive_fingerprints(window)[0]
-            sub_salts[level_idx] = new_salt(rs_spec, drbg)
-            commitment = commit(sub_salts[level_idx], fp_a, rs_spec)
+            sub_salt = new_salt(rs_spec, drbg)
+            commitment = commit(sub_salt, fp_a, rs_spec)
             payload = bits_from_bytes(encode_message(CommitMessage(level_idx, commitment)))
             symbols = qam_modulate(payload, QAM)
             mask = random_bits(symbols.size, rng)
@@ -655,12 +651,14 @@ def run_pairing(
             verdict = "ACK" if outcome_salt is not None else "NAK"
             clock.advance(5)
             log("b->a", "acknak", level=level_idx, verdict=verdict)
-            ack = AckNak(verdict, level_idx)
+            ack = decode_message(encode_message(AckNak(verdict, level_idx)), rs_spec)
             handle_ack(state_a, ack, ladder.count)
             handle_ack(state_b, ack, ladder.count)
             if verdict == "ACK":
                 break
 
+        # The sub-salt of a level's last attempt, ACKed or not.
+        sub_salts.append(sub_salt)
         levels.append(
             LevelRecord(
                 level_index=level_idx,
@@ -673,34 +671,29 @@ def run_pairing(
             )
         )
         if verdict != "ACK":
-            state_a.fail("commitment-rejected")
-            state_b.fail("commitment-rejected")
-            return PairingOutcome(
-                success=False,
-                key_a=None,
-                key_b=None,
-                evolution_salt=None,
-                transcript=transcript,
-                levels=levels,
-                failed_level=level_idx,
-                taps=taps,
-                sub_salts=[s for s in sub_salts if s is not None],
-            )
+            failed_level = level_idx
+            break
         recovered_salts.append(outcome_salt)
 
-    evolution_salt = xor_fold(sub_salts)
-    key_a = conclude(state_a, evolution_salt)
-    key_b = conclude(state_b, xor_fold(recovered_salts))
-    log("a<->b", "kdf", round=state_a.round_index)
+    if failed_level is None:
+        evolution_salt = xor_fold(sub_salts)
+        key_a = conclude(state_a, evolution_salt)
+        key_b = conclude(state_b, xor_fold(recovered_salts))
+        log("a<->b", "kdf", round=state_a.round_index)
+    else:
+        state_a.fail("commitment-rejected")
+        state_b.fail("commitment-rejected")
+        evolution_salt = key_a = key_b = None
     return PairingOutcome(
-        success=key_a == key_b,
+        success=failed_level is None and key_a == key_b,
         key_a=key_a,
         key_b=key_b,
         evolution_salt=evolution_salt,
         transcript=transcript,
         levels=levels,
+        failed_level=failed_level,
         taps=taps,
-        sub_salts=list(sub_salts),
+        sub_salts=sub_salts,
     )
 
 
@@ -742,7 +735,6 @@ class LevelAttackOutcome:
 @dataclass(frozen=True)
 class AttackResult:
     salt_recovered: bool
-    observed_ber: float
     attempts_used: int
     per_level: tuple[LevelAttackOutcome, ...]
 
@@ -760,8 +752,8 @@ def attack(
 
     The attacker picks one copy of every duplicated symbol pair at random.
     Success requires every sub-salt: a single undecodable level destroys
-    the XOR-folded evolution salt. ``observed_ber`` is measured against the
-    transmitted payload ground truth.
+    the XOR-folded evolution salt. Each level's ``ber`` is the bit error
+    rate of the attacker's view against the transmitted payload.
     """
     rng = rng or np.random.default_rng(0)
     if not taps:
@@ -770,22 +762,19 @@ def attack(
     attempts_used = 0
 
     # Only the final transmission of each level carries the sub-salt that
-    # survives into the evolution salt; earlier attempts were discarded by
-    # the protocol but still contribute to the observed BER statistics.
+    # survives into the evolution salt; the protocol discarded earlier attempts.
     final_tap: dict[int, EavesdropTap] = {}
     for tap in taps:
         prev = final_tap.get(tap.level_index)
         if prev is None or tap.retry > prev.retry:
             final_tap[tap.level_index] = tap
 
-    bers = []
     per_level = []
     for level_idx in range(n_levels):
         tap = final_tap[level_idx]
         estimates = eavesdrop(tap.frame, "random-pick", rng)
         rx_bits = qam_demodulate(estimates, QAM, n_bits=tap.truth_bits.size)
         ber = float(np.mean(rx_bits != tap.truth_bits))
-        bers.append(ber)
         mask_end = COMMIT_MASK_OFFSET_BITS + rs_spec.codeword_bits
         true_digest = salt_digest(as_bits(true_sub_salts[level_idx]))
         # The intercepted mask, checked against the true salt's digest.
@@ -812,10 +801,8 @@ def attack(
                     break
         per_level.append(LevelAttackOutcome(level_idx, recovered, ber))
 
-    all_recovered = all(lvl.recovered for lvl in per_level)
     return AttackResult(
-        salt_recovered=all_recovered,
-        observed_ber=float(np.mean(bers)) if bers else 1.0,
+        salt_recovered=all(lvl.recovered for lvl in per_level),
         attempts_used=attempts_used,
         per_level=tuple(per_level),
     )

@@ -20,7 +20,7 @@ import numpy as np
 from .bits import as_bits
 from .gf import FieldSpec, default_field
 
-__all__ = ["RsCodeSpec", "RsCodec", "correctable_symbols", "rs_encode", "rs_decode"]
+__all__ = ["RsCodeSpec", "RsCodec"]
 
 
 @dataclass(frozen=True)
@@ -42,6 +42,7 @@ class RsCodeSpec:
 
     @property
     def t(self) -> int:
+        """Maximum number of corrupted symbols the code is guaranteed to fix."""
         return (self.m_symbols - self.n_symbols) // 2
 
     @property
@@ -62,11 +63,6 @@ class RsCodeSpec:
 
 def standard_code(k_bits: int = 8, m_symbols: int = 255, n_symbols: int = 201) -> RsCodeSpec:
     return RsCodeSpec(default_field(k_bits), m_symbols, n_symbols)
-
-
-def correctable_symbols(spec: RsCodeSpec) -> int:
-    """Maximum number of corrupted symbols the code is guaranteed to fix."""
-    return spec.t
 
 
 class RsCodec:
@@ -201,16 +197,6 @@ class RsCodec:
         if bits.size % k:
             raise ValueError(f"bit length {bits.size} is not a multiple of {k}")
         return bits.reshape(-1, k).astype(np.int64) @ (1 << self._bit_shifts)
-
-
-def rs_encode(message: np.ndarray, spec: RsCodeSpec) -> np.ndarray:
-    """Systematic codeword: the message followed by M - N parity symbols."""
-    return spec.codec().encode(message)
-
-
-def rs_decode(received: np.ndarray, spec: RsCodeSpec) -> np.ndarray | None:
-    """Recover the message from a corrupted codeword, or None on failure."""
-    return spec.codec().decode(received)
 
 
 @lru_cache(maxsize=None)

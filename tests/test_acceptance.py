@@ -38,7 +38,7 @@ from sienna.protocol import (
 )
 from sienna.breathing import belt_observe, synth_displacement
 from sienna.channel import ChannelParams, JammingLadder, ladder_levels
-from sienna.rs import RsCodeSpec, rs_decode, rs_encode, standard_code
+from sienna.rs import RsCodeSpec, standard_code
 
 SMALL = RsCodeSpec(default_field(3), 7, 3)
 PRODUCTION = standard_code(8, 255, 201)
@@ -61,17 +61,17 @@ def test_criterion_01_rs_correctness():
     t_start = time.perf_counter()
     rng = np.random.default_rng(10)
     msg = rng.integers(0, 8, size=3)
-    base = rs_encode(msg, SMALL)
+    base = SMALL.codec().encode(msg)
     for n_err in (0, 1, 2):
         for positions in combinations(range(7), n_err):
             for values in product(range(1, 8), repeat=n_err):
-                got = rs_decode(_corrupt_symbols(base, positions, values), SMALL)
+                got = SMALL.codec().decode(_corrupt_symbols(base, positions, values))
                 assert got is not None and np.array_equal(got, msg)
     # the code corrects exactly t=2: no 3-symbol pattern returns the message
     three_recovered = 0
     for positions in combinations(range(7), 3):
         for values in product(range(1, 8), repeat=3):
-            got = rs_decode(_corrupt_symbols(base, positions, values), SMALL)
+            got = SMALL.codec().decode(_corrupt_symbols(base, positions, values))
             if got is not None and np.array_equal(got, msg):
                 three_recovered += 1
     assert three_recovered == 0

@@ -136,6 +136,10 @@ def test_cli_dump_config(capsys):
     assert parse_config_text(out).rs.n_symbols == 201
 
 
+def test_default_config_text_parses_back_to_the_default():
+    assert parse_config_text(default_config_text()) == ExperimentConfig()
+
+
 def test_cli_run_deterministic(tmp_path):
     out1, out2 = tmp_path / "a", tmp_path / "b"
     for out in (out1, out2):
@@ -197,6 +201,14 @@ def test_cli_env_seed(tmp_path, monkeypatch):
     assert cli_entry(["run", "separation", "--trials", "3", "--out", str(out)]) == 0
     blob = json.loads((out / "separation-summary.json").read_text())
     assert blob["seeds"] == [123]
+
+
+def test_cli_bad_env_seed_exits_2(tmp_path, monkeypatch, capsys):
+    monkeypatch.setenv("SIENNA_SEED", "abc")
+    out = tmp_path / "out"
+    assert cli_entry(["run", "separation", "--trials", "3", "--out", str(out)]) == 2
+    assert "bad override: SIENNA_SEED=abc" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_all_scenarios_registered():

@@ -160,6 +160,15 @@ def test_salt_lengths_validated():
         open_commitment(c, random_bits(22, rng), SMALL)
 
 
+def test_open_rejects_a_spec_other_than_the_commitments():
+    spec = standard_code(8, 255, 201)
+    fingerprint = random_bits(spec.codeword_bits, np.random.default_rng(15))
+    c = commit(new_salt(spec, 5), fingerprint, spec)
+    assert open_commitment(c, fingerprint, spec).recovered
+    with pytest.raises(ValueError):
+        open_commitment(c, fingerprint, standard_code(8, 255, 223))
+
+
 def test_serialization_round_trip():
     spec = standard_code(8, 255, 201)
     rng = np.random.default_rng(13)

@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -26,7 +27,6 @@ from sienna.protocol import (
     ProtocolError,
     PUBLIC_PARAMETER,
     SessionState,
-    SimClock,
     attack,
     begin_commit,
     bootstrap_key,
@@ -133,7 +133,7 @@ def test_init_message_window_validation():
 
 def test_initiate_round_one_uses_public_parameter():
     state = SessionState(role="a")
-    msg = initiate(state, SimClock())
+    msg = initiate(state)
     assert msg.key_hash == hash256(PUBLIC_PARAMETER)
     assert state.phase == "announced"
 
@@ -141,7 +141,7 @@ def test_initiate_round_one_uses_public_parameter():
 def test_initiate_round_two_uses_key_hash():
     state = SessionState(role="a", round_index=1)
     state.current_key = hash256(b"prior-key")
-    msg = initiate(state, SimClock())
+    msg = initiate(state)
     assert msg.key_hash == hash256(state.current_key)
 
 
@@ -155,12 +155,11 @@ def test_receive_init_rejects_wrong_lineage():
 
 def test_phase_order_enforced():
     state = SessionState(role="a")
-    clock = SimClock()
     with pytest.raises(ProtocolError):
         handle_ack(state, AckNak("ACK", 0), 2)  # ack before anything
-    initiate(state, clock)
+    initiate(state)
     with pytest.raises(ProtocolError):
-        initiate(state, clock)  # double initiate
+        initiate(state)  # double initiate
     begin_commit(state, 0)
     with pytest.raises(ProtocolError):
         begin_commit(state, 1)  # wrong level
@@ -174,7 +173,7 @@ def test_phase_order_enforced():
 def test_roles_enforced():
     b_state = SessionState(role="b")
     with pytest.raises(ProtocolError):
-        initiate(b_state, SimClock())
+        initiate(b_state)
     a_state = SessionState(role="a")
     with pytest.raises(ProtocolError):
         receive_init(a_state, InitMessage(hash256(PUBLIC_PARAMETER), 0, 1000))
@@ -189,7 +188,7 @@ def test_exhaustive_message_permutations_small_ladder():
     outcomes = set()
     for perm in permutations(legal):
         state = SessionState(role="a")
-        initiate(state, SimClock())
+        initiate(state)
         try:
             for op, level in perm:
                 if op == "begin":
@@ -221,7 +220,7 @@ def test_conclude_changes_key_only_when_done():
 def _hand_driven_round(state_a, state_b, fingerprint, salt_seed, n_levels=2):
     """One round with every message through the SNNA codec; returns (k_a, k_b, init)."""
     spec = CONFIG.rs_spec
-    init = decode_message(encode_message(initiate(state_a, SimClock())), spec)
+    init = decode_message(encode_message(initiate(state_a)), spec)
     receive_init(state_b, init)
     noisy = fingerprint.copy()
     noisy[:40:4] ^= 1  # b's fingerprint differs in 10 bits
@@ -437,6 +436,32 @@ def test_same_keys_per_seed(seed):
     assert out.success == (key_hex is not None)
     assert (out.key_a.hex() if out.key_a else None) == key_hex
     assert [(lvl.retries, lvl.candidate_used) for lvl in out.levels] == levels
+
+
+@pytest.mark.parametrize("seed", [49, 95])  # a failed round; a round with retries
+def test_every_message_of_a_round_crosses_the_codec(monkeypatch, seed):
+    """b decodes the init and every commit, and both sides every ACK/NAK, from SNNA bytes."""
+    decode = protocol.decode_message
+    decoded = []
+
+    def counting(data, rs_spec):
+        msg = decode(data, rs_spec)
+        decoded.append(type(msg))
+        return msg
+
+    monkeypatch.setattr(protocol, "decode_message", counting)
+    belt_obs, prms_obs = observe_scene(two_subject_scene(seed))
+    out = run_pairing(
+        BeltDevice(belt_obs, CONFIG),
+        PrmsDevice(prms_obs, CONFIG),
+        CHANNEL,
+        LADDER,
+        np.random.default_rng(seed),
+        salt_seed=seed,
+    )
+    attempts = sum(lvl.retries + (lvl.verdict == "ACK") for lvl in out.levels)
+    assert attempts == {49: 4, 95: 7}[seed]
+    assert Counter(decoded) == {InitMessage: 1, CommitMessage: attempts, AckNak: attempts}
 
 
 # SHA-256 over the packed bits of every candidate fingerprint of a belt and a

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from sienna.gf import default_field
-from sienna.rs import RsCodeSpec, correctable_symbols, rs_decode, rs_encode, standard_code
+from sienna.rs import RsCodeSpec, standard_code
 
 SMALL = RsCodeSpec(default_field(3), 7, 3)
 
@@ -60,23 +60,23 @@ def corrupt(codeword, positions, values):
 
 
 def test_correctable_symbols_examples():
-    assert correctable_symbols(standard_code(8, 255, 201)) == 27
-    assert correctable_symbols(SMALL) == 2
-    assert correctable_symbols(standard_code(8, 255, 253)) == 1
+    assert standard_code(8, 255, 201).t == 27
+    assert SMALL.t == 2
+    assert standard_code(8, 255, 253).t == 1
 
 
 def test_zero_message_encodes_to_zero():
-    assert not rs_encode(np.zeros(3, dtype=int), SMALL).any()
+    assert not SMALL.codec().encode(np.zeros(3, dtype=int)).any()
 
 
 def test_encode_matches_naive_oracle_small_field():
-    cw = rs_encode([1, 0, 0], SMALL)
+    cw = SMALL.codec().encode([1, 0, 0])
     assert list(cw[:3]) == [1, 0, 0]
     assert list(cw) == naive_systematic_encode([1, 0, 0], SMALL)
     # frozen value computed with the independent oracle above
     assert list(cw) == [1, 0, 0, 2, 3, 5, 5]
     for msg in product(range(8), repeat=3):
-        assert list(rs_encode(msg, SMALL)) == naive_systematic_encode(msg, SMALL)
+        assert list(SMALL.codec().encode(msg)) == naive_systematic_encode(msg, SMALL)
 
 
 def test_encode_matches_naive_oracle_gf256():
@@ -84,7 +84,7 @@ def test_encode_matches_naive_oracle_gf256():
     rng = np.random.default_rng(11)
     for _ in range(5):
         msg = rng.integers(0, 256, size=245)
-        assert list(rs_encode(msg, spec)) == naive_systematic_encode(msg, spec)
+        assert list(spec.codec().encode(msg)) == naive_systematic_encode(msg, spec)
 
 
 def test_encoder_linearity():
@@ -93,30 +93,30 @@ def test_encoder_linearity():
     for _ in range(10):
         m1 = rng.integers(0, 256, size=201)
         m2 = rng.integers(0, 256, size=201)
-        lhs = rs_encode(m1, spec) ^ rs_encode(m2, spec)
-        assert np.array_equal(lhs, rs_encode(m1 ^ m2, spec))
+        lhs = spec.codec().encode(m1) ^ spec.codec().encode(m2)
+        assert np.array_equal(lhs, spec.codec().encode(m1 ^ m2))
 
 
 def test_clean_codeword_decodes():
     rng = np.random.default_rng(5)
     spec = standard_code(8, 255, 201)
     msg = rng.integers(0, 256, size=201)
-    assert np.array_equal(rs_decode(rs_encode(msg, spec), spec), msg)
+    assert np.array_equal(spec.codec().decode(spec.codec().encode(msg)), msg)
 
 
 def test_exhaustive_small_field_up_to_t_errors():
     """Every <=2-symbol corruption of the zero codeword decodes to zero."""
     zero = np.zeros(7, dtype=np.int64)
-    decoded = rs_decode(zero, SMALL)
+    decoded = SMALL.codec().decode(zero)
     assert decoded is not None and not decoded.any()
     for pos in range(7):
         for val in range(1, 8):
-            got = rs_decode(corrupt(zero, [pos], [val]), SMALL)
+            got = SMALL.codec().decode(corrupt(zero, [pos], [val]))
             assert got is not None and not got.any()
     for p1, p2 in combinations(range(7), 2):
         for v1 in range(1, 8):
             for v2 in range(1, 8):
-                got = rs_decode(corrupt(zero, [p1, p2], [v1, v2]), SMALL)
+                got = SMALL.codec().decode(corrupt(zero, [p1, p2], [v1, v2]))
                 assert got is not None and not got.any()
 
 
@@ -126,7 +126,7 @@ def test_exhaustive_small_field_three_errors_never_silently_zero():
     outcomes = {"failure": 0, "miscorrect": 0}
     for positions in combinations(range(7), 3):
         for values in product(range(1, 8), repeat=3):
-            got = rs_decode(corrupt(zero, positions, values), SMALL)
+            got = SMALL.codec().decode(corrupt(zero, positions, values))
             if got is None:
                 outcomes["failure"] += 1
             else:
@@ -140,11 +140,11 @@ def test_round_trip_random_errors_small_field():
     rng = np.random.default_rng(17)
     for _ in range(300):
         msg = rng.integers(0, 8, size=3)
-        cw = rs_encode(msg, SMALL)
+        cw = SMALL.codec().encode(msg)
         n_err = rng.integers(0, 3)
         pos = rng.choice(7, size=n_err, replace=False)
         vals = rng.integers(1, 8, size=n_err)
-        got = rs_decode(corrupt(cw, pos, vals), SMALL)
+        got = SMALL.codec().decode(corrupt(cw, pos, vals))
         assert got is not None and np.array_equal(got, msg)
 
 
@@ -153,30 +153,30 @@ def test_round_trip_gf256_at_full_correction_capacity():
     rng = np.random.default_rng(23)
     for _ in range(50):
         msg = rng.integers(0, 256, size=201)
-        cw = rs_encode(msg, spec)
+        cw = spec.codec().encode(msg)
         pos = rng.choice(255, size=27, replace=False)
         vals = rng.integers(1, 256, size=27)
-        got = rs_decode(corrupt(cw, pos, vals), spec)
+        got = spec.codec().decode(corrupt(cw, pos, vals))
         assert got is not None and np.array_equal(got, msg)
 
 
 def test_decode_failure_is_value_not_exception():
     spec = standard_code(8, 255, 201)
-    cw = rs_encode(np.zeros(201, dtype=int), spec)
+    cw = spec.codec().encode(np.zeros(201, dtype=int))
     rng = np.random.default_rng(31)
     pos = rng.choice(255, size=120, replace=False)
     vals = rng.integers(1, 256, size=120)
-    result = rs_decode(corrupt(cw, pos, vals), spec)
+    result = spec.codec().decode(corrupt(cw, pos, vals))
     assert result is None or result.any()
 
 
 def test_length_and_range_validation():
     with pytest.raises(ValueError):
-        rs_encode(np.zeros(4, dtype=int), SMALL)
+        SMALL.codec().encode(np.zeros(4, dtype=int))
     with pytest.raises(ValueError):
-        rs_decode(np.zeros(6, dtype=int), SMALL)
+        SMALL.codec().decode(np.zeros(6, dtype=int))
     with pytest.raises(ValueError):
-        rs_encode([8, 0, 0], SMALL)
+        SMALL.codec().encode([8, 0, 0])
     with pytest.raises(ValueError):
         RsCodeSpec(default_field(3), 8, 3)  # M > 2^K - 1
     with pytest.raises(ValueError):
@@ -208,7 +208,7 @@ def test_encoder_matches_naive_oracle(name):
     spec = SOUNDNESS_CODES[name]
     rng = np.random.default_rng(41)
     msg = rng.integers(0, spec.field.size, size=spec.n_symbols)
-    assert list(rs_encode(msg, spec)) == naive_systematic_encode(msg, spec)
+    assert list(spec.codec().encode(msg)) == naive_systematic_encode(msg, spec)
 
 
 @pytest.mark.parametrize("name", sorted(SOUNDNESS_CODES))
@@ -234,13 +234,13 @@ def test_decode_equals_brute_force_bounded_distance_small_field():
     """On random words of the (7, 3) code, decode returns exactly the
     message of the unique codeword within t = 2 symbols, or None."""
     messages = np.array(list(product(range(8), repeat=3)))
-    codewords = np.array([rs_encode(m, SMALL) for m in messages])
+    codewords = np.array([SMALL.codec().encode(m) for m in messages])
     rng = np.random.default_rng(47)
     outcomes = set()
     for _ in range(2000):
         word = rng.integers(0, 8, size=7)
         near = np.flatnonzero((codewords != word).sum(axis=1) <= SMALL.t)
-        got = rs_decode(word, SMALL)
+        got = SMALL.codec().decode(word)
         if near.size:
             assert got is not None and np.array_equal(got, messages[near[0]])
         else:

@@ -2,7 +2,8 @@
 
 Every input either decodes or raises ``ValueError``: round trips return
 what was encoded, no strict prefix or suffixed blob decodes, and a blob
-with any one byte replaced raises nothing but ``ValueError``.
+with any one byte replaced raises nothing but ``ValueError``. The flat
+config text round trips every valid configuration exactly.
 """
 
 import numpy as np
@@ -11,6 +12,9 @@ import pytest
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
+from sienna.bench import SCENARIOS, ExperimentConfig  # noqa: E402
+from sienna.channel import ChannelParams  # noqa: E402
+from sienna.cli import default_config_text, parse_config_text  # noqa: E402
 from sienna.commitment import Commitment, deserialize_commitment, serialize_commitment  # noqa: E402
 from sienna.gf import default_field  # noqa: E402
 from sienna.protocol import (  # noqa: E402
@@ -105,3 +109,26 @@ def test_snna_round_trip_and_framing(msg):
 def test_snna_single_byte_corruption_raises_only_value_error(msg, data):
     blob = corrupted(encode_message(msg), data)
     decodes_or_value_error(lambda b: decode_message(b, SMALL), blob)
+
+
+powers = st.floats(min_value=0.0, max_value=1e9, allow_nan=False)
+counts = st.none() | st.integers(1, 10**6)
+configs = st.builds(
+    ExperimentConfig,
+    scenario=st.sampled_from(SCENARIOS),
+    seeds=st.lists(st.integers(0, 2**31 - 1), min_size=1, max_size=3).map(tuple),
+    population=st.integers(1, 1000),
+    durations=st.lists(st.floats(6.0, 60.0), min_size=1, max_size=5).map(tuple),
+    rs=st.sampled_from([RsCodeSpec(default_field(8), 255, n) for n in (201, 223)] + [SMALL]),
+    channel=st.builds(ChannelParams, p0=powers, p1=powers),
+    p_max=st.floats(min_value=1e-3, max_value=1e9),
+    trials=counts,
+    samples=counts,
+    output_path=st.from_regex(r"[A-Za-z0-9_./-]{1,20}", fullmatch=True),
+)
+
+
+@FUZZ
+@given(configs)
+def test_config_text_round_trips_exactly(config):
+    assert parse_config_text(default_config_text(config)) == config
