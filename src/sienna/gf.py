@@ -4,12 +4,14 @@ Elements are integers in ``[0, 2^K)``. Addition is XOR; multiplication is
 carry-less polynomial multiplication reduced by the field's irreducible
 polynomial, realized through exp/log tables so the codec hot paths are
 plain numpy adds and gathers, often with one operand kept in log form.
+For K <= 8 a product table also lets ``bytes.translate`` multiply a byte
+string of symbols by one scalar.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -75,13 +77,17 @@ class GaloisField:
     ``inv_log`` holds the log of each element's inverse, with the same
     sentinel for 0, so a quotient ``a / b`` is ``exp[log[a] + inv_log[b]]``
     and reads 0 when ``b`` is 0.
+
+    For K <= 8, ``product_rows`` is the 2^K x 256 product table: row ``c``
+    is a ``bytes.translate`` table that multiplies every symbol of a
+    one-byte-per-symbol string by ``c``.
     """
 
     def __init__(self, spec: FieldSpec):
         self.spec = spec
         q = spec.size
         self.order = order = q - 1
-        self.zero_log = zero_log = 2 * order
+        zero_log = 2 * order
         exp = np.zeros(2 * zero_log + 1, dtype=np.int64)
         log = np.full(q, zero_log, dtype=np.int64)
         x = 1
@@ -106,6 +112,16 @@ class GaloisField:
         """Element-wise product; scalars and arrays broadcast."""
         out = self.exp[self.log[a] + self.log[b]]
         return int(out) if out.ndim == 0 else out
+
+    @cached_property
+    def product_rows(self) -> tuple[bytes, ...]:
+        """Row ``c`` maps byte ``v`` to ``c * v``; bytes ``v >= 2^K`` map to 0."""
+        q = self.spec.size
+        if q > 256:
+            raise ValueError(f"GF(2^{self.spec.k_bits}) symbols do not fit in a byte")
+        table = np.zeros((q, 256), dtype=np.uint8)
+        table[:, :q] = self.exp[self.log[:, None] + self.log[None, :]]
+        return tuple(row.tobytes() for row in table)
 
 
 @lru_cache(maxsize=None)

@@ -746,7 +746,7 @@ def attack(
     rs_spec: RsCodeSpec,
     *,
     budget: int = 1000,
-    rng: np.random.Generator | None = None,
+    rng: np.random.Generator,
 ) -> AttackResult:
     """Process eavesdropped frames and try to recover the evolution salt.
 
@@ -755,7 +755,6 @@ def attack(
     the XOR-folded evolution salt. Each level's ``ber`` is the bit error
     rate of the attacker's view against the transmitted payload.
     """
-    rng = rng or np.random.default_rng(0)
     if not taps:
         raise ValueError("attack needs at least one eavesdropped frame")
     n_levels = max(t.level_index for t in taps) + 1

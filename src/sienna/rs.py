@@ -2,12 +2,16 @@
 
 The code is systematic with codeword length M and message length N; up to
 ``t = (M - N) // 2`` corrupted symbols are corrected. The encoder is one
-product with a precomputed parity matrix. The decoder runs a fixed
-sequence of array operations (syndromes, inversionless Berlekamp-Massey,
-Chien search, Forney) whose shapes do not depend on the received word, so
-the decode time is insensitive to the number of errors. Decode failure is a
-returned value (``None``), not an exception: callers confirm recovered
-messages through a hash, never through the decoder alone.
+product with a precomputed parity matrix. The decoder computes syndromes
+and runs Chien search and Forney as array operations whose shapes do not
+depend on the received word. Between them, inversionless Berlekamp-Massey
+runs exactly M - N iterations on a register of packed symbols: each
+iteration is two scalar-times-vector products on byte strings (one
+``bytes.translate`` each for K <= 8) and one XOR of two fixed-length ints.
+So every correctable word takes the same operations, whatever its number
+of errors. Decode failure is a returned value (``None``), not an
+exception: callers confirm recovered messages through a hash, never
+through the decoder alone.
 """
 
 from __future__ import annotations
@@ -115,6 +119,17 @@ class RsCodec:
         self._chien_split = np.array([0, t + 1, 2 * t + 1])
         self._bit_shifts = np.arange(spec.field.k_bits - 1, -1, -1)
 
+        # decode packs the riBM register's symbols into little-endian bytes,
+        # one byte each for K <= 8 and two above. _scale(word, c) multiplies
+        # every symbol of such a byte string by the field element c.
+        if spec.field.k_bits <= 8:
+            self._symbol_dtype = np.dtype(np.uint8)
+            rows = gf.product_rows
+            self._scale = lambda word, c: word.translate(rows[c])
+        else:
+            self._symbol_dtype = np.dtype("<u2")
+            self._scale = self._gather_scale
+
     # -- encoding ---------------------------------------------------------
 
     def encode(self, message: np.ndarray) -> np.ndarray:
@@ -131,37 +146,55 @@ class RsCodec:
 
         Syndromes, then reformulated inversionless Berlekamp-Massey (riBM;
         Sarwate & Shanbhag, IEEE TVLSI 2001) for exactly M - N iterations,
-        then Chien search and Forney over every position at once. No step
-        inverts a field element or branches on the data except to reject,
-        so correctable words of any error count take the same operations.
+        then Chien search and Forney over every position at once. Each riBM
+        iteration is ``delta = gamma * (delta >> 1) ^ d0 * theta`` on byte
+        strings: the two products go through ``_scale`` and the XOR is one
+        XOR of two ints of fixed length. No step inverts a field element or
+        branches on the data except to reject, so correctable words of any
+        error count take the same operations.
         """
         spec, gf = self.spec, self.gf
         exp, log, inv_log = gf.exp, gf.log, gf.inv_log
         received = _check_symbols(received, spec, spec.m_symbols)
         p, t = spec.n_parity, spec.t
         width = p + t + 1  # 3t + 1 for even parity
+        scale, dtype = self._scale, self._symbol_dtype
+        step = dtype.itemsize
+        size, mask = width * step, (1 << 8 * step) - 1
+        # Above its width symbols, each XOR operand carries a zero symbol,
+        # which the next shift brings in, and a sentinel top byte. The
+        # sentinels 1 and 2 (3 after the XOR) fix the length of every int
+        # here, so the XOR's time depends neither on leading zero symbols
+        # nor on d0 == 0.
+        lhs_tail, rhs_tail = bytes(step) + b"\x01", bytes(step) + b"\x02"
+        length = size + step + 1
 
         # delta starts as S(x) + x^(width-1); theta starts equal to it. After
         # iteration r, delta holds (lambda * (S + x^(width-1))) / x^r for the
         # scaled locator lambda, so after p iterations delta[t:] is lambda
-        # and delta[:t] is the high evaluator (lambda * S) / x^p.
-        delta = np.zeros(width + 1, dtype=np.int64)
-        delta[:p] = self._syndromes(received)
-        delta[width - 1] = 1
-        theta_log = log[delta[:width]]
-        gamma_log, k = 0, 0
+        # and delta[:t] is the high evaluator (lambda * S) / x^p. The int
+        # reg holds delta's symbols little-endian, then the tails' XOR.
+        start = np.zeros(width, dtype=dtype)
+        start[:p] = self._syndromes(received)
+        start[width - 1] = 1
+        theta = start.tobytes()
+        reg = int.from_bytes(theta + bytes(step) + b"\x03", "little")
+        gamma, k = 1, 0
         for _ in range(p):
-            delta_log = log[delta]
-            d0_log = int(delta_log[0])
-            shifted_log = delta_log[1:]
-            delta[:width] = exp[shifted_log + gamma_log] ^ exp[theta_log + d0_log]
+            d0 = reg & mask
+            shifted = reg.to_bytes(length, "little")[step : size + step]
+            lhs = int.from_bytes(scale(shifted, gamma) + lhs_tail, "little")
+            rhs = int.from_bytes(scale(theta, d0) + rhs_tail, "little")
+            reg = lhs ^ rhs
             # The swap is a select: both outcomes cost the same.
-            swap = d0_log != gf.zero_log and k >= 0
-            theta_log = shifted_log if swap else theta_log
-            gamma_log = d0_log if swap else gamma_log
+            swap = d0 != 0 and k >= 0
+            theta = shifted if swap else theta
+            gamma = d0 if swap else gamma
             k = -k - 1 if swap else k + 1
+        symbols = np.frombuffer(reg.to_bytes(length, "little"), dtype=dtype, count=width)
+        delta = symbols.astype(np.int64)
 
-        locator = delta[t:width]
+        locator = delta[t:]
         degree = int(np.flatnonzero(locator)[-1]) if locator.any() else 0
         if degree > t:
             return None
@@ -180,6 +213,11 @@ class RsCodec:
         if np.any(self._syndromes(corrected)):
             return None
         return corrected[: spec.n_symbols]
+
+    def _gather_scale(self, word: bytes, c: int) -> bytes:
+        symbols = np.frombuffer(word, dtype=self._symbol_dtype)
+        products = self.gf.exp[self.gf.log[symbols] + self.gf.log[c]]
+        return products.astype(self._symbol_dtype).tobytes()
 
     def _syndromes(self, word: np.ndarray) -> np.ndarray:
         terms = self.gf.exp[self._synd_log + self.gf.log[word][None, :]]

@@ -644,7 +644,7 @@ def test_distribution_attacker_rejected():
 
 def test_attack_requires_taps():
     with pytest.raises(ValueError):
-        attack([], [], AttackKnowledge("none"), CONFIG.rs_spec)
+        attack([], [], AttackKnowledge("none"), CONFIG.rs_spec, rng=np.random.default_rng(0))
 
 
 @pytest.mark.parametrize("kind, needs", [("distribution", "sampler"), ("perfect", "fingerprint")])

@@ -4,6 +4,7 @@ from itertools import combinations, product
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from sienna.gf import default_field
 from sienna.rs import RsCodeSpec, standard_code
@@ -247,3 +248,48 @@ def test_decode_equals_brute_force_bounded_distance_small_field():
             assert got is None
         outcomes.add(near.size)
     assert outcomes == {0, 1}
+
+
+# The decoder's register is a byte string whose XOR operands carry a
+# sentinel top byte; these words put zero symbols at its top and bottom.
+REGISTER_EDGE_CODES = {
+    "K3-7-3": SMALL,
+    "K4-15-7": SOUNDNESS_CODES["K4-15-7"],
+    "255-201": standard_code(8, 255, 201),
+    "255-222": SOUNDNESS_CODES["255-222"],
+    "K10-200-150": SOUNDNESS_CODES["K10-200-150"],
+}
+
+
+@pytest.mark.parametrize("name", sorted(REGISTER_EDGE_CODES))
+@settings(max_examples=60, deadline=None, database=None)
+@given(data=st.data())
+def test_register_edge_cases(name, data):
+    """All-zero and all-(2^K - 1) messages, zero syndromes, and errors
+    confined to the first or last positions: <= t errors recover, more
+    give None or a message whose codeword lies within t of the word."""
+    spec = REGISTER_EDGE_CODES[name]
+    codec, t, top = spec.codec(), spec.t, spec.field.size - 1
+    fill = data.draw(st.sampled_from(["zero", "top", "random"]))
+    if fill == "random":
+        seed = data.draw(st.integers(0, 2**32 - 1))
+        msg = np.random.default_rng(seed).integers(0, spec.field.size, size=spec.n_symbols)
+    else:
+        msg = np.full(spec.n_symbols, 0 if fill == "zero" else top, dtype=np.int64)
+    cw = codec.encode(msg)
+    assert np.array_equal(codec.decode(cw), msg)  # every syndrome is zero
+
+    n_err = data.draw(st.integers(0, min(2 * t + 1, spec.m_symbols)))
+    span = max(n_err, t)
+    first = data.draw(st.booleans())
+    window = range(span) if first else range(spec.m_symbols - span, spec.m_symbols)
+    positions = data.draw(
+        st.lists(st.sampled_from(window), min_size=n_err, max_size=n_err, unique=True)
+    )
+    values = data.draw(st.lists(st.integers(1, top), min_size=n_err, max_size=n_err))
+    word = corrupt(cw, positions, values)
+    got = codec.decode(word)
+    if n_err <= t:
+        assert np.array_equal(got, msg)
+    elif got is not None:
+        assert np.count_nonzero(codec.encode(got) != word) <= t
