@@ -75,6 +75,11 @@ class ExperimentConfig:
             value = getattr(self, name)
             if value is not None and value < 1:
                 raise ValueError(f"{name} must be at least 1, got {value}")
+        if self.scenario == "rs-timing" and self.rs.field.size < 256:
+            raise ValueError(
+                f"rs-timing decodes (255, 255 - p) codes, which need GF(2^8); "
+                f"got GF(2^{self.rs.field.k_bits})"
+            )
 
     def trial_seed(self, index: int, salt: int = 0) -> int:
         base = self.seeds[index % len(self.seeds)]
@@ -298,9 +303,23 @@ def _run_commitment_entropy(config: ExperimentConfig):
 # -- RS decode timing ---------------------------------------------------------------
 
 
+def _ranks(values: np.ndarray) -> np.ndarray:
+    """Ranks from 0, with tied values given the mean of their ranks."""
+    order = np.argsort(values, kind="stable")
+    _, first, counts = np.unique(values[order], return_index=True, return_counts=True)
+    ranks = np.empty(len(values))
+    ranks[order] = np.repeat(first + (counts - 1) / 2, counts)
+    return ranks
+
+
+def _spearman(x: np.ndarray, y: np.ndarray) -> float:
+    """Spearman's rank correlation: Pearson's r between the ranks."""
+    return float(np.corrcoef(_ranks(x), _ranks(y))[0, 1])
+
+
 def _run_rs_timing(config: ExperimentConfig):
     rows = []
-    variations = {}
+    variations, zero_to_t, rank_corr = {}, {}, {}
     rng = np.random.default_rng(config.trial_seed(0, salt=3))
     order_rng = np.random.default_rng(config.trial_seed(0, salt=6))
     for parity in RS_TIMING_PARITIES:
@@ -334,8 +353,14 @@ def _run_rs_timing(config: ExperimentConfig):
             rows.append((parity, n_err, float(q25), float(median)))
         ratios = np.median(times / np.median(times, axis=0), axis=1)
         variations[parity] = float((ratios.max() - ratios.min()) / ratios.mean())
+        # Reported, not gated: how the time moves from 0 to t errors.
+        medians = np.median(times, axis=1)
+        zero_to_t[parity] = float(medians[0] / medians[-1])
+        rank_corr[parity] = _spearman(np.arange(len(words)), ratios)
     summary = {
         "variation_by_parity": {str(k): v for k, v in variations.items()},
+        "zero_to_t_time_ratio_by_parity": {str(k): v for k, v in zero_to_t.items()},
+        "error_count_rank_correlation_by_parity": {str(k): v for k, v in rank_corr.items()},
         "checks": {"timing_variation_below_10pct": max(variations.values()) < 0.10},
     }
     return rows, summary

@@ -194,10 +194,10 @@ def cli_entry(argv: list[str] | None = None) -> int:
             return 2
         try:
             config = parse_config_text(path.read_text(), base=config)
+            config = replace(config, scenario=args.scenario)
         except ValueError as exc:
             print(f"bad config {path}: {exc}", file=sys.stderr)
             return 2
-        config = replace(config, scenario=args.scenario)
     seed, env_seed = args.seed, os.environ.get("SIENNA_SEED")
     if seed is None and env_seed:
         try:

@@ -1,11 +1,11 @@
-"""Finite-field arithmetic over GF(2^K) for the Reed-Solomon codec.
+"""Finite-field arithmetic over GF(2^K), 2 <= K <= 8, for the Reed-Solomon codec.
 
-Elements are integers in ``[0, 2^K)``. Addition is XOR; multiplication is
-carry-less polynomial multiplication reduced by the field's irreducible
-polynomial, realized through exp/log tables so the codec hot paths are
-plain numpy adds and gathers, often with one operand kept in log form.
-For K <= 8 a product table also lets ``bytes.translate`` multiply a byte
-string of symbols by one scalar.
+Elements are integers in ``[0, 2^K)``, so every symbol fits in one byte.
+Addition is XOR; multiplication is carry-less polynomial multiplication
+reduced by the field's irreducible polynomial, realized through exp/log
+tables so the codec hot paths are plain numpy adds and gathers, often with
+one operand kept in log form. A product table also lets ``bytes.translate``
+multiply a byte string of symbols by one scalar.
 """
 
 from __future__ import annotations
@@ -26,27 +26,19 @@ DEFAULT_POLYS = {
     6: 0x43,
     7: 0x89,
     8: 0x11D,
-    9: 0x211,
-    10: 0x409,
-    11: 0x805,
-    12: 0x1053,
-    13: 0x201B,
-    14: 0x4443,
-    15: 0x8003,
-    16: 0x1100B,
 }
 
 
 @dataclass(frozen=True)
 class FieldSpec:
-    """Symbol width and reduction polynomial defining one GF(2^K)."""
+    """Symbol width (2 to 8 bits) and reduction polynomial defining one GF(2^K)."""
 
     k_bits: int
     reduction_poly: int
 
     def __post_init__(self):
-        if not 2 <= self.k_bits <= 16:
-            raise ValueError(f"symbol width must be in [2, 16], got {self.k_bits}")
+        if not 2 <= self.k_bits <= 8:
+            raise ValueError(f"symbol width must be in [2, 8], got {self.k_bits}")
         if self.reduction_poly.bit_length() != self.k_bits + 1:
             raise ValueError(
                 f"reduction polynomial 0x{self.reduction_poly:X} does not have "
@@ -63,7 +55,7 @@ class FieldSpec:
 
 def default_field(k_bits: int) -> FieldSpec:
     if k_bits not in DEFAULT_POLYS:
-        raise ValueError(f"symbol width must be in [2, 16], got {k_bits}")
+        raise ValueError(f"symbol width must be in [2, 8], got {k_bits}")
     return FieldSpec(k_bits, DEFAULT_POLYS[k_bits])
 
 
@@ -78,8 +70,8 @@ class GaloisField:
     sentinel for 0, so a quotient ``a / b`` is ``exp[log[a] + inv_log[b]]``
     and reads 0 when ``b`` is 0.
 
-    For K <= 8, ``product_rows`` is the 2^K x 256 product table: row ``c``
-    is a ``bytes.translate`` table that multiplies every symbol of a
+    ``product_rows`` is the 2^K x 256 product table: row ``c`` is a
+    ``bytes.translate`` table that multiplies every symbol of a
     one-byte-per-symbol string by ``c``.
     """
 
@@ -117,8 +109,6 @@ class GaloisField:
     def product_rows(self) -> tuple[bytes, ...]:
         """Row ``c`` maps byte ``v`` to ``c * v``; bytes ``v >= 2^K`` map to 0."""
         q = self.spec.size
-        if q > 256:
-            raise ValueError(f"GF(2^{self.spec.k_bits}) symbols do not fit in a byte")
         table = np.zeros((q, 256), dtype=np.uint8)
         table[:, :q] = self.exp[self.log[:, None] + self.log[None, :]]
         return tuple(row.tobytes() for row in table)

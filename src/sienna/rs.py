@@ -1,17 +1,17 @@
-"""Bounded-distance Reed-Solomon codec over GF(2^K).
+"""Bounded-distance Reed-Solomon codec over GF(2^K), 2 <= K <= 8.
 
 The code is systematic with codeword length M and message length N; up to
 ``t = (M - N) // 2`` corrupted symbols are corrected. The encoder is one
 product with a precomputed parity matrix. The decoder computes syndromes
 and runs Chien search and Forney as array operations whose shapes do not
 depend on the received word. Between them, inversionless Berlekamp-Massey
-runs exactly M - N iterations on a register of packed symbols: each
-iteration is two scalar-times-vector products on byte strings (one
-``bytes.translate`` each for K <= 8) and one XOR of two fixed-length ints.
-So every correctable word takes the same operations, whatever its number
-of errors. Decode failure is a returned value (``None``), not an
-exception: callers confirm recovered messages through a hash, never
-through the decoder alone.
+runs exactly M - N iterations on a register that holds one symbol per
+byte: each iteration is two scalar-times-vector products, one
+``bytes.translate`` each, and one XOR of two fixed-length ints. So every
+correctable word runs the same operations, whatever its number of errors.
+Decode failure is a returned value (``None``), not an exception: callers
+confirm recovered messages through a hash, never through the decoder
+alone.
 """
 
 from __future__ import annotations
@@ -74,9 +74,10 @@ class RsCodec:
 
     Matrices whose entries are field constants are kept as logs, so a
     product with a word's symbols is one add of log arrays and one gather
-    from the field's ``exp`` table (see ``GaloisField``). Position ``i`` of
-    a codeword is the coefficient of ``x^(M-1-i)``; the message comes
-    first, then the parity symbols.
+    from the field's ``exp`` table (see ``GaloisField``). The decoder's
+    register multiplies through the field's ``product_rows`` instead.
+    Position ``i`` of a codeword is the coefficient of ``x^(M-1-i)``; the
+    message comes first, then the parity symbols.
     """
 
     def __init__(self, spec: RsCodeSpec):
@@ -119,17 +120,6 @@ class RsCodec:
         self._chien_split = np.array([0, t + 1, 2 * t + 1])
         self._bit_shifts = np.arange(spec.field.k_bits - 1, -1, -1)
 
-        # decode packs the riBM register's symbols into little-endian bytes,
-        # one byte each for K <= 8 and two above. _scale(word, c) multiplies
-        # every symbol of such a byte string by the field element c.
-        if spec.field.k_bits <= 8:
-            self._symbol_dtype = np.dtype(np.uint8)
-            rows = gf.product_rows
-            self._scale = lambda word, c: word.translate(rows[c])
-        else:
-            self._symbol_dtype = np.dtype("<u2")
-            self._scale = self._gather_scale
-
     # -- encoding ---------------------------------------------------------
 
     def encode(self, message: np.ndarray) -> np.ndarray:
@@ -148,50 +138,47 @@ class RsCodec:
         Sarwate & Shanbhag, IEEE TVLSI 2001) for exactly M - N iterations,
         then Chien search and Forney over every position at once. Each riBM
         iteration is ``delta = gamma * (delta >> 1) ^ d0 * theta`` on byte
-        strings: the two products go through ``_scale`` and the XOR is one
-        XOR of two ints of fixed length. No step inverts a field element or
-        branches on the data except to reject, so correctable words of any
-        error count take the same operations.
+        strings, one symbol per byte: each product is one ``bytes.translate``
+        through a row of ``product_rows`` and the XOR is one XOR of two ints
+        of fixed length. No step inverts a field element or branches on the
+        data except to reject, so correctable words of any error count run
+        the same operations.
         """
         spec, gf = self.spec, self.gf
-        exp, log, inv_log = gf.exp, gf.log, gf.inv_log
+        exp, log, inv_log, rows = gf.exp, gf.log, gf.inv_log, gf.product_rows
         received = _check_symbols(received, spec, spec.m_symbols)
         p, t = spec.n_parity, spec.t
         width = p + t + 1  # 3t + 1 for even parity
-        scale, dtype = self._scale, self._symbol_dtype
-        step = dtype.itemsize
-        size, mask = width * step, (1 << 8 * step) - 1
         # Above its width symbols, each XOR operand carries a zero symbol,
         # which the next shift brings in, and a sentinel top byte. The
         # sentinels 1 and 2 (3 after the XOR) fix the length of every int
         # here, so the XOR's time depends neither on leading zero symbols
         # nor on d0 == 0.
-        lhs_tail, rhs_tail = bytes(step) + b"\x01", bytes(step) + b"\x02"
-        length = size + step + 1
+        length = width + 2
 
         # delta starts as S(x) + x^(width-1); theta starts equal to it. After
         # iteration r, delta holds (lambda * (S + x^(width-1))) / x^r for the
         # scaled locator lambda, so after p iterations delta[t:] is lambda
         # and delta[:t] is the high evaluator (lambda * S) / x^p. The int
         # reg holds delta's symbols little-endian, then the tails' XOR.
-        start = np.zeros(width, dtype=dtype)
+        start = np.zeros(width, dtype=np.uint8)
         start[:p] = self._syndromes(received)
         start[width - 1] = 1
         theta = start.tobytes()
-        reg = int.from_bytes(theta + bytes(step) + b"\x03", "little")
+        reg = int.from_bytes(theta + b"\x00\x03", "little")
         gamma, k = 1, 0
         for _ in range(p):
-            d0 = reg & mask
-            shifted = reg.to_bytes(length, "little")[step : size + step]
-            lhs = int.from_bytes(scale(shifted, gamma) + lhs_tail, "little")
-            rhs = int.from_bytes(scale(theta, d0) + rhs_tail, "little")
+            d0 = reg & 0xFF
+            shifted = reg.to_bytes(length, "little")[1 : width + 1]
+            lhs = int.from_bytes(shifted.translate(rows[gamma]) + b"\x00\x01", "little")
+            rhs = int.from_bytes(theta.translate(rows[d0]) + b"\x00\x02", "little")
             reg = lhs ^ rhs
             # The swap is a select: both outcomes cost the same.
             swap = d0 != 0 and k >= 0
             theta = shifted if swap else theta
             gamma = d0 if swap else gamma
             k = -k - 1 if swap else k + 1
-        symbols = np.frombuffer(reg.to_bytes(length, "little"), dtype=dtype, count=width)
+        symbols = np.frombuffer(reg.to_bytes(length, "little"), dtype=np.uint8, count=width)
         delta = symbols.astype(np.int64)
 
         locator = delta[t:]
@@ -213,11 +200,6 @@ class RsCodec:
         if np.any(self._syndromes(corrected)):
             return None
         return corrected[: spec.n_symbols]
-
-    def _gather_scale(self, word: bytes, c: int) -> bytes:
-        symbols = np.frombuffer(word, dtype=self._symbol_dtype)
-        products = self.gf.exp[self.gf.log[symbols] + self.gf.log[c]]
-        return products.astype(self._symbol_dtype).tobytes()
 
     def _syndromes(self, word: np.ndarray) -> np.ndarray:
         terms = self.gf.exp[self._synd_log + self.gf.log[word][None, :]]

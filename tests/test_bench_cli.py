@@ -1,6 +1,7 @@
 """Bench scenarios and the CLI surface."""
 
 import json
+import math
 
 import pytest
 
@@ -23,6 +24,8 @@ def test_config_validation():
     for name in ("population", "trials", "samples"):
         with pytest.raises(ValueError, match=name):
             ExperimentConfig(**{name: 0})
+    with pytest.raises(ValueError, match="GF\\(2\\^8\\)"):
+        ExperimentConfig(scenario="rs-timing", rs=RsCodeSpec(default_field(4), 15, 7))
 
 
 def test_config_round_trip_through_text():
@@ -108,6 +111,9 @@ def test_rs_timing_scenario(tmp_path):
     config = ExperimentConfig(scenario="rs-timing", output_path=str(tmp_path))
     summary = run_experiment(config)
     assert set(summary["variation_by_parity"]) == {"16", "32", "54"}
+    for key in ("zero_to_t_time_ratio_by_parity", "error_count_rank_correlation_by_parity"):
+        assert set(summary[key]) == {"16", "32", "54"}
+        assert all(math.isfinite(v) for v in summary[key].values())
     rows = (tmp_path / "rs-timing.csv").read_text().strip().splitlines()
     assert len(rows) == 1 + (8 + 1) + (16 + 1) + (27 + 1)
 
@@ -165,11 +171,23 @@ def test_cli_bad_config_exits_2(tmp_path, capsys):
     assert cli_entry(["run", "separation", "--config", str(bad)]) == 2
 
 
-def test_cli_config_with_unsupported_symbol_width_exits_2(tmp_path, capsys):
+@pytest.mark.parametrize("line", ["rs=9,255,201", "rs=17,255,201"])
+def test_cli_config_with_unsupported_symbol_width_exits_2(tmp_path, capsys, line):
     bad = tmp_path / "bad.cfg"
-    bad.write_text("rs=17,255,201\n")
+    bad.write_text(line + "\n")
     assert cli_entry(["run", "separation", "--config", str(bad)]) == 2
     assert "bad config" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("text", ["rs=4,15,7\n", "scenario=separation\nrs=4,15,7\n"])
+def test_cli_rs_timing_with_field_narrower_than_a_byte_exits_2(tmp_path, capsys, text):
+    """rs-timing decodes (255, 255 - p) codes, which only GF(2^8) holds."""
+    bad = tmp_path / "bad.cfg"
+    bad.write_text(text)
+    out = tmp_path / "out"
+    assert cli_entry(["run", "rs-timing", "--config", str(bad), "--out", str(out)]) == 2
+    assert "bad config" in capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("flag", ["--trials", "--samples"])

@@ -99,9 +99,24 @@ def test_spec_validation():
         FieldSpec(8, 0x1D)  # degree 4 mask, not 8
     with pytest.raises(ValueError):
         FieldSpec(8, 0x100).tables()  # degree 8 but not primitive (x^8)
-    for k in (1, 17):
-        with pytest.raises(ValueError, match=r"\[2, 16\]"):
+    for k in (1, 9, 17):
+        with pytest.raises(ValueError, match=r"\[2, 8\]"):
             default_field(k)
+        with pytest.raises(ValueError, match=r"\[2, 8\]"):
+            FieldSpec(k, (1 << k) | 1)
+
+
+@pytest.mark.parametrize("k", range(2, 9))
+def test_product_rows_match_clmul(k):
+    """Row c of the translate table maps v < 2^K to c * v and every other byte to 0."""
+    field = default_field(k)
+    rows = field.tables().product_rows
+    assert len(rows) == field.size
+    for c, row in enumerate(rows):
+        assert len(row) == 256
+        for v in range(field.size):
+            assert row[v] == clmul_reduce(c, v, field.reduction_poly, k)
+        assert not any(row[field.size :])
 
 
 @pytest.mark.parametrize("k", [3, 4])

@@ -2,9 +2,10 @@
 
 ``ica`` designs its FIR taps and runs its zero-phase filter in numpy,
 ``channel`` computes kurtosis and the D'Agostino-Pearson test in closed
-form, and ``randomness`` evaluates the upper incomplete gamma function as a
-finite sum. Each is compared here with the scipy routine it replaces: the
-filter bit for bit, the statistics to 1e-12 relative.
+form, ``randomness`` evaluates the upper incomplete gamma function as a
+finite sum, and ``bench`` ranks for Spearman's correlation. Each is compared
+here with the scipy routine it replaces or matches: the filter bit for bit,
+the statistics to 1e-12 relative.
 """
 
 import math
@@ -16,6 +17,7 @@ scipy = pytest.importorskip("scipy")
 from scipy import special, stats  # noqa: E402
 from scipy.signal import filtfilt, firwin  # noqa: E402
 
+from sienna.bench import _spearman  # noqa: E402
 from sienna.channel import QamSpec, ofdm_gaussianity_demo, qam_modulate  # noqa: E402
 from sienna.ica import LOWPASS_CUTOFF_HZ, LOWPASS_TAPS, _fir_taps, lowpass_filter  # noqa: E402
 from sienna.randomness import _gammaincc  # noqa: E402
@@ -85,3 +87,12 @@ def test_incomplete_gamma_closed_form_matches_scipy(a):
     assert math.isnan(_gammaincc(a, -0.1))
     assert math.isnan(special.gammaincc(a, -0.1))
 
+
+@pytest.mark.parametrize("levels", [3, 10, 1000])
+def test_spearman_matches_scipy(levels):
+    """Few levels force ties, which both sides rank by their mean rank."""
+    rng = np.random.default_rng(levels)
+    for size in (5, 28, 200):
+        x, y = rng.integers(0, levels, size=(2, size))
+        expected = stats.spearmanr(x, y).statistic
+        assert math.isclose(_spearman(x, y), expected, rel_tol=1e-12, abs_tol=1e-15)

@@ -190,12 +190,11 @@ def test_codeword_bit_length():
     assert standard_code(8, 255, 201).message_bits == 1608
 
 
-# Odd parity, a shortened code, and fields narrower and wider than a byte.
+# Odd parity, a shortened code, and a field narrower than a byte.
 SOUNDNESS_CODES = {
     "255-222": standard_code(8, 255, 222),
     "K8-100-60": RsCodeSpec(default_field(8), 100, 60),
     "K4-15-7": RsCodeSpec(default_field(4), 15, 7),
-    "K10-200-150": RsCodeSpec(default_field(10), 200, 150),
 }
 
 
@@ -257,7 +256,6 @@ REGISTER_EDGE_CODES = {
     "K4-15-7": SOUNDNESS_CODES["K4-15-7"],
     "255-201": standard_code(8, 255, 201),
     "255-222": SOUNDNESS_CODES["255-222"],
-    "K10-200-150": SOUNDNESS_CODES["K10-200-150"],
 }
 
 

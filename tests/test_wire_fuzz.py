@@ -113,19 +113,28 @@ def test_snna_single_byte_corruption_raises_only_value_error(msg, data):
 
 powers = st.floats(min_value=0.0, max_value=1e9, allow_nan=False)
 counts = st.none() | st.integers(1, 10**6)
-configs = st.builds(
-    ExperimentConfig,
-    scenario=st.sampled_from(SCENARIOS),
-    seeds=st.lists(st.integers(0, 2**31 - 1), min_size=1, max_size=3).map(tuple),
-    population=st.integers(1, 1000),
-    durations=st.lists(st.floats(6.0, 60.0), min_size=1, max_size=5).map(tuple),
-    rs=st.sampled_from([RsCodeSpec(default_field(8), 255, n) for n in (201, 223)] + [SMALL]),
-    channel=st.builds(ChannelParams, p0=powers, p1=powers),
-    p_max=st.floats(min_value=1e-3, max_value=1e9),
-    trials=counts,
-    samples=counts,
-    output_path=st.from_regex(r"[A-Za-z0-9_./-]{1,20}", fullmatch=True),
-)
+BYTE_CODES = [RsCodeSpec(default_field(8), 255, n) for n in (201, 223)]
+
+
+def scenario_configs(scenario):
+    # rs-timing decodes (255, 255 - p) codes, so it only takes a GF(2^8) code.
+    codes = BYTE_CODES if scenario == "rs-timing" else BYTE_CODES + [SMALL]
+    return st.builds(
+        ExperimentConfig,
+        scenario=st.just(scenario),
+        seeds=st.lists(st.integers(0, 2**31 - 1), min_size=1, max_size=3).map(tuple),
+        population=st.integers(1, 1000),
+        durations=st.lists(st.floats(6.0, 60.0), min_size=1, max_size=5).map(tuple),
+        rs=st.sampled_from(codes),
+        channel=st.builds(ChannelParams, p0=powers, p1=powers),
+        p_max=st.floats(min_value=1e-3, max_value=1e9),
+        trials=counts,
+        samples=counts,
+        output_path=st.from_regex(r"[A-Za-z0-9_./-]{1,20}", fullmatch=True),
+    )
+
+
+configs = st.sampled_from(SCENARIOS).flatmap(scenario_configs)
 
 
 @FUZZ
