@@ -79,7 +79,8 @@ def hash256(bits: np.ndarray | bytes) -> bytes:
 
 
 def salt_digest(salt_bits: np.ndarray) -> bytes:
-    return hashlib.sha256(_SALT_HASH_PREFIX + bits_to_bytes(salt_bits)).digest()
+    """Domain-separated SHA-256 of a salt the caller has already validated."""
+    return hashlib.sha256(_SALT_HASH_PREFIX + np.packbits(salt_bits).tobytes()).digest()
 
 
 def new_salt(spec: RsCodeSpec, source: Sha256Drbg | int) -> np.ndarray:
@@ -106,7 +107,11 @@ def xor_fold(segments: Sequence[np.ndarray]) -> np.ndarray:
 
 
 def commit(salt_bits: np.ndarray, fingerprint_bits: np.ndarray, spec: RsCodeSpec) -> Commitment:
-    """Bind a salt to a fingerprint: mask = RS(salt) XOR fingerprint."""
+    """Bind a salt to a fingerprint: mask = RS(salt) XOR fingerprint.
+
+    Both inputs are validated once, here; every later step takes them as
+    bit arrays.
+    """
     salt_bits = as_bits(salt_bits)
     fingerprint_bits = as_bits(fingerprint_bits)
     if salt_bits.size != spec.message_bits:
@@ -118,7 +123,7 @@ def commit(salt_bits: np.ndarray, fingerprint_bits: np.ndarray, spec: RsCodeSpec
     codec = spec.codec()
     codeword_bits = codec.symbols_to_bits(codec.encode(codec.bits_to_symbols(salt_bits)))
     return Commitment(
-        masked_codeword=xor_bits(codeword_bits, fingerprint_bits),
+        masked_codeword=codeword_bits ^ fingerprint_bits,
         salt_hash=salt_digest(salt_bits),
         spec=spec,
     )
@@ -131,7 +136,8 @@ def open_commitment(
 
     A decode that produces a salt failing the digest check is classified
     ``hash-mismatch`` (a binding event), not ``decode-failure``. ``spec``
-    must be the commitment's own code.
+    must be the commitment's own code. The fingerprint is validated once,
+    here; the masked codeword was validated when the commitment was built.
     """
     if spec != commitment.spec:
         raise ValueError("commitment was made under a different RS code than spec")
@@ -141,7 +147,7 @@ def open_commitment(
             f"fingerprint must be {spec.codeword_bits} bits, got {fingerprint_bits.size}"
         )
     codec = spec.codec()
-    noisy_codeword = xor_bits(commitment.masked_codeword, fingerprint_bits)
+    noisy_codeword = commitment.masked_codeword ^ fingerprint_bits
     message = codec.decode(codec.bits_to_symbols(noisy_codeword))
     if message is None:
         return OpenOutcome("decode-failure")

@@ -2,16 +2,19 @@
 
 The code is systematic with codeword length M and message length N; up to
 ``t = (M - N) // 2`` corrupted symbols are corrected. The encoder is one
-product with a precomputed parity matrix. The decoder computes syndromes
-and runs Chien search and Forney as array operations whose shapes do not
-depend on the received word. Between them, inversionless Berlekamp-Massey
-runs exactly M - N iterations on a register that holds one symbol per
-byte: each iteration is two scalar-times-vector products, one
-``bytes.translate`` each, and one XOR of two fixed-length ints. So every
-correctable word runs the same operations, whatever its number of errors.
-Decode failure is a returned value (``None``), not an exception: callers
-confirm recovered messages through a hash, never through the decoder
-alone.
+product with a precomputed parity matrix. The decoder computes syndromes,
+then runs inversionless Berlekamp-Massey for exactly M - N iterations on a
+register that holds one symbol per byte: each iteration is two
+scalar-times-vector products, one ``bytes.translate`` each, and one XOR of
+two fixed-length ints. Chien search then evaluates the locator alone at
+every position, and the word is rejected unless the root count equals the
+locator's degree. Forney's formula and the final syndrome check run on t
+slots only: the roots, ranked into the slots, and zero-magnitude padding.
+Every array's shape depends on the code, not on the received word, so
+every correctable word runs the same operations, whatever its number of
+errors. Decode failure is a returned value (``None``), not an exception:
+callers confirm recovered messages through a hash, never through the
+decoder alone.
 """
 
 from __future__ import annotations
@@ -21,7 +24,6 @@ from functools import lru_cache
 
 import numpy as np
 
-from .bits import as_bits
 from .gf import FieldSpec, default_field
 
 __all__ = ["RsCodeSpec", "RsCodec"]
@@ -101,24 +103,33 @@ class RsCodec:
         for e in range(n):
             rows[e] = rem
             rem = np.concatenate([[0], rem[:-1]]) ^ gf.mul(rem[-1], g_low)
-        self._parity_log = gf.log[rows[::-1, ::-1]]
+        # Transposed: row j holds the log of parity symbol j's coefficient
+        # for every message symbol, so encode reduces along contiguous rows.
+        self._parity_log = np.ascontiguousarray(gf.log[rows[::-1, ::-1]].T)
 
         # Syndromes S_j = r(alpha^j): log alpha^(j * (M-1-i)) per (j, i).
         poly_pos = np.arange(m - 1, -1, -1, dtype=np.int64)
         self._synd_log = (np.arange(p)[:, None] * poly_pos[None, :]) % order
 
-        # Chien and Forney evaluate three polynomials at x_i = alpha^-(M-1-i)
-        # in one gather: the locator (degrees 0..t), the high evaluator
-        # times x_i^(p-1) (degrees 0..t-1), and the locator's derivative,
+        # Chien search evaluates the locator (degrees 0..t) at every
+        # x_i = alpha^-(M-1-i): log x_i^d per (d, i).
+        self._locator_log = (-np.arange(t + 1)[:, None] * poly_pos[None, :]) % order
+        # Forney evaluates, at the slots only, the high evaluator times
+        # x_i^(p-1) (degrees p-1..p+t-2) and the locator's derivative,
         # whose degree-2j term is the locator's degree-(2j+1) coefficient.
-        # _chien_coef picks those coefficients out of the riBM register.
-        degrees = np.concatenate([np.arange(t + 1), np.arange(t) + p - 1, np.arange(0, t, 2)])
-        self._chien_log = (-poly_pos[:, None] * degrees[None, :]) % order
-        self._chien_coef = np.concatenate(
-            [np.arange(t, 2 * t + 1), np.arange(t), np.arange(t + 1, 2 * t + 1, 2)]
-        )
-        self._chien_split = np.array([0, t + 1, 2 * t + 1])
-        self._bit_shifts = np.arange(spec.field.k_bits - 1, -1, -1)
+        # _forney_log holds log x_i^d per (i, d), so a slot gathers its
+        # position's row; _forney_coef picks the coefficients out of the
+        # riBM register.
+        degrees = np.concatenate([np.arange(t) + p - 1, np.arange(0, t, 2)])
+        self._forney_log = (-poly_pos[:, None] * degrees[None, :]) % order
+        self._forney_coef = np.concatenate([np.arange(t), np.arange(t + 1, 2 * t + 1, 2)])
+        self._slots = np.arange(t + 1)
+        self._positions = np.arange(m)
+        # Padding slots sit at positions spread over the word, as roots do,
+        # not at one shared position: a word with few errors then gathers
+        # as many distinct table rows and columns as one with t, which
+        # keeps the tail's time flat in the error count.
+        self._pad_pos = self._slots * m // (t + 1)
 
     # -- encoding ---------------------------------------------------------
 
@@ -126,8 +137,8 @@ class RsCodec:
         """Systematic codeword: the message, then its parity-matrix product."""
         exp, log = self.gf.exp, self.gf.log
         message = _check_symbols(message, self.spec, self.spec.n_symbols)
-        terms = exp[log[message][:, None] + self._parity_log]
-        return np.concatenate([message, np.bitwise_xor.reduce(terms, axis=0)])
+        terms = exp[self._parity_log + log[message]]
+        return np.concatenate([message, np.bitwise_xor.reduce(terms, axis=1)])
 
     # -- decoding ---------------------------------------------------------
 
@@ -135,14 +146,24 @@ class RsCodec:
         """The message of the unique codeword within t symbols, else None.
 
         Syndromes, then reformulated inversionless Berlekamp-Massey (riBM;
-        Sarwate & Shanbhag, IEEE TVLSI 2001) for exactly M - N iterations,
-        then Chien search and Forney over every position at once. Each riBM
-        iteration is ``delta = gamma * (delta >> 1) ^ d0 * theta`` on byte
-        strings, one symbol per byte: each product is one ``bytes.translate``
-        through a row of ``product_rows`` and the XOR is one XOR of two ints
-        of fixed length. No step inverts a field element or branches on the
-        data except to reject, so correctable words of any error count run
-        the same operations.
+        Sarwate & Shanbhag, IEEE TVLSI 2001) for exactly M - N iterations.
+        Each riBM iteration is ``delta = gamma * (delta >> 1) ^ d0 * theta``
+        on byte strings, one symbol per byte: each product is one
+        ``bytes.translate`` through a row of ``product_rows`` and the XOR is
+        one XOR of two ints of fixed length.
+
+        Chien search evaluates only the locator (degrees 0..t) at all M
+        positions, and a root count other than the locator's degree rejects
+        the word before any Forney work. Ranking the roots with a cumulative
+        sum places them in the first of t slots; the other slots keep a
+        zero magnitude. Forney's formula (Forney, IEEE T-IT 1965) evaluates
+        the high evaluator and the locator's derivative at those t slots,
+        and the final check compares S(e) over the slots with the syndromes
+        of the received word: S(received ^ e) = S(received) ^ S(e) over the
+        field, so this rejects exactly the words whose corrected word has a
+        non-zero syndrome. No step inverts a field element, sizes an array
+        by the data, or branches on the data except to reject, so
+        correctable words of any error count run the same operations.
         """
         spec, gf = self.spec, self.gf
         exp, log, inv_log, rows = gf.exp, gf.log, gf.inv_log, gf.product_rows
@@ -162,7 +183,8 @@ class RsCodec:
         # and delta[:t] is the high evaluator (lambda * S) / x^p. The int
         # reg holds delta's symbols little-endian, then the tails' XOR.
         start = np.zeros(width, dtype=np.uint8)
-        start[:p] = self._syndromes(received)
+        syndromes = self._syndromes(received)
+        start[:p] = syndromes
         start[width - 1] = 1
         theta = start.tobytes()
         reg = int.from_bytes(theta + b"\x00\x03", "little")
@@ -182,24 +204,42 @@ class RsCodec:
         delta = symbols.astype(np.int64)
 
         locator = delta[t:]
-        degree = int(np.flatnonzero(locator)[-1]) if locator.any() else 0
+        degree = p - int(np.argmax(locator[::-1] != 0))  # p if all zero
         if degree > t:
             return None
 
-        terms = exp[log[delta[self._chien_coef]] + self._chien_log]
-        evals = np.bitwise_xor.reduceat(terms, self._chien_split, axis=1)
-        loc_eval, high_eval, dloc_eval = evals.T
-        roots = loc_eval == 0
-        if int(roots.sum()) != degree or np.any(roots & (dloc_eval == 0)):
+        # Chien search on the locator alone.
+        terms = exp[self._locator_log + log[locator[: t + 1, None]]]
+        roots = np.bitwise_xor.reduce(terms, axis=0) == 0
+        count = int(roots.sum())
+        if count != degree:
+            return None
+        # Rank and scatter: the r-th root goes to slot r and every other
+        # position to a dummy slot t, so the scatter has the same size for
+        # any count. Slots count..t-1 keep their padding positions; they
+        # and the dummy are not live and get zero magnitudes below.
+        slot_of = np.where(roots, np.cumsum(roots) - 1, t)
+        slot_pos = self._pad_pos.copy()
+        slot_pos[slot_of] = self._positions
+        live = self._slots < count
+
+        terms = exp[self._forney_log[slot_pos] + log[delta[self._forney_coef]]]
+        high_eval = np.bitwise_xor.reduce(terms[:, :t], axis=1)
+        dloc_eval = np.bitwise_xor.reduce(terms[:, t:], axis=1)
+        if np.any(live & (dloc_eval == 0)):
             return None
         # Forney with the high evaluator, e_i = x_i^(p-1) omega_h(x_i) / lambda'(x_i);
         # the scale of the riBM locator cancels.
-        magnitudes = exp[log[high_eval] + inv_log[dloc_eval]]
-        corrected = received ^ np.where(roots, magnitudes, 0)
+        magnitudes = np.where(live, exp[log[high_eval] + inv_log[dloc_eval]], 0)
 
-        if np.any(self._syndromes(corrected)):
+        # Final check: S(received ^ e) == 0, i.e. S(e) == S(received) by
+        # linearity, with S(e) summed over the slots. A zero magnitude reads
+        # the zero half of exp whatever its slot's position.
+        terms = exp[self._synd_log[:, slot_pos] + log[magnitudes]]
+        if np.any(np.bitwise_xor.reduce(terms, axis=1) != syndromes):
             return None
-        return corrected[: spec.n_symbols]
+        n = spec.n_symbols
+        return received[:n] ^ magnitudes[slot_of[:n]]
 
     def _syndromes(self, word: np.ndarray) -> np.ndarray:
         terms = self.gf.exp[self._synd_log + self.gf.log[word][None, :]]
@@ -208,15 +248,23 @@ class RsCodec:
     # -- bit-level views ----------------------------------------------------
 
     def symbols_to_bits(self, symbols: np.ndarray) -> np.ndarray:
-        symbols = np.asarray(symbols, dtype=np.int64)
-        return ((symbols[:, None] >> self._bit_shifts) & 1).astype(np.uint8).ravel()
+        """K bits per symbol, most significant first: the low K bits of
+        each symbol's byte."""
+        octets = np.unpackbits(np.asarray(symbols).astype(np.uint8))
+        return octets.reshape(-1, 8)[:, 8 - self.spec.field.k_bits :].ravel()
 
     def bits_to_symbols(self, bits: np.ndarray) -> np.ndarray:
+        """One symbol per K bits: each group, zero-padded to a byte, packs.
+
+        ``bits`` is a bit array as ``as_bits`` returns it (``commitment``
+        validates its inputs once); any non-zero entry packs as a 1.
+        """
         k = self.spec.field.k_bits
-        bits = as_bits(bits)
         if bits.size % k:
             raise ValueError(f"bit length {bits.size} is not a multiple of {k}")
-        return bits.reshape(-1, k).astype(np.int64) @ (1 << self._bit_shifts)
+        octets = np.zeros((bits.size // k, 8), dtype=np.uint8)
+        octets[:, 8 - k :] = bits.reshape(-1, k)
+        return np.packbits(octets).astype(np.int64)
 
 
 @lru_cache(maxsize=None)

@@ -115,6 +115,7 @@ def test_rs_timing_scenario(tmp_path):
         assert set(summary[key]) == {"16", "32", "54"}
         assert all(math.isfinite(v) for v in summary[key].values())
     rows = (tmp_path / "rs-timing.csv").read_text().strip().splitlines()
+    assert rows[0] == "parity_symbols,n_errors,q25_s,median_s"
     assert len(rows) == 1 + (8 + 1) + (16 + 1) + (27 + 1)
 
 

@@ -160,6 +160,16 @@ def test_salt_lengths_validated():
         open_commitment(c, random_bits(22, rng), SMALL)
 
 
+def test_non_bit_values_rejected():
+    rng = np.random.default_rng(16)
+    salt, fp = new_salt(SMALL, 2), random_bits(21, rng)
+    for bad_salt, bad_fp in ((salt * 2, fp), (salt, fp * 2)):
+        with pytest.raises(ValueError, match="only contain 0 and 1"):
+            commit(bad_salt, bad_fp, SMALL)
+    with pytest.raises(ValueError, match="only contain 0 and 1"):
+        open_commitment(commit(salt, fp, SMALL), fp * 2, SMALL)
+
+
 def test_open_rejects_a_spec_other_than_the_commitments():
     spec = standard_code(8, 255, 201)
     fingerprint = random_bits(spec.codeword_bits, np.random.default_rng(15))

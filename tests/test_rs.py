@@ -1,5 +1,6 @@
 """Reed-Solomon codec: naive-encoder oracle, exhaustive small-field decoding."""
 
+import hashlib
 from itertools import combinations, product
 
 import numpy as np
@@ -291,3 +292,37 @@ def test_register_edge_cases(name, data):
         assert np.array_equal(got, msg)
     elif got is not None:
         assert np.count_nonzero(codec.encode(got) != word) <= t
+
+
+# The six codes of the decoder equivalence checks: two parities of the
+# standard length, a shortened code and three fields narrower than a byte.
+CORPUS_CODES = {
+    "255-201": standard_code(8, 255, 201),
+    "255-222": SOUNDNESS_CODES["255-222"],
+    "K8-100-60": SOUNDNESS_CODES["K8-100-60"],
+    "K4-15-7": SOUNDNESS_CODES["K4-15-7"],
+    "K3-7-3": SMALL,
+    "K2-3-1": RsCodeSpec(default_field(2), 3, 1),
+}
+CORPUS_DIGEST = "4e1f03b4515666eecda1e7aea6cd5bdc76c83eaa4717a5aa3dbdea7ca9c3f037"
+
+
+def test_decode_corpus_digest():
+    """Every decoder output on a seeded corpus is pinned: on each code,
+    codewords with 0..M errors (several words per count on short codes)
+    and uniformly random words. ``None`` hashes as its own marker."""
+    digest = hashlib.sha256()
+    for name, spec in CORPUS_CODES.items():
+        codec, q = spec.codec(), spec.field.size
+        rng = np.random.default_rng(53)
+        words = []
+        for n_err in range(spec.m_symbols + 1):
+            for _ in range(max(1, 256 // (spec.m_symbols + 1))):
+                cw = codec.encode(rng.integers(0, q, size=spec.n_symbols))
+                words.append(random_errors(rng, spec, cw, n_err))
+        words += list(rng.integers(0, q, size=(64, spec.m_symbols)))
+        digest.update(name.encode())
+        for word in words:
+            got = codec.decode(word)
+            digest.update(b"N" if got is None else b"M" + got.astype(np.uint8).tobytes())
+    assert digest.hexdigest() == CORPUS_DIGEST
