@@ -6,21 +6,19 @@ and radar views of the same person produce nearly identical bits; another
 person's bits disagree far beyond what error correction would bridge.
 """
 
-import numpy as np
-
-from sienna.fingerprint import default_bank, extract, hamming_similarity, qtz
+from sienna.fingerprint import SAMPLE_INTERVAL_S, THRESHOLDS, extract, hamming_similarity, qtz
 from sienna.protocol import PairingScene, observe_scene, prepare_series
 from sienna.breathing import sample_profile
 
-bank = default_bank()
-print(f"bank: {bank.count} branches, thresholds ±0.05..±0.50, sampled every {bank.sample_interval}s")
+print(f"bank: {THRESHOLDS.size} branches, thresholds ±0.05..±0.50, "
+      f"sampled every {SAMPLE_INTERVAL_S}s")
 print(f"qtz(0.7)  -> {qtz(0.7, 0.5, -0.5)}   (at or above the upper threshold)")
 print(f"qtz(-0.6) -> {qtz(-0.6, 0.5, -0.5)}   (at or below the lower threshold)")
 print(f"qtz(0.0)  -> {qtz(0.0, 0.5, -0.5)}   (inside the band)")
 
 
 def fingerprint_bits(observation, t0, t1):
-    return extract(prepare_series(observation), t0, t1, bank)[0]
+    return extract(prepare_series(observation), t0, t1)[0]
 
 
 subjects = [sample_profile(seed, drift_std=0.015) for seed in (11, 22, 33)]
@@ -34,7 +32,7 @@ for idx, profile in enumerate(subjects):
     views[idx] = (fingerprint_bits(belt_obs, 0, 60), fingerprint_bits(prms_obs, 0, 60))
 
 print(f"\nfingerprint length at 60 s: {views[0][0].size} bits "
-      f"({bank.count} branches x 2 x 601 samples)")
+      f"({THRESHOLDS.size} branches x 2 x 601 samples)")
 print("\npairwise per-bit similarity (belt view vs radar view):")
 print("          " + "  ".join(f"radar{j}" for j in range(3)))
 for i in range(3):

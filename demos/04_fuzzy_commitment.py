@@ -10,15 +10,15 @@ import numpy as np
 
 from sienna.bits import random_bits
 from sienna.commitment import commit, kdf, new_salt, open_commitment, serialize_commitment
-from sienna.gf import default_field, gf_mul
+from sienna.gf import FieldSpec, gf_mul
 from sienna.rs import RsCodeSpec, standard_code
 
 # Field arithmetic underneath it all
-field = default_field(8)
+field = FieldSpec(8)
 print(f"GF(2^8) under 0x11D: 0x02 * 0x80 = 0x{gf_mul(0x02, 0x80, field):02X}")
 
 # A small code makes the correction radius easy to see
-small = RsCodeSpec(default_field(3), 7, 3)
+small = RsCodeSpec(FieldSpec(3), 7, 3)
 codec = small.codec()
 word = codec.encode([1, 0, 0])
 print(f"RS(2^3,7,3): message [1,0,0] -> codeword {[int(s) for s in word]} (corrects t={small.t})")

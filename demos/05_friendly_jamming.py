@@ -43,7 +43,7 @@ symbols = qam_modulate(bits, spec)
 mask = random_bits(symbols.size, rng)
 noise = noise_power_for_snr(10 ** 1.5, spec)  # 15 dB
 frame = dup_and_jam(symbols, mask, jam_power=4.0, rng=rng, noise_power=noise)
-print(f"\non-air frame: {frame.symbols.size} symbols ({symbols.size} pairs), jam/signal = 4")
+print(f"\non-air frame: {frame.size} symbols ({symbols.size} pairs), jam/signal = 4")
 
 stitched = qam_demodulate(receiver_stitch(frame, mask), spec, n_bits=bits.size)
 print(f"legitimate stitcher BER: {np.mean(stitched != bits):.2e}")

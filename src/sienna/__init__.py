@@ -42,8 +42,8 @@ from .channel import (
     secrecy_capacity,
 )
 from .commitment import Commitment, OpenOutcome, commit, hash256, kdf, new_salt, open_commitment, xor_fold
-from .fingerprint import QuantizerBank, default_bank, extract, hamming_similarity, qtz, segment_pad
-from .gf import FieldSpec, default_field, gf_mul
+from .fingerprint import extract, hamming_similarity, qtz, segment_pad
+from .gf import FieldSpec, gf_mul
 from .ica import jade_separate, match_sources, whiten
 from .protocol import (
     BeltDevice,

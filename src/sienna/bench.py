@@ -25,7 +25,6 @@ from .commitment import commit, new_salt
 from .fingerprint import extract, hamming_similarity
 from .ica import jade_separate, match_sources
 from .protocol import (
-    BANK,
     QAM,
     BeltDevice,
     BeltObservation,
@@ -75,6 +74,7 @@ class ExperimentConfig:
             value = getattr(self, name)
             if value is not None and value < 1:
                 raise ValueError(f"{name} must be at least 1, got {value}")
+        ladder_levels(self.p_max, self.channel.p0)  # every scenario's ladder must exist
         if self.scenario == "rs-timing" and self.rs.field.size < 256:
             raise ValueError(
                 f"rs-timing decodes (255, 255 - p) codes, which need GF(2^8); "
@@ -160,7 +160,7 @@ def _slice_observations(belt_obs, prms_obs, t0: float, t1: float):
 
 def _raw_window_bits(observation, t0: float, t1: float):
     """Raw quantizer bits of a standalone session over [t0, t1]."""
-    return extract(prepare_series(observation), t0, t1, BANK)[0]
+    return extract(prepare_series(observation), t0, t1)[0]
 
 
 def _run_fingerprint_similarity(config: ExperimentConfig):

@@ -39,7 +39,7 @@ def bits_from_bytes(data: bytes, n_bits: int | None = None) -> np.ndarray:
     """Unpack bytes MSB-first, optionally trimming to ``n_bits``."""
     bits = np.unpackbits(np.frombuffer(data, dtype=np.uint8))
     if n_bits is not None:
-        if n_bits > bits.size:
+        if not 0 <= n_bits <= bits.size:
             raise ValueError(f"need {n_bits} bits, got {bits.size}")
         bits = bits[:n_bits]
     return bits.astype(np.uint8)
@@ -62,15 +62,14 @@ class Sha256Drbg:
 
     Hash-counter DRBGs are a standard seedable CSPRNG construction; salts
     drawn here are reproducible per seed while remaining computationally
-    unpredictable without it.
+    unpredictable without it. The seed is an int in [0, 2^128), hashed as
+    its 16 big-endian bytes.
     """
 
-    def __init__(self, seed: bytes | int | str):
-        if isinstance(seed, int):
-            seed = seed.to_bytes(16, "big", signed=False)
-        elif isinstance(seed, str):
-            seed = seed.encode()
-        self._seed = bytes(seed)
+    def __init__(self, seed: int):
+        if not 0 <= seed < 1 << 128:
+            raise ValueError(f"seed must be in [0, 2^128), got {seed}")
+        self._seed = seed.to_bytes(16, "big")
         self._counter = 0
         self._buffer = b""
 

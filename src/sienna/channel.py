@@ -24,7 +24,6 @@ from .bits import as_bits
 
 __all__ = [
     "ChannelParams",
-    "DialogFrame",
     "GaussianityReport",
     "JammingLadder",
     "QamSpec",
@@ -77,28 +76,13 @@ class ChannelParams:
     p1: float = 31.622776601683793  # 15 dB above the noise floor
 
     def __post_init__(self):
-        if min(self.p0, self.p1) < 0:
-            raise ValueError("powers must be non-negative")
+        # Both are divisors: of the main SNR and of every jam-to-signal ratio.
+        if not (0 < self.p0 < math.inf and 0 < self.p1 < math.inf):
+            raise ValueError(f"powers must be finite and positive, got {self.p0}, {self.p1}")
 
     @property
     def snr_main(self) -> float:
         return self.p1 / self.p0
-
-
-@dataclass(frozen=True)
-class DialogFrame:
-    """On-air duplicated symbols with one jammed copy per pair."""
-
-    symbols: np.ndarray  # complex, length 2 * n_pairs
-    jam_mask: np.ndarray  # uint8, jam_mask[i] selects the jammed copy of pair i
-
-    def __post_init__(self):
-        object.__setattr__(self, "symbols", np.asarray(self.symbols, dtype=np.complex128))
-        object.__setattr__(self, "jam_mask", as_bits(self.jam_mask))
-        if self.symbols.size % 2:
-            raise ValueError("dialog frames hold an even number of symbols")
-        if self.jam_mask.size != self.symbols.size // 2:
-            raise ValueError("need one mask bit per duplicate pair")
 
 
 @dataclass(frozen=True)
@@ -128,8 +112,8 @@ def ladder_levels(p_max: float, p0: float) -> JammingLadder:
     copies become detectable by their energy. Levels a factor 9 apart give
     every eavesdropper power in the range one level inside that band.
     """
-    if not p_max > p0 > 0:
-        raise ValueError(f"need p_max > p0 > 0, got p_max={p_max}, p0={p0}")
+    if not (p0 > 0 and 1 < p_max / p0 < math.inf):
+        raise ValueError(f"need p0 > 0 and 1 < p_max / p0 < inf, got p_max={p_max}, p0={p0}")
     count = max(1, math.ceil(math.log(p_max / p0, 9.0)))
     return JammingLadder(tuple(p_max / 9.0**i for i in range(count)))
 
@@ -186,7 +170,7 @@ def qam_demodulate(symbols: np.ndarray, spec: QamSpec, n_bits: int | None = None
     q_bits = (q_label[:, None] >> shifts) & 1
     bits = np.concatenate([i_bits, q_bits], axis=1).ravel().astype(np.uint8)
     if n_bits is not None:
-        if n_bits > bits.size:
+        if not 0 <= n_bits <= bits.size:
             raise ValueError(f"asked for {n_bits} bits, frame holds {bits.size}")
         bits = bits[:n_bits]
     return bits
@@ -219,11 +203,13 @@ def dup_and_jam(
     jam_power: float,
     rng: np.random.Generator,
     noise_power: float = 0.0,
-) -> DialogFrame:
+) -> np.ndarray:
     """Duplicate symbols back-to-back and jam one copy of each pair.
 
-    The jam is zero-mean complex Gaussian with the same form as the
-    modulated signal; channel noise of ``noise_power`` lands on both copies.
+    Returns the on-air frame: complex symbols, pair i at 2i and 2i + 1, the
+    copy ``jam_mask[i]`` of pair i jammed. The jam is zero-mean complex
+    Gaussian with the same form as the modulated signal; channel noise of
+    ``noise_power`` lands on both copies.
     """
     symbols = np.asarray(symbols, dtype=np.complex128)
     jam_mask = as_bits(jam_mask)
@@ -237,22 +223,29 @@ def dup_and_jam(
         on_air[jammed_idx] += scale * (
             rng.normal(size=symbols.size) + 1j * rng.normal(size=symbols.size)
         )
-    on_air = awgn(on_air, noise_power, rng)
-    return DialogFrame(symbols=on_air, jam_mask=jam_mask)
+    return awgn(on_air, noise_power, rng)
 
 
-def receiver_stitch(frame: DialogFrame, jam_mask: np.ndarray) -> np.ndarray:
+def _pairs(frame: np.ndarray) -> np.ndarray:
+    """An on-air frame as one row per duplicate pair."""
+    frame = np.asarray(frame, dtype=np.complex128)
+    if frame.size % 2:
+        raise ValueError("dialog frames hold an even number of symbols")
+    return frame.reshape(-1, 2)
+
+
+def receiver_stitch(frame: np.ndarray, jam_mask: np.ndarray) -> np.ndarray:
     """Select the unjammed copy of each pair (receiver knows its own mask)."""
+    pairs = _pairs(frame)
     jam_mask = as_bits(jam_mask)
-    n_pairs = frame.symbols.size // 2
+    n_pairs = pairs.shape[0]
     if jam_mask.size != n_pairs:
         raise ValueError(f"mask length {jam_mask.size} does not match {n_pairs} pairs")
-    clean_idx = 2 * np.arange(n_pairs) + (1 - jam_mask)
-    return frame.symbols[clean_idx]
+    return pairs[np.arange(n_pairs), 1 - jam_mask]
 
 
 def eavesdrop(
-    frame: DialogFrame,
+    frame: np.ndarray,
     strategy: str,
     rng: np.random.Generator,
 ) -> np.ndarray:
@@ -261,7 +254,7 @@ def eavesdrop(
     ``random-pick`` guesses a copy, ``energy-threshold`` keeps the
     lower-energy copy of each pair, ``average-both`` averages the two.
     """
-    pairs = frame.symbols.reshape(-1, 2)
+    pairs = _pairs(frame)
     if strategy == "random-pick":
         pick = rng.integers(0, 2, size=pairs.shape[0])
         return pairs[np.arange(pairs.shape[0]), pick]

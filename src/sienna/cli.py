@@ -23,7 +23,7 @@ import numpy as np
 
 from .bench import SCENARIO_TABLE, SCENARIOS, ExperimentConfig, run_experiment
 from .channel import ChannelParams
-from .gf import default_field
+from .gf import FieldSpec
 from .rs import RsCodeSpec
 
 __all__ = ["main", "cli_entry", "parse_config_text", "default_config_text"]
@@ -50,7 +50,8 @@ def default_config_text(config: ExperimentConfig | None = None) -> str:
 
 
 def parse_config_text(text: str, base: ExperimentConfig | None = None) -> ExperimentConfig:
-    config = base or ExperimentConfig()
+    """Apply every key=value line to ``base`` at once, so lines may come in any order."""
+    changes = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -58,31 +59,25 @@ def parse_config_text(text: str, base: ExperimentConfig | None = None) -> Experi
         if "=" not in line:
             raise ValueError(f"config line {lineno}: expected key=value, got {raw!r}")
         key, value = (part.strip() for part in line.split("=", 1))
-        if key == "scenario":
-            config = replace(config, scenario=value)
+        if key in ("scenario", "output_path"):
+            changes[key] = value
+        elif key in ("population", "trials", "samples"):
+            changes[key] = int(value)
+        elif key == "p_max":
+            changes[key] = float(value)
         elif key == "seeds":
-            config = replace(config, seeds=tuple(int(v) for v in value.split(",")))
-        elif key == "population":
-            config = replace(config, population=int(value))
+            changes[key] = tuple(int(v) for v in value.split(","))
         elif key == "durations":
-            config = replace(config, durations=tuple(float(v) for v in value.split(",")))
+            changes[key] = tuple(float(v) for v in value.split(","))
         elif key == "rs":
             k, m, n = (int(v) for v in value.split(","))
-            config = replace(config, rs=RsCodeSpec(default_field(k), m, n))
+            changes[key] = RsCodeSpec(FieldSpec(k), m, n)
         elif key == "channel":
             p0, p1 = (float(v) for v in value.split(","))
-            config = replace(config, channel=ChannelParams(p0=p0, p1=p1))
-        elif key == "p_max":
-            config = replace(config, p_max=float(value))
-        elif key == "trials":
-            config = replace(config, trials=int(value))
-        elif key == "samples":
-            config = replace(config, samples=int(value))
-        elif key == "output_path":
-            config = replace(config, output_path=value)
+            changes[key] = ChannelParams(p0=p0, p1=p1)
         else:
             raise ValueError(f"config line {lineno}: unknown key {key!r}")
-    return config
+    return replace(base or ExperimentConfig(), **changes)
 
 
 def _selftest() -> int:
@@ -91,7 +86,7 @@ def _selftest() -> int:
     from .commitment import commit, new_salt, open_commitment
     from .gf import gf_mul
 
-    field = default_field(3)
+    field = FieldSpec(3)
     gf = field.tables()
     for a in range(8):
         for b in range(8):

@@ -72,9 +72,10 @@ class OpenOutcome:
         return self.status == "recovered"
 
 
-def hash256(bits: np.ndarray | bytes) -> bytes:
-    """SHA-256 of the byte-packed input (MSB-first, zero-padded last byte)."""
-    data = bits if isinstance(bits, (bytes, bytearray)) else bits_to_bytes(bits)
+def hash256(data: bytes) -> bytes:
+    """SHA-256 of a byte string; a bit array would reach hashlib as one byte per bit."""
+    if not isinstance(data, bytes):
+        raise TypeError(f"hash256 takes bytes, got {type(data).__name__}")
     return hashlib.sha256(data).digest()
 
 

@@ -2,15 +2,17 @@
 
 Each quantizer branch compares a sample against a threshold pair and emits
 two bits: ``10`` at or above the upper threshold, ``01`` at or below the
-lower one, ``00`` in between (``11`` never occurs). A bank of branches at
-nested threshold pairs is applied to the same window and the per-branch
-streams are concatenated branch-major.
+lower one, ``00`` in between (``11`` never occurs). One fixed bank of ten
+branches at the nested threshold pairs ``+/-THRESHOLDS`` samples the window
+every ``SAMPLE_INTERVAL_S`` seconds, and the per-branch streams are
+concatenated branch-major. Both devices must quantize with this same bank,
+and no message carries it, so it is a pair of module constants.
 
 Working units: series from different modalities are rescaled so one
 standard deviation equals ``NORMALIZED_STD`` before quantization, which
-makes the default centimeter-shaped threshold ladder meaningful for belt
-data and variance-normalized ICA outputs alike, and makes the whole
-pipeline insensitive to per-modality gain.
+makes the one threshold ladder meaningful for belt data and
+variance-normalized ICA outputs alike, and makes the whole pipeline
+insensitive to per-modality gain.
 
 ``normalize_series``, ``skew`` and ``extract`` act on the last (time) axis,
 so a stack of C candidate series on one time base is normalized, measured
@@ -20,7 +22,7 @@ leading axis.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import replace
 
 import numpy as np
 
@@ -28,8 +30,6 @@ from .bits import as_bits
 from .breathing import DisplacementSeries
 
 __all__ = [
-    "QuantizerBank",
-    "default_bank",
     "extract",
     "hamming_similarity",
     "normalize_series",
@@ -45,39 +45,11 @@ __all__ = [
 # views still quantize almost identically.
 NORMALIZED_STD = 0.20
 
-
-@dataclass(frozen=True)
-class QuantizerBank:
-    """Threshold pairs (upper, lower), sampling interval, branch count."""
-
-    levels: tuple[tuple[float, float], ...]
-    sample_interval: float = 0.1  # seconds between quantizer samples
-
-    def __post_init__(self):
-        object.__setattr__(self, "levels", tuple((float(a), float(b)) for a, b in self.levels))
-        if not self.levels:
-            raise ValueError("bank needs at least one threshold pair")
-        if self.sample_interval <= 0:
-            raise ValueError("sample interval must be positive")
-        uppers = [a for a, _ in self.levels]
-        lowers = [b for _, b in self.levels]
-        for a, b in self.levels:
-            if a <= b:
-                raise ValueError(f"upper threshold {a} must exceed lower {b}")
-        if sorted(set(uppers)) != uppers or sorted(set(lowers), reverse=True) != lowers:
-            raise ValueError("threshold pairs must be sorted and non-overlapping")
-
-    @property
-    def count(self) -> int:
-        return len(self.levels)
-
-
-def default_bank(
-    step: float = 0.05, count: int = 10, sample_interval: float = 0.1
-) -> QuantizerBank:
-    """Symmetric ladder at +/-(step, 2*step, ..., count*step)."""
-    levels = tuple((step * (i + 1), -step * (i + 1)) for i in range(count))
-    return QuantizerBank(levels=levels, sample_interval=sample_interval)
+# The quantizer bank: branch b compares against +/-THRESHOLDS[b], in working
+# units, at instants SAMPLE_INTERVAL_S apart. 10 s of it is 2020 bits, one
+# padded (255, 201) codeword.
+THRESHOLDS = 0.05 * np.arange(1, 11)
+SAMPLE_INTERVAL_S = 0.1
 
 
 def _bit_rows(values) -> np.ndarray:
@@ -101,25 +73,23 @@ def qtz(x: float, q_plus: float, q_minus: float) -> tuple[int, int]:
     return (0, 0)
 
 
-def extract(
-    series: DisplacementSeries, t_str: float, t_end: float, bank: QuantizerBank
-) -> np.ndarray:
+def extract(series: DisplacementSeries, t_str: float, t_end: float) -> np.ndarray:
     """Quantize a window at instants t_str + j*T, final floor instant included.
 
-    Returns uint8 bits of shape (..., branches * samples * 2), branch-major.
-    Every series of a stack is quantized by one comparison against the
-    bank's upper and lower threshold vectors; row c of the result is the
-    fingerprint of series c.
+    T is ``SAMPLE_INTERVAL_S``. Returns uint8 bits of shape
+    (..., branches * samples * 2), branch-major. Every series of a stack is
+    quantized by one comparison against the upper and lower threshold
+    vectors; row c of the result is the fingerprint of series c.
     """
     if t_end <= t_str:
         raise ValueError("window must have positive length")
-    T = bank.sample_interval
+    T = SAMPLE_INTERVAL_S
     n_samples = int(np.floor((t_end - t_str) / T)) + 1
     instants = t_str + np.arange(n_samples) * T
     values = series.value_at(instants)[..., None, :]  # (..., 1, samples)
 
-    uppers, lowers = np.array(bank.levels).T[:, :, None]  # (branches, 1) each
-    codes = np.stack([values >= uppers, values <= lowers], axis=-1)  # (..., branches, samples, 2)
+    uppers = THRESHOLDS[:, None]  # (branches, 1); the lower thresholds are -uppers
+    codes = np.stack([values >= uppers, values <= -uppers], axis=-1)  # (..., branches, samples, 2)
     return codes.reshape(*values.shape[:-2], -1).astype(np.uint8)
 
 

@@ -2,7 +2,7 @@
 
 Elements are integers in ``[0, 2^K)``, so every symbol fits in one byte.
 Addition is XOR; multiplication is carry-less polynomial multiplication
-reduced by the field's irreducible polynomial, realized through exp/log
+reduced by the width's primitive polynomial, realized through exp/log
 tables so the codec hot paths are plain numpy adds and gathers, often with
 one operand kept in log form. A product table also lets ``bytes.translate``
 multiply a byte string of symbols by one scalar.
@@ -15,9 +15,10 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-__all__ = ["DEFAULT_POLYS", "FieldSpec", "GaloisField", "default_field", "gf_mul"]
+__all__ = ["DEFAULT_POLYS", "FieldSpec", "GaloisField", "gf_mul"]
 
-# Conventional primitive polynomials (bitmask includes the x^K term).
+# Conventional primitive polynomials (bitmask includes the x^K term). The
+# wire carries K alone, so K fixes the polynomial.
 DEFAULT_POLYS = {
     2: 0x7,
     3: 0xB,
@@ -31,32 +32,24 @@ DEFAULT_POLYS = {
 
 @dataclass(frozen=True)
 class FieldSpec:
-    """Symbol width (2 to 8 bits) and reduction polynomial defining one GF(2^K)."""
+    """Symbol width K, 2 to 8 bits, of one GF(2^K); ``DEFAULT_POLYS[K]`` reduces it."""
 
     k_bits: int
-    reduction_poly: int
 
     def __post_init__(self):
         if not 2 <= self.k_bits <= 8:
             raise ValueError(f"symbol width must be in [2, 8], got {self.k_bits}")
-        if self.reduction_poly.bit_length() != self.k_bits + 1:
-            raise ValueError(
-                f"reduction polynomial 0x{self.reduction_poly:X} does not have "
-                f"degree {self.k_bits}"
-            )
+
+    @property
+    def reduction_poly(self) -> int:
+        return DEFAULT_POLYS[self.k_bits]
 
     @property
     def size(self) -> int:
         return 1 << self.k_bits
 
     def tables(self) -> "GaloisField":
-        return _build_tables(self.k_bits, self.reduction_poly)
-
-
-def default_field(k_bits: int) -> FieldSpec:
-    if k_bits not in DEFAULT_POLYS:
-        raise ValueError(f"symbol width must be in [2, 8], got {k_bits}")
-    return FieldSpec(k_bits, DEFAULT_POLYS[k_bits])
+        return _build_tables(self.k_bits)
 
 
 class GaloisField:
@@ -115,8 +108,8 @@ class GaloisField:
 
 
 @lru_cache(maxsize=None)
-def _build_tables(k_bits: int, reduction_poly: int) -> GaloisField:
-    return GaloisField(FieldSpec(k_bits, reduction_poly))
+def _build_tables(k_bits: int) -> GaloisField:
+    return GaloisField(FieldSpec(k_bits))
 
 
 def gf_mul(a: int, b: int, field: FieldSpec) -> int:

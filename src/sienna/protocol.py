@@ -34,7 +34,6 @@ from .breathing import (
 )
 from .channel import (
     ChannelParams,
-    DialogFrame,
     JammingLadder,
     QamSpec,
     dup_and_jam,
@@ -57,13 +56,7 @@ from .commitment import (
     deserialize_commitment,
     xor_fold,
 )
-from .fingerprint import (
-    default_bank,
-    extract,
-    normalize_series,
-    segment_pad,
-    skew,
-)
+from .fingerprint import extract, normalize_series, segment_pad, skew
 from .ica import jade_separate, lowpass_filter
 from .rs import RsCodeSpec, standard_code
 
@@ -84,7 +77,6 @@ __all__ = [
     "ProtocolError",
     "PUBLIC_PARAMETER",
     "SessionState",
-    "SimClock",
     "attack",
     "begin_commit",
     "bootstrap_key",
@@ -120,7 +112,6 @@ RETRY_BUDGET = 3  # reattempts of a ladder level after its first NAK
 # Each ladder level commits against its own slot of the announced window;
 # 10 s of 10 Hz quantization is 2020 bits, one padded codeword.
 COMMIT_SLOT_MS = 10_000
-BANK = default_bank()  # the quantizer bank both devices fingerprint with
 MAX_SOURCES = 2  # the radar separates at most this many subjects
 # Model-order selection: mixture eigenvalues below this fraction of the
 # leading one are treated as distortion/noise, not extra subjects.
@@ -135,17 +126,6 @@ def bootstrap_key() -> bytes:
 
 class ProtocolError(Exception):
     """A message arrived in a phase where it is not allowed."""
-
-
-@dataclass
-class SimClock:
-    """Simulated wall clock in milliseconds; no real-time dependencies."""
-
-    now_ms: int = 0
-
-    def advance(self, ms: int) -> int:
-        self.now_ms += ms
-        return self.now_ms
 
 
 # -- messages and wire format -------------------------------------------------
@@ -414,7 +394,7 @@ class _Device:
     def derive_fingerprints(self, window_ms: tuple[int, int]) -> list[np.ndarray]:
         """Folded fingerprint of every candidate over a window, in candidate order."""
         t_str, t_end = window_ms[0] / 1000.0, window_ms[1] / 1000.0
-        bits = extract(self.candidates, t_str, t_end, BANK)
+        bits = extract(self.candidates, t_str, t_end)
         segments = segment_pad(bits, self.config.rs_spec.codeword_bits)
         return list(np.bitwise_xor.reduce(segments, axis=-2))
 
@@ -523,7 +503,7 @@ class EavesdropTap:
     level_index: int
     retry: int
     window_ms: tuple[int, int]
-    frame: DialogFrame
+    frame: np.ndarray  # the on-air symbols, both copies of every pair
     truth_bits: np.ndarray
 
 
@@ -558,7 +538,6 @@ def run_pairing(
     rng: np.random.Generator,
     *,
     salt_seed: int,
-    clock: SimClock | None = None,
     eavesdropper_p2: float | None = None,
 ) -> PairingOutcome:
     """Execute one full key-evolution round over the simulated channel.
@@ -566,9 +545,9 @@ def run_pairing(
     ``salt_seed`` seeds the deterministic CSPRNG that draws a's sub-salts.
     ``eavesdropper_p2`` places an insider tap that receives the frames at
     that signal power over the channel's noise floor ``p0``; its frames are
-    returned in ``taps``.
+    returned in ``taps``. The transcript is stamped in simulated ms.
     """
-    clock = clock or SimClock()
+    now_ms = 0
     rs_spec = device_a.config.rs_spec
     state_a = SessionState(role="a")
     state_b = SessionState(role="b")
@@ -576,12 +555,10 @@ def run_pairing(
     taps: list[EavesdropTap] = []
 
     def log(direction: str, mtype: str, **extra):
-        transcript.append(
-            {"t_ms": clock.now_ms, "direction": direction, "type": mtype, **extra}
-        )
+        transcript.append({"t_ms": now_ms, "direction": direction, "type": mtype, **extra})
 
     init = initiate(state_a)
-    clock.advance(1)
+    now_ms += 1
     log("a->b", "init", t_str=init.t_str, t_end=init.t_end, key_hash=init.key_hash.hex())
     receive_init(state_b, decode_message(encode_message(init), rs_spec))
 
@@ -598,7 +575,7 @@ def run_pairing(
         for attempt in range(RETRY_BUDGET + 1):
             begin_commit(state_a, level_idx)
             begin_commit(state_b, level_idx)
-            clock.advance(10)
+            now_ms += 10
             # Every (re)attempt binds a fresh sub-salt to a fresh slot of
             # the announced window; b derives its candidates for the same
             # slot of the window it received, and re-randomizes its jam mask
@@ -649,7 +626,7 @@ def run_pairing(
                         candidate_used = cand_idx
                         break
             verdict = "ACK" if outcome_salt is not None else "NAK"
-            clock.advance(5)
+            now_ms += 5
             log("b->a", "acknak", level=level_idx, verdict=verdict)
             ack = decode_message(encode_message(AckNak(verdict, level_idx)), rs_spec)
             handle_ack(state_a, ack, ladder.count)

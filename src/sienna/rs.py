@@ -24,7 +24,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .gf import FieldSpec, default_field
+from .gf import FieldSpec
 
 __all__ = ["RsCodeSpec", "RsCodec"]
 
@@ -67,8 +67,9 @@ class RsCodeSpec:
         return _codec_for(self)
 
 
-def standard_code(k_bits: int = 8, m_symbols: int = 255, n_symbols: int = 201) -> RsCodeSpec:
-    return RsCodeSpec(default_field(k_bits), m_symbols, n_symbols)
+def standard_code() -> RsCodeSpec:
+    """The (255, 201) code over GF(2^8) that pairing commits with; t = 27."""
+    return RsCodeSpec(FieldSpec(8), 255, 201)
 
 
 class RsCodec:

@@ -24,7 +24,7 @@ from sienna.channel import (
     receiver_stitch,
 )
 from sienna.commitment import commit, new_salt, open_commitment
-from sienna.gf import default_field
+from sienna.gf import FieldSpec
 from sienna.protocol import (
     AttackKnowledge,
     BeltDevice,
@@ -40,8 +40,8 @@ from sienna.breathing import belt_observe, synth_displacement
 from sienna.channel import ChannelParams, JammingLadder, ladder_levels
 from sienna.rs import RsCodeSpec, standard_code
 
-SMALL = RsCodeSpec(default_field(3), 7, 3)
-PRODUCTION = standard_code(8, 255, 201)
+SMALL = RsCodeSpec(FieldSpec(3), 7, 3)
+PRODUCTION = standard_code()
 
 
 def _verdict(num: int, ok: bool, detail: str):

@@ -8,7 +8,7 @@ import pytest
 from sienna.bench import ExperimentConfig, SCENARIOS, run_experiment
 from sienna.channel import ChannelParams
 from sienna.cli import cli_entry, default_config_text, parse_config_text
-from sienna.gf import default_field
+from sienna.gf import FieldSpec
 from sienna.rs import RsCodeSpec
 
 
@@ -24,8 +24,11 @@ def test_config_validation():
     for name in ("population", "trials", "samples"):
         with pytest.raises(ValueError, match=name):
             ExperimentConfig(**{name: 0})
+    for p_max in (1.0, 0.5, math.nan, math.inf):
+        with pytest.raises(ValueError, match="p_max"):
+            ExperimentConfig(p_max=p_max)
     with pytest.raises(ValueError, match="GF\\(2\\^8\\)"):
-        ExperimentConfig(scenario="rs-timing", rs=RsCodeSpec(default_field(4), 15, 7))
+        ExperimentConfig(scenario="rs-timing", rs=RsCodeSpec(FieldSpec(4), 15, 7))
 
 
 def test_config_round_trip_through_text():
@@ -34,7 +37,7 @@ def test_config_round_trip_through_text():
         seeds=(3, 4),
         population=5,
         durations=(6.0, 24.0),
-        rs=RsCodeSpec(default_field(8), 255, 223),
+        rs=RsCodeSpec(FieldSpec(8), 255, 223),
         channel=ChannelParams(p0=2.0, p1=20.0),
         p_max=500.0,
         trials=7,
@@ -189,6 +192,27 @@ def test_cli_rs_timing_with_field_narrower_than_a_byte_exits_2(tmp_path, capsys,
     assert cli_entry(["run", "rs-timing", "--config", str(bad), "--out", str(out)]) == 2
     assert "bad config" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "line", ["p_max=0.5", "channel=0.0,1.0", "channel=1.0,0.0", "channel=1.0,nan"]
+)
+def test_cli_config_with_powers_no_scenario_can_run_exits_2(tmp_path, capsys, line):
+    """Zero and NaN powers are divisors, and the ladder needs p_max above p0."""
+    bad = tmp_path / "bad.cfg"
+    bad.write_text(line + "\n")
+    out = tmp_path / "out"
+    assert cli_entry(["run", "adversarial-ber", "--config", str(bad), "--out", str(out)]) == 2
+    assert "bad config" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_config_lines_apply_in_any_order():
+    """p_max is checked against p0 once every line is read, not line by line."""
+    text = "channel=2000.0,20000.0\np_max=5000.0\n"
+    for order in (text, "".join(reversed(text.splitlines(keepends=True)))):
+        config = parse_config_text(order)
+        assert (config.channel.p0, config.p_max) == (2000.0, 5000.0)
 
 
 @pytest.mark.parametrize("flag", ["--trials", "--samples"])

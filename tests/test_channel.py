@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from sienna.bits import random_bits
+from sienna.bits import bits_from_bytes, random_bits
 from sienna.channel import (
     ChannelParams,
     JammingLadder,
@@ -110,8 +110,9 @@ def test_ladder_levels_examples():
     assert ladder.count == 3
     assert ladder.levels[0] == 100.0
     assert ladder.levels[2] == pytest.approx(100.0 / 81.0)
-    with pytest.raises(ValueError):
-        ladder_levels(1.0, 1.0)
+    for p_max, p0 in ((1.0, 1.0), (math.inf, 1.0), (math.nan, 1.0), (1e10, 1e-310)):
+        with pytest.raises(ValueError):
+            ladder_levels(p_max, p0)
 
 
 def test_ladder_guarantee_band_coverage():
@@ -125,23 +126,25 @@ def test_ladder_guarantee_band_coverage():
 
 
 def test_channel_params_flags():
-    with pytest.raises(ValueError):
-        ChannelParams(p0=-1.0)
+    """Both powers are divisors, so each must be finite and positive."""
+    for powers in ({"p0": -1.0}, {"p0": 0.0}, {"p1": 0.0}, {"p0": math.nan}, {"p1": math.inf}):
+        with pytest.raises(ValueError):
+            ChannelParams(**powers)
 
 
 def test_dup_and_jam_duplicates_back_to_back():
     rng = np.random.default_rng(3)
     sym = qam_modulate(random_bits(4, rng), QamSpec(4))
     frame = dup_and_jam(sym, np.array([0, 1], dtype=np.uint8), 0.0, rng)
-    assert np.array_equal(frame.symbols[0::2], sym)
-    assert np.array_equal(frame.symbols[1::2], sym)
+    assert np.array_equal(frame[0::2], sym)
+    assert np.array_equal(frame[1::2], sym)
 
 
 def test_zero_jam_power_copies_identical_up_to_noise():
     rng = np.random.default_rng(4)
     sym = qam_modulate(random_bits(400, rng), QamSpec(4))
     frame = dup_and_jam(sym, random_bits(200, rng), 0.0, rng, noise_power=0.0)
-    pairs = frame.symbols.reshape(-1, 2)
+    pairs = frame.reshape(-1, 2)
     assert np.allclose(pairs[:, 0], pairs[:, 1])
 
 
@@ -159,6 +162,28 @@ def test_receiver_stitch_mask_mismatch():
     frame = dup_and_jam(sym, random_bits(20, rng), 0.0, rng)
     with pytest.raises(ValueError):
         receiver_stitch(frame, random_bits(19, rng))
+
+
+def test_odd_frames_rejected():
+    """A frame that splits into no whole number of pairs has no copies to pick."""
+    rng = np.random.default_rng(13)
+    sym = qam_modulate(random_bits(40, rng), QamSpec(4))
+    frame = dup_and_jam(sym, random_bits(20, rng), 0.0, rng)
+    with pytest.raises(ValueError, match="even number"):
+        receiver_stitch(frame[:-1], random_bits(19, rng))
+    with pytest.raises(ValueError, match="even number"):
+        eavesdrop(frame[:-1], "average-both", rng)
+
+
+def test_negative_n_bits_rejected():
+    rng = np.random.default_rng(14)
+    sym = qam_modulate(random_bits(8, rng), QamSpec(4))
+    with pytest.raises(ValueError):
+        qam_demodulate(sym, QamSpec(4), n_bits=-2)
+    with pytest.raises(ValueError):
+        bits_from_bytes(b"\xff", -3)
+    assert qam_demodulate(sym, QamSpec(4), n_bits=0).size == 0
+    assert bits_from_bytes(b"\xff", 0).size == 0
 
 
 def test_stitched_ber_invariant_to_jam_power():

@@ -6,7 +6,7 @@ from itertools import combinations, product
 import numpy as np
 import pytest
 
-from sienna.bits import Sha256Drbg, bits_from_bytes, random_bits
+from sienna.bits import Sha256Drbg, bits_from_bytes, bits_to_bytes, random_bits
 from sienna.commitment import (
     Commitment,
     commit,
@@ -18,10 +18,10 @@ from sienna.commitment import (
     serialize_commitment,
     xor_fold,
 )
-from sienna.gf import default_field
+from sienna.gf import FieldSpec
 from sienna.rs import RsCodeSpec, standard_code
 
-SMALL = RsCodeSpec(default_field(3), 7, 3)  # t = 2, 21-bit codewords, 9-bit salts
+SMALL = RsCodeSpec(FieldSpec(3), 7, 3)  # t = 2, 21-bit codewords, 9-bit salts
 
 
 def flip_symbols(bits, spec, positions, values):
@@ -83,7 +83,7 @@ def test_exhaustive_binding_small_field_three_symbol_errors():
 
 def test_random_wrong_fingerprints_rejected():
     """Monte Carlo binding surrogate at the production code size."""
-    spec = standard_code(8, 255, 201)
+    spec = standard_code()
     drbg = Sha256Drbg(2718)
     salt = new_salt(spec, drbg)
     rng = np.random.default_rng(8)
@@ -128,21 +128,27 @@ def test_hash256_published_empty_vector():
         "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"
     )
     assert hash256(b"") == expected
-    assert hash256(np.zeros(0, dtype=np.uint8)) == expected
     assert hashlib.sha256(b"").digest() == expected
+
+
+def test_hash256_takes_bytes_only():
+    """numpy would hand hashlib one byte per bit, so a bit array is refused."""
+    with pytest.raises(TypeError):
+        hash256(np.zeros(8, dtype=np.uint8))
 
 
 def test_hash256_deterministic_and_avalanche():
     rng = np.random.default_rng(11)
     bits = random_bits(512, rng)
-    assert hash256(bits) == hash256(bits.copy())
+    assert hash256(bits_to_bytes(bits)) == hash256(bits_to_bytes(bits.copy()))
     flips = []
     for _ in range(1000):
         bits = random_bits(512, rng)
         other = bits.copy()
         other[rng.integers(0, 512)] ^= 1
         d = np.bitwise_xor(
-            bits_from_bytes(hash256(bits)), bits_from_bytes(hash256(other))
+            bits_from_bytes(hash256(bits_to_bytes(bits))),
+            bits_from_bytes(hash256(bits_to_bytes(other))),
         ).sum()
         assert d >= 1
         flips.append(d)
@@ -171,16 +177,16 @@ def test_non_bit_values_rejected():
 
 
 def test_open_rejects_a_spec_other_than_the_commitments():
-    spec = standard_code(8, 255, 201)
+    spec = standard_code()
     fingerprint = random_bits(spec.codeword_bits, np.random.default_rng(15))
     c = commit(new_salt(spec, 5), fingerprint, spec)
     assert open_commitment(c, fingerprint, spec).recovered
     with pytest.raises(ValueError):
-        open_commitment(c, fingerprint, standard_code(8, 255, 223))
+        open_commitment(c, fingerprint, RsCodeSpec(FieldSpec(8), 255, 223))
 
 
 def test_serialization_round_trip():
-    spec = standard_code(8, 255, 201)
+    spec = standard_code()
     rng = np.random.default_rng(13)
     c = commit(new_salt(spec, 77), random_bits(spec.codeword_bits, rng), spec)
     blob = serialize_commitment(c)
@@ -232,7 +238,7 @@ def test_concealment_masked_codeword_looks_random():
     """Fixed salt, random fingerprints: the mask passes monobit and runs."""
     from sienna.randomness import randomness_tests
 
-    spec = standard_code(8, 255, 201)
+    spec = standard_code()
     salt = new_salt(spec, 31337)
     rng = np.random.default_rng(14)
     passes_mono = passes_runs = 0

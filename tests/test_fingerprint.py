@@ -13,8 +13,8 @@ from sienna.breathing import (
 )
 from sienna.fingerprint import (
     NORMALIZED_STD,
-    QuantizerBank,
-    default_bank,
+    SAMPLE_INTERVAL_S,
+    THRESHOLDS,
     extract,
     hamming_similarity,
     normalize_series,
@@ -38,21 +38,22 @@ def test_qtz_piecewise_definition():
 def test_code_11_never_emitted():
     rng = np.random.default_rng(0)
     series = DisplacementSeries(rng.normal(0, 0.3, size=601), 10.0)
-    fp = extract(series, 0.0, 60.0, default_bank())
+    fp = extract(series, 0.0, 60.0)
     pairs = fp.reshape(-1, 2)
     assert not np.any((pairs[:, 0] == 1) & (pairs[:, 1] == 1))
 
 
 def test_extract_single_branch_example():
+    """Samples beyond every threshold pair read the same in each branch."""
     series = DisplacementSeries(np.array([0.7, 0.0, -0.6]), 10.0)
-    bank = QuantizerBank(levels=((0.5, -0.5),), sample_interval=0.1)
-    fp = extract(series, 0.0, 0.2, bank)
-    assert list(fp) == [1, 0, 0, 0, 0, 1]
+    fp = extract(series, 0.0, 0.2)
+    for branch in fp.reshape(THRESHOLDS.size, -1):
+        assert list(branch) == [1, 0, 0, 0, 0, 1]
 
 
 def test_extract_zero_signal_all_zero():
     series = DisplacementSeries(np.zeros(601), 10.0)
-    fp = extract(series, 0.0, 60.0, default_bank())
+    fp = extract(series, 0.0, 60.0)
     assert not fp.any()
     assert fp.size == 10 * 2 * 601
 
@@ -60,49 +61,44 @@ def test_extract_zero_signal_all_zero():
 def test_extract_bit_count_default_bank():
     profile = SubjectProfile(resp_amp=0.5, seed=1)
     series = synth_displacement(profile, 0, 61, 10)
-    fp = extract(series, 0.0, 60.0, default_bank())
+    fp = extract(series, 0.0, 60.0)
     assert fp.size == 10 * 2 * 601
 
 
 def test_extract_window_outside_series():
     series = DisplacementSeries(np.zeros(100), 10.0)
     with pytest.raises(ValueError):
-        extract(series, 5.0, 20.0, default_bank())
+        extract(series, 5.0, 20.0)
 
 
 def test_extract_branch_major_order():
-    series = DisplacementSeries(np.array([0.3, -0.3]), 10.0)
-    bank = QuantizerBank(levels=((0.2, -0.2), (0.4, -0.4)), sample_interval=0.1)
-    fp = extract(series, 0.0, 0.1, bank)
-    # branch 0: 10 01 ; branch 1: 00 00
-    assert list(fp) == [1, 0, 0, 1, 0, 0, 0, 0]
+    series = DisplacementSeries(np.array([0.32, -0.32]), 10.0)
+    fp = extract(series, 0.0, 0.1)
+    # branches at 0.05..0.30: 10 01 ; branches at 0.35..0.50: 00 00
+    assert list(fp) == [1, 0, 0, 1] * 6 + [0, 0, 0, 0] * 4
 
 
 def test_scale_covariance():
+    """A sensor's gain cancels in normalization: the fingerprint does not move.
+
+    Power-of-two gains scale every intermediate float exactly, so the bits
+    must match exactly.
+    """
     rng = np.random.default_rng(2)
-    series = DisplacementSeries(rng.normal(0, 0.2, size=201), 10.0)
-    bank = default_bank()
-    scaled_bank = QuantizerBank(
-        levels=tuple((3 * a, 3 * b) for a, b in bank.levels), sample_interval=0.1
-    )
-    scaled_series = DisplacementSeries(series.samples * 3, 10.0)
-    fp1 = extract(series, 0, 20, bank)
-    fp2 = extract(scaled_series, 0, 20, scaled_bank)
-    assert np.array_equal(fp1, fp2)
+    series = DisplacementSeries(rng.normal(0.3, 0.2, size=201), 10.0)
+    fp = extract(normalize_series(series), 0, 20)
+    for gain in (4.0, 0.125):
+        scaled = normalize_series(DisplacementSeries(series.samples * gain, 10.0))
+        assert np.array_equal(extract(scaled, 0, 20), fp)
 
 
-def test_bank_validation():
-    with pytest.raises(ValueError):
-        QuantizerBank(levels=())
-    with pytest.raises(ValueError):
-        QuantizerBank(levels=((0.1, 0.2),))
-    with pytest.raises(ValueError):
-        QuantizerBank(levels=((0.2, -0.2), (0.1, -0.4)))
-    with pytest.raises(ValueError):
-        QuantizerBank(levels=((0.1, -0.1),), sample_interval=0)
-    assert default_bank().count == 10
-    assert default_bank().levels[0] == (0.05, -0.05)
-    assert default_bank().levels[-1] == (0.5, -0.5)
+def test_threshold_ladder_constants():
+    assert THRESHOLDS.shape == (10,)
+    assert THRESHOLDS[0] == 0.05 and THRESHOLDS[-1] == 0.5
+    assert np.all(np.diff(THRESHOLDS) > 0)
+    # Exactly 0.05 * b for b = 1..10: pinned keys depend on these floats bit for bit.
+    assert THRESHOLDS.tolist() == [0.05 * (i + 1) for i in range(10)]
+    assert SAMPLE_INTERVAL_S == 0.1
 
 
 def test_segment_pad_examples():
@@ -160,9 +156,8 @@ def test_cross_modality_same_subject_similarity():
     belt = normalize_series(belt_observe(truth, gain=1.7, noise_std=0.0))
     radar_truth = synth_displacement(profile, 0, 61, 10)
     radar = normalize_series(arctan_demodulate(radar_observe(radar_truth)))
-    bank = default_bank()
-    fp_belt = extract(belt, 0, 60, bank)
-    fp_radar = extract(radar, 0, 60, bank)
+    fp_belt = extract(belt, 0, 60)
+    fp_radar = extract(radar, 0, 60)
     assert hamming_similarity(fp_belt, fp_radar) >= 0.95
 
 
@@ -213,9 +208,8 @@ def test_stacked_normalize_equals_each_row_normalized():
 @pytest.mark.parametrize("window", [(0.0, 29.0), (0.35, 7.3), (12.0, 12.05)])
 def test_stacked_extract_equals_stack_of_single_extracts(window):
     stacked = normalize_series(_stacked_breathing())
-    bank = default_bank()
-    fp = extract(stacked, *window, bank)
-    singles = [extract(DisplacementSeries(row, 50.0), *window, bank) for row in stacked.samples]
+    fp = extract(stacked, *window)
+    singles = [extract(DisplacementSeries(row, 50.0), *window) for row in stacked.samples]
     assert fp.shape == (5, singles[0].size)
     assert np.array_equal(fp, np.stack(singles))
 
@@ -224,11 +218,10 @@ def test_extract_matches_per_branch_qtz():
     """Branch-major layout: branch b, sample i holds qtz(x_i, q+_b, q-_b)."""
     rng = np.random.default_rng(8)
     series = DisplacementSeries(rng.normal(0, 0.3, size=61), 10.0)
-    bank = default_bank()
-    fp = extract(series, 0.0, 6.0, bank)
-    for b, (q_plus, q_minus) in enumerate(bank.levels):
-        expected = [qtz(x, q_plus, q_minus) for x in series.samples]
-        assert np.array_equal(fp.reshape(bank.count, -1, 2)[b], np.array(expected))
+    fp = extract(series, 0.0, 6.0)
+    for b, q in enumerate(THRESHOLDS):
+        expected = [qtz(x, q, -q) for x in series.samples]
+        assert np.array_equal(fp.reshape(THRESHOLDS.size, -1, 2)[b], np.array(expected))
 
 
 def test_stacked_segment_pad_equals_each_row_segmented():

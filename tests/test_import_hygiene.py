@@ -1,7 +1,8 @@
 """What the package imports and exports.
 
 The runtime needs numpy alone: importing the package loads no scipy. Every
-name a module exports has a reader outside the tests.
+name a module exports has a reader outside the tests, and every name it
+imports is read.
 """
 
 import ast
@@ -57,3 +58,21 @@ def test_every_exported_name_has_a_reader_outside_the_tests(module):
         and not re.search(rf"\b{re.escape(name)}\b", others)
     ]
     assert unread == []
+
+
+def _unused_imports(text: str) -> list[str]:
+    """Names a module imports and never reads, by its syntax tree alone."""
+    tree = ast.parse(text)
+    imported = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported += [a.asname or a.name.split(".")[0] for a in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported += [a.asname or a.name for a in node.names]
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return [name for name in imported if name not in read]
+
+
+@pytest.mark.parametrize("module", [name for name in MODULES if name != "__init__.py"])
+def test_every_imported_name_is_used(module):
+    assert _unused_imports(MODULES[module]) == []

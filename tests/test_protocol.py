@@ -11,10 +11,11 @@ from sienna.bits import bits_from_bytes, random_bits
 from sienna.breathing import belt_observe, radar_observe, sample_profile, synth_displacement
 from sienna.channel import ChannelParams, JammingLadder, ladder_levels
 from sienna.commitment import commit, hash256, new_salt, open_commitment, xor_fold
-from sienna.fingerprint import hamming_similarity
+from sienna.fingerprint import SAMPLE_INTERVAL_S, THRESHOLDS, extract, hamming_similarity
 from sienna import protocol
 from sienna.protocol import (
     COMMIT_MASK_OFFSET_BITS,
+    COMMIT_SLOT_MS,
     AckNak,
     AttackKnowledge,
     BeltDevice,
@@ -42,6 +43,8 @@ from sienna.protocol import (
     transcript_to_jsonl,
     two_subject_scene,
 )
+from sienna.rs import standard_code
+
 CONFIG = PipelineConfig()
 CHANNEL = ChannelParams()
 LADDER = ladder_levels(p_max=1000.0, p0=1.0)
@@ -295,6 +298,19 @@ def test_two_subject_scene_yields_two_fingerprints_one_match():
     assert sims[0] <= 0.85  # the bystander's source
 
 
+def test_one_commit_slot_pads_into_one_codeword_and_never_folds():
+    """The bank and the slot length are sized together: 10 s is 2020 bits."""
+    n_samples = round(COMMIT_SLOT_MS / 1000 / SAMPLE_INTERVAL_S) + 1
+    assert THRESHOLDS.size * 2 * n_samples == 2020 <= standard_code().codeword_bits
+    belt_obs, _ = observe_scene(single_subject_scene(4))
+    device = BeltDevice(belt_obs, CONFIG)
+    window = slot_window((0, 60_000), LADDER.count, 1, 0)
+    raw = extract(device.candidates, window[0] / 1000, window[1] / 1000)[0]
+    fp = device.derive_fingerprints(window)[0]
+    assert raw.size == 2020
+    assert np.array_equal(fp[:2020], raw) and not fp[2020:].any()
+
+
 def test_derive_fingerprint_empty_window():
     scene = single_subject_scene(2)
     belt_obs, _ = observe_scene(scene)
@@ -379,8 +395,13 @@ def test_pairing_transcript_jsonl():
     assert records[0]["type"] == "init" and records[0]["direction"] == "a->b"
     assert {r["bits"] for r in records if r["type"] == "commit"} == {2528}  # one SNNA frame
     assert any(r["type"] == "acknak" for r in records)
-    times = [r["t_ms"] for r in records]
-    assert times == sorted(times)
+    # Simulated ms: init at 1, each commit 10 after the event before it, each
+    # ACK/NAK 5 after its commit, and the key derivation with the last ACK.
+    step = {"commit": 10, "acknak": 5, "kdf": 0}
+    expected = [1]
+    for r in records[1:]:
+        expected.append(expected[-1] + step[r["type"]])
+    assert [r["t_ms"] for r in records] == expected
 
 
 def test_pairing_deterministic_given_seeds():

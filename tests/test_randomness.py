@@ -1,11 +1,13 @@
 """Randomness metrics against closed-form and reference behaviors."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
 from sienna.bits import Sha256Drbg, random_bits
 from sienna.commitment import commit, new_salt
-from sienna.gf import default_field
+from sienna.gf import FieldSpec
 from sienna.randomness import (
     approximate_entropy,
     gf2_rank,
@@ -16,7 +18,7 @@ from sienna.randomness import (
 )
 from sienna.rs import RsCodeSpec
 
-SMALL = RsCodeSpec(default_field(3), 7, 3)  # 21-bit codewords, 9-bit salts
+SMALL = RsCodeSpec(FieldSpec(3), 7, 3)  # 21-bit codewords, 9-bit salts
 
 
 def test_all_zeros_fails_monobit():
@@ -67,6 +69,15 @@ def test_csprng_output_passes_all_three():
     assert report.runs_p >= 0.01
     assert report.approx_entropy_p >= 0.01
     assert report.approx_entropy_per_bit > 0.999
+
+
+def test_drbg_seed_is_an_int_below_2_128():
+    for seed in (-1, 1 << 128):
+        with pytest.raises(ValueError):
+            Sha256Drbg(seed)
+    # Block 0 hashes the seed's 16 big-endian bytes and an 8-byte counter.
+    top = Sha256Drbg((1 << 128) - 1).read(32)
+    assert top == hashlib.sha256(b"\xff" * 16 + bytes(8)).digest()
 
 
 def test_biased_source_low_entropy():

@@ -7,10 +7,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from sienna.gf import default_field
+from sienna.gf import FieldSpec
 from sienna.rs import RsCodeSpec, standard_code
 
-SMALL = RsCodeSpec(default_field(3), 7, 3)
+SMALL = RsCodeSpec(FieldSpec(3), 7, 3)
 
 
 def naive_systematic_encode(message, spec):
@@ -62,9 +62,9 @@ def corrupt(codeword, positions, values):
 
 
 def test_correctable_symbols_examples():
-    assert standard_code(8, 255, 201).t == 27
+    assert standard_code().t == 27
     assert SMALL.t == 2
-    assert standard_code(8, 255, 253).t == 1
+    assert RsCodeSpec(FieldSpec(8), 255, 253).t == 1
 
 
 def test_zero_message_encodes_to_zero():
@@ -82,7 +82,7 @@ def test_encode_matches_naive_oracle_small_field():
 
 
 def test_encode_matches_naive_oracle_gf256():
-    spec = standard_code(8, 255, 245)
+    spec = RsCodeSpec(FieldSpec(8), 255, 245)
     rng = np.random.default_rng(11)
     for _ in range(5):
         msg = rng.integers(0, 256, size=245)
@@ -91,7 +91,7 @@ def test_encode_matches_naive_oracle_gf256():
 
 def test_encoder_linearity():
     rng = np.random.default_rng(3)
-    spec = standard_code(8, 255, 201)
+    spec = standard_code()
     for _ in range(10):
         m1 = rng.integers(0, 256, size=201)
         m2 = rng.integers(0, 256, size=201)
@@ -101,7 +101,7 @@ def test_encoder_linearity():
 
 def test_clean_codeword_decodes():
     rng = np.random.default_rng(5)
-    spec = standard_code(8, 255, 201)
+    spec = standard_code()
     msg = rng.integers(0, 256, size=201)
     assert np.array_equal(spec.codec().decode(spec.codec().encode(msg)), msg)
 
@@ -151,7 +151,7 @@ def test_round_trip_random_errors_small_field():
 
 
 def test_round_trip_gf256_at_full_correction_capacity():
-    spec = standard_code(8, 255, 201)
+    spec = standard_code()
     rng = np.random.default_rng(23)
     for _ in range(50):
         msg = rng.integers(0, 256, size=201)
@@ -163,7 +163,7 @@ def test_round_trip_gf256_at_full_correction_capacity():
 
 
 def test_decode_failure_is_value_not_exception():
-    spec = standard_code(8, 255, 201)
+    spec = standard_code()
     cw = spec.codec().encode(np.zeros(201, dtype=int))
     rng = np.random.default_rng(31)
     pos = rng.choice(255, size=120, replace=False)
@@ -180,22 +180,22 @@ def test_length_and_range_validation():
     with pytest.raises(ValueError):
         SMALL.codec().encode([8, 0, 0])
     with pytest.raises(ValueError):
-        RsCodeSpec(default_field(3), 8, 3)  # M > 2^K - 1
+        RsCodeSpec(FieldSpec(3), 8, 3)  # M > 2^K - 1
     with pytest.raises(ValueError):
-        RsCodeSpec(default_field(3), 4, 3)  # t = 0
+        RsCodeSpec(FieldSpec(3), 4, 3)  # t = 0
 
 
 def test_codeword_bit_length():
-    assert standard_code(8, 255, 201).codeword_bits == 2040
+    assert standard_code().codeword_bits == 2040
     assert SMALL.codeword_bits == 21
-    assert standard_code(8, 255, 201).message_bits == 1608
+    assert standard_code().message_bits == 1608
 
 
 # Odd parity, a shortened code, and a field narrower than a byte.
 SOUNDNESS_CODES = {
-    "255-222": standard_code(8, 255, 222),
-    "K8-100-60": RsCodeSpec(default_field(8), 100, 60),
-    "K4-15-7": RsCodeSpec(default_field(4), 15, 7),
+    "255-222": RsCodeSpec(FieldSpec(8), 255, 222),
+    "K8-100-60": RsCodeSpec(FieldSpec(8), 100, 60),
+    "K4-15-7": RsCodeSpec(FieldSpec(4), 15, 7),
 }
 
 
@@ -255,7 +255,7 @@ def test_decode_equals_brute_force_bounded_distance_small_field():
 REGISTER_EDGE_CODES = {
     "K3-7-3": SMALL,
     "K4-15-7": SOUNDNESS_CODES["K4-15-7"],
-    "255-201": standard_code(8, 255, 201),
+    "255-201": standard_code(),
     "255-222": SOUNDNESS_CODES["255-222"],
 }
 
@@ -297,12 +297,12 @@ def test_register_edge_cases(name, data):
 # The six codes of the decoder equivalence checks: two parities of the
 # standard length, a shortened code and three fields narrower than a byte.
 CORPUS_CODES = {
-    "255-201": standard_code(8, 255, 201),
+    "255-201": standard_code(),
     "255-222": SOUNDNESS_CODES["255-222"],
     "K8-100-60": SOUNDNESS_CODES["K8-100-60"],
     "K4-15-7": SOUNDNESS_CODES["K4-15-7"],
     "K3-7-3": SMALL,
-    "K2-3-1": RsCodeSpec(default_field(2), 3, 1),
+    "K2-3-1": RsCodeSpec(FieldSpec(2), 3, 1),
 }
 CORPUS_DIGEST = "4e1f03b4515666eecda1e7aea6cd5bdc76c83eaa4717a5aa3dbdea7ca9c3f037"
 

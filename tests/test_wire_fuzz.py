@@ -16,7 +16,7 @@ from sienna.bench import SCENARIOS, ExperimentConfig  # noqa: E402
 from sienna.channel import ChannelParams  # noqa: E402
 from sienna.cli import default_config_text, parse_config_text  # noqa: E402
 from sienna.commitment import Commitment, deserialize_commitment, serialize_commitment  # noqa: E402
-from sienna.gf import default_field  # noqa: E402
+from sienna.gf import FieldSpec  # noqa: E402
 from sienna.protocol import (  # noqa: E402
     AckNak,
     CommitMessage,
@@ -26,7 +26,7 @@ from sienna.protocol import (  # noqa: E402
 )
 from sienna.rs import RsCodeSpec  # noqa: E402
 
-SMALL = RsCodeSpec(default_field(3), 7, 3)  # 21-bit masked codewords
+SMALL = RsCodeSpec(FieldSpec(3), 7, 3)  # 21-bit masked codewords
 FUZZ = settings(max_examples=150, deadline=None, database=None)
 
 u32 = st.integers(0, 2**32 - 1)
@@ -111,12 +111,15 @@ def test_snna_single_byte_corruption_raises_only_value_error(msg, data):
     decodes_or_value_error(lambda b: decode_message(b, SMALL), blob)
 
 
-powers = st.floats(min_value=0.0, max_value=1e9, allow_nan=False)
+# Powers are finite and positive, and p_max lies above p0 by a ratio the
+# jamming ladder can span.
+noise_floors = st.floats(min_value=1e-6, max_value=1e9)
+powers = st.floats(min_value=0.0, max_value=1e9, exclude_min=True)
 counts = st.none() | st.integers(1, 10**6)
-BYTE_CODES = [RsCodeSpec(default_field(8), 255, n) for n in (201, 223)]
+BYTE_CODES = [RsCodeSpec(FieldSpec(8), 255, n) for n in (201, 223)]
 
 
-def scenario_configs(scenario):
+def scenario_configs(scenario, channel):
     # rs-timing decodes (255, 255 - p) codes, so it only takes a GF(2^8) code.
     codes = BYTE_CODES if scenario == "rs-timing" else BYTE_CODES + [SMALL]
     return st.builds(
@@ -126,15 +129,17 @@ def scenario_configs(scenario):
         population=st.integers(1, 1000),
         durations=st.lists(st.floats(6.0, 60.0), min_size=1, max_size=5).map(tuple),
         rs=st.sampled_from(codes),
-        channel=st.builds(ChannelParams, p0=powers, p1=powers),
-        p_max=st.floats(min_value=1e-3, max_value=1e9),
+        channel=st.just(channel),
+        p_max=st.floats(min_value=channel.p0, max_value=1e12, exclude_min=True),
         trials=counts,
         samples=counts,
         output_path=st.from_regex(r"[A-Za-z0-9_./-]{1,20}", fullmatch=True),
     )
 
 
-configs = st.sampled_from(SCENARIOS).flatmap(scenario_configs)
+configs = st.tuples(
+    st.sampled_from(SCENARIOS), st.builds(ChannelParams, p0=noise_floors, p1=powers)
+).flatmap(lambda pair: scenario_configs(*pair))
 
 
 @FUZZ
