@@ -13,7 +13,6 @@ import numpy as np
 from sienna.breathing import belt_observe, synth_displacement
 from sienna.channel import ChannelParams, JammingLadder, ladder_levels
 from sienna.protocol import (
-    AttackKnowledge,
     BeltDevice,
     BeltObservation,
     PipelineConfig,
@@ -41,7 +40,7 @@ device_b = PrmsDevice(prms_obs, config)
 # the insider is the target patient: perfect knowledge of their own breathing
 true_series = synth_displacement(scene.subjects[0], 0, scene.duration_s, 100.0)
 insider = BeltDevice(BeltObservation(belt_observe(true_series, noise_std=0.0)), config)
-knowledge = AttackKnowledge("perfect", fingerprint=lambda w: insider.derive_fingerprints(w)[0])
+fingerprint = lambda w: insider.derive_fingerprints(w)[0]
 
 outcome = run_pairing(
     device_a, device_b, channel, ladder, np.random.default_rng(1),
@@ -58,7 +57,7 @@ print("transcript head:")
 for line in transcript_to_jsonl(outcome.transcript).splitlines()[:3]:
     print("  " + line)
 
-result = attack(outcome.taps, outcome.sub_salts, knowledge, config.rs_spec,
+result = attack(outcome.taps, outcome.sub_salts, fingerprint, config.rs_spec,
                 rng=np.random.default_rng(2))
 print(f"\ninsider with the ladder active: salt recovered = {result.salt_recovered}")
 for lvl in result.per_level:
@@ -68,7 +67,7 @@ quiet = run_pairing(
     device_a, device_b, channel, JammingLadder((0.0,)), np.random.default_rng(3),
     salt_seed=100, eavesdropper_p2=channel.p1,
 )
-undefended = attack(quiet.taps, quiet.sub_salts, knowledge, config.rs_spec,
+undefended = attack(quiet.taps, quiet.sub_salts, fingerprint, config.rs_spec,
                     rng=np.random.default_rng(4))
 print(f"\nsame insider with jamming disabled: salt recovered = {undefended.salt_recovered}")
 print("the jamming, not the fuzziness, is what shuts the insider out")

@@ -477,6 +477,7 @@ def _run_pairing_success(config: ExperimentConfig):
     ladder = ladder_levels(config.p_max, config.channel.p0)
     rows = []
     successes = 0
+    completions = 0
     key_matches = 0
     for i in range(trials):
         seed = config.trial_seed(i, salt=5)
@@ -491,7 +492,11 @@ def _run_pairing_success(config: ExperimentConfig):
             salt_seed=seed,
         )
         successes += outcome.success
-        keys_equal = outcome.success and outcome.key_a == outcome.key_b
+        # Keys are compared over every round whose ladder completed, so a
+        # round whose devices derived different keys fails the gate.
+        completed = outcome.failed_level is None
+        completions += completed
+        keys_equal = completed and outcome.key_a == outcome.key_b
         key_matches += keys_equal
         retries = sum(rec.retries for rec in outcome.levels)
         rows.append(
@@ -508,10 +513,10 @@ def _run_pairing_success(config: ExperimentConfig):
     summary = {
         "trials": trials,
         "success_rate": rate,
-        "keys_identical_in_every_success": key_matches == successes,
+        "keys_identical_in_every_success": key_matches == completions,
         "checks": {
             "success_rate_gt_090": rate > 0.90,
-            "keys_identical": key_matches == successes,
+            "keys_identical": key_matches == completions,
         },
     }
     return rows, summary

@@ -17,7 +17,6 @@ __all__ = [
     "bits_to_bytes",
     "random_bits",
     "Sha256Drbg",
-    "xor_bits",
 ]
 
 
@@ -45,13 +44,6 @@ def bits_from_bytes(data: bytes, n_bits: int | None = None) -> np.ndarray:
     return bits.astype(np.uint8)
 
 
-def xor_bits(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    a, b = as_bits(a), as_bits(b)
-    if a.size != b.size:
-        raise ValueError(f"length mismatch: {a.size} vs {b.size}")
-    return np.bitwise_xor(a, b)
-
-
 def random_bits(n: int, rng: np.random.Generator) -> np.ndarray:
     """Uniform bits from a simulation RNG (not for secrets; see Sha256Drbg)."""
     return rng.integers(0, 2, size=n, dtype=np.uint8)
@@ -74,12 +66,14 @@ class Sha256Drbg:
         self._buffer = b""
 
     def read(self, n_bytes: int) -> bytes:
-        while len(self._buffer) < n_bytes:
-            block = hashlib.sha256(
-                self._seed + self._counter.to_bytes(8, "big")
-            ).digest()
-            self._buffer += block
-            self._counter += 1
+        # Join all missing blocks at once: appending them one at a time
+        # copies the buffer per block, quadratic in the request.
+        n_blocks = max(0, (n_bytes - len(self._buffer) + 31) // 32)
+        counters = range(self._counter, self._counter + n_blocks)
+        self._buffer += b"".join(
+            hashlib.sha256(self._seed + c.to_bytes(8, "big")).digest() for c in counters
+        )
+        self._counter += n_blocks
         out, self._buffer = self._buffer[:n_bytes], self._buffer[n_bytes:]
         return out
 

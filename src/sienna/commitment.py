@@ -15,7 +15,7 @@ from typing import Literal, Sequence
 
 import numpy as np
 
-from .bits import Sha256Drbg, as_bits, bits_from_bytes, bits_to_bytes, xor_bits
+from .bits import Sha256Drbg, as_bits, bits_from_bytes, bits_to_bytes
 from .rs import RsCodeSpec
 
 __all__ = [
@@ -101,10 +101,10 @@ def xor_fold(segments: Sequence[np.ndarray]) -> np.ndarray:
     """Bitwise XOR of equal-length segments (associative, commutative)."""
     if len(segments) == 0:
         raise ValueError("xor_fold needs at least one segment")
-    out = as_bits(segments[0]).copy()
-    for seg in segments[1:]:
-        out = xor_bits(out, seg)
-    return out
+    segments = [as_bits(seg) for seg in segments]
+    if len({seg.size for seg in segments}) > 1:
+        raise ValueError("xor_fold needs segments of equal length")
+    return np.bitwise_xor.reduce(segments)
 
 
 def commit(salt_bits: np.ndarray, fingerprint_bits: np.ndarray, spec: RsCodeSpec) -> Commitment:

@@ -62,7 +62,6 @@ from .rs import RsCodeSpec, standard_code
 
 __all__ = [
     "AckNak",
-    "AttackKnowledge",
     "AttackResult",
     "BeltDevice",
     "BeltObservation",
@@ -118,6 +117,12 @@ MAX_SOURCES = 2  # the radar separates at most this many subjects
 SOURCE_RANK_REL = 0.02
 RADAR_RATE_HZ = 50.0
 BELT_RATE_HZ = 100.0
+# Finite-sample ICA leaves a little of each bystander in the separated
+# target, so a device with several sources also offers the recombinations
+# ``s_i - mu * s_j`` for each of these ``mu``. Opening walks the candidates
+# most-plausible-first and the commitment digest decides, so extra
+# candidates cost retries at worst, never a wrong key.
+LEAKAGE_GRID = (-0.08, -0.05, -0.02, 0.02, 0.05, 0.08)
 
 
 def bootstrap_key() -> bytes:
@@ -370,22 +375,20 @@ class _Device:
     Every candidate series is prepared once, at construction, into one
     (C, T) matrix on one time base: the rows of ``prepare_series``, then the
     leakage-corrected recombinations ``s_i - mu * s_j`` for each ordered
-    pair of distinct sources and each ``mu`` in ``leakage_grid``, built by
+    pair of distinct sources and each ``mu`` in ``LEAKAGE_GRID``, built by
     one fancy-indexed subtraction and normalized and oriented together. A
     window then interpolates, quantizes and folds all candidates at once.
     """
-
-    leakage_grid: tuple[float, ...] = ()
 
     def __init__(self, observation: BeltObservation | PrmsObservation, config: PipelineConfig):
         self.config = config
         self.candidates = sources = prepare_series(observation)
         n = sources.samples.shape[0]
-        pairs = [(i, j) for i in range(n) for j in range(n) if i != j]
-        if pairs and self.leakage_grid:
+        if n >= 2:
+            pairs = [(i, j) for i in range(n) for j in range(n) if i != j]
             # Rows in the order (i, j, mu): every mu of a pair, pair by pair.
-            first, second = np.repeat(pairs, len(self.leakage_grid), axis=0).T
-            mu = np.tile(self.leakage_grid, len(pairs))[:, None]
+            first, second = np.repeat(pairs, len(LEAKAGE_GRID), axis=0).T
+            mu = np.tile(LEAKAGE_GRID, len(pairs))[:, None]
             S = sources.samples
             recombined = replace(sources, samples=S[first] - mu * S[second])
             oriented = _orient(normalize_series(recombined)).samples
@@ -404,17 +407,8 @@ class BeltDevice(_Device):
 
 
 class PrmsDevice(_Device):
-    """Device b: radar unit; candidates are the separated subjects.
-
-    Finite-sample ICA leaves a little of each bystander in the separated
-    target, so beyond the raw sources the device also offers fingerprints
-    of leakage-corrected recombinations ``s_i - mu * s_j`` for a small grid
-    of ``mu``. Opening attempts walk the candidates most-plausible-first;
-    the commitment digest decides, so extra candidates cost retries at
-    worst, never a wrong key.
-    """
-
-    leakage_grid = (-0.08, -0.05, -0.02, 0.02, 0.05, 0.08)
+    """Device b: radar unit; candidates are the separated subjects and their
+    leakage-corrected recombinations."""
 
 
 def slot_window(
@@ -678,28 +672,7 @@ def transcript_to_jsonl(transcript: Sequence[dict]) -> str:
     return "\n".join(json.dumps(entry, sort_keys=True) for entry in transcript) + "\n"
 
 
-# -- adversary harness --------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class AttackKnowledge:
-    """What the attacker knows about the opening fingerprint.
-
-    ``none``: nothing. ``distribution``: a generative sampler of plausible
-    fingerprints. ``perfect``: the insider measures their own breathing,
-    so ``fingerprint`` maps any commitment window in ms to the exact
-    fingerprint bits.
-    """
-
-    kind: Literal["none", "distribution", "perfect"]
-    fingerprint: Callable[[tuple[int, int]], np.ndarray] | None = None
-    sampler: Callable[[int], np.ndarray] | None = None
-
-    def __post_init__(self):
-        if self.kind == "perfect" and self.fingerprint is None:
-            raise ValueError("perfect knowledge requires the fingerprint")
-        if self.kind == "distribution" and self.sampler is None:
-            raise ValueError("distribution knowledge requires a sampler")
+# -- insider attack harness ---------------------------------------------------
 
 
 @dataclass(frozen=True)
@@ -712,30 +685,30 @@ class LevelAttackOutcome:
 @dataclass(frozen=True)
 class AttackResult:
     salt_recovered: bool
-    attempts_used: int
     per_level: tuple[LevelAttackOutcome, ...]
 
 
 def attack(
     taps: Sequence[EavesdropTap],
     true_sub_salts: Sequence[np.ndarray],
-    knowledge: AttackKnowledge,
+    fingerprint: Callable[[tuple[int, int]], np.ndarray],
     rs_spec: RsCodeSpec,
     *,
-    budget: int = 1000,
     rng: np.random.Generator,
 ) -> AttackResult:
-    """Process eavesdropped frames and try to recover the evolution salt.
+    """The insider's attack on eavesdropped frames: recover the evolution salt.
 
-    The attacker picks one copy of every duplicated symbol pair at random.
-    Success requires every sub-salt: a single undecodable level destroys
-    the XOR-folded evolution salt. Each level's ``ber`` is the bit error
-    rate of the attacker's view against the transmitted payload.
+    The insider measures their own breathing, so ``fingerprint`` maps any
+    commitment window in ms to the exact fingerprint bits. The attacker
+    picks one copy of every duplicated symbol pair at random and opens each
+    level's intercepted commitment with that fingerprint. Success requires
+    every sub-salt: a single undecodable level destroys the XOR-folded
+    evolution salt. Each level's ``ber`` is the bit error rate of the
+    attacker's view against the transmitted payload.
     """
     if not taps:
         raise ValueError("attack needs at least one eavesdropped frame")
     n_levels = max(t.level_index for t in taps) + 1
-    attempts_used = 0
 
     # Only the final transmission of each level carries the sub-salt that
     # survives into the evolution salt; the protocol discarded earlier attempts.
@@ -755,30 +728,10 @@ def attack(
         true_digest = salt_digest(as_bits(true_sub_salts[level_idx]))
         # The intercepted mask, checked against the true salt's digest.
         intercepted = Commitment(rx_bits[COMMIT_MASK_OFFSET_BITS:mask_end], true_digest, rs_spec)
-        recovered = False
-
-        if knowledge.kind == "perfect":
-            attempts_used += 1
-            fp = knowledge.fingerprint(tap.window_ms)
-            recovered = open_commitment(intercepted, fp, rs_spec).recovered
-        elif knowledge.kind == "distribution":
-            for _ in range(max(1, budget // n_levels)):
-                attempts_used += 1
-                fp = knowledge.sampler(attempts_used)
-                if open_commitment(intercepted, fp, rs_spec).recovered:
-                    recovered = True
-                    break
-        else:  # no knowledge: brute-force salts against the digest
-            drbg = Sha256Drbg(int(rng.integers(1 << 62)))
-            for _ in range(max(1, budget // n_levels)):
-                attempts_used += 1
-                if salt_digest(drbg.bits(rs_spec.message_bits)) == true_digest:
-                    recovered = True
-                    break
+        recovered = open_commitment(intercepted, fingerprint(tap.window_ms), rs_spec).recovered
         per_level.append(LevelAttackOutcome(level_idx, recovered, ber))
 
     return AttackResult(
         salt_recovered=all(lvl.recovered for lvl in per_level),
-        attempts_used=attempts_used,
         per_level=tuple(per_level),
     )

@@ -33,7 +33,6 @@ class RandomnessReport:
     runs_p: float
     approx_entropy_per_bit: float
     approx_entropy_p: float
-    n_bits: int
 
 
 def monobit_test(bits: np.ndarray) -> float:
@@ -111,7 +110,6 @@ def randomness_tests(bits: np.ndarray) -> RandomnessReport:
         runs_p=runs_test(bits),
         approx_entropy_per_bit=per_bit,
         approx_entropy_p=apen_p,
-        n_bits=bits.size,
     )
 
 

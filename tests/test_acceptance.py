@@ -26,7 +26,6 @@ from sienna.channel import (
 from sienna.commitment import commit, new_salt, open_commitment
 from sienna.gf import FieldSpec
 from sienna.protocol import (
-    AttackKnowledge,
     BeltDevice,
     BeltObservation,
     PipelineConfig,
@@ -251,9 +250,7 @@ def test_criterion_07_insider_defeat():
     device_a, device_b = BeltDevice(belt_obs, config), PrmsDevice(prms_obs, config)
     true_series = synth_displacement(scene.subjects[0], 0, scene.duration_s, 100.0)
     insider = BeltDevice(BeltObservation(belt_observe(true_series, noise_std=0.0)), config)
-    knowledge = AttackKnowledge(
-        "perfect", fingerprint=lambda w: insider.derive_fingerprints(w)[0]
-    )
+    fingerprint = lambda w: insider.derive_fingerprints(w)[0]
     full_path_failures = 0
     probes = 0
     for p2 in np.logspace(0, 3, 5):
@@ -263,7 +260,7 @@ def test_criterion_07_insider_defeat():
                 np.random.default_rng(900 + trial), salt_seed=7000 + trial,
                 eavesdropper_p2=float(p2),
             )
-            result = attack(out.taps, out.sub_salts, knowledge, config.rs_spec,
+            result = attack(out.taps, out.sub_salts, fingerprint, config.rs_spec,
                             rng=np.random.default_rng(trial))
             probes += 1
             full_path_failures += not result.salt_recovered
@@ -273,7 +270,7 @@ def test_criterion_07_insider_defeat():
         eavesdropper_p2=channel.p1,
     )
     disabled_attack = attack(
-        disabled_out.taps, disabled_out.sub_salts, knowledge, config.rs_spec,
+        disabled_out.taps, disabled_out.sub_salts, fingerprint, config.rs_spec,
         rng=np.random.default_rng(5),
     )
     elapsed = time.perf_counter() - t_start

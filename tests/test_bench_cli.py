@@ -3,11 +3,14 @@
 import json
 import math
 
+import numpy as np
 import pytest
 
+from sienna import protocol
 from sienna.bench import ExperimentConfig, SCENARIOS, run_experiment
 from sienna.channel import ChannelParams
 from sienna.cli import cli_entry, default_config_text, parse_config_text
+from sienna.commitment import OpenOutcome
 from sienna.gf import FieldSpec
 from sienna.rs import RsCodeSpec
 
@@ -80,6 +83,19 @@ def test_pairing_scenario_small(tmp_path):
     assert summary["success_rate"] >= 0.75
     blob = json.loads((tmp_path / "pairing-success-summary.json").read_text())
     assert blob["scenario"] == "pairing-success"
+
+
+def test_keys_identical_gate_fails_when_a_completed_round_disagrees(tmp_path, monkeypatch):
+    """A ladder that completes on a wrongly recovered salt leaves the devices
+    with different keys, and the gate reports it."""
+    def open_wrong_salt(commitment, fingerprint_bits, spec):
+        return OpenOutcome("recovered", np.zeros(spec.message_bits, dtype=np.uint8))
+
+    monkeypatch.setattr(protocol, "open_commitment", open_wrong_salt)
+    config = ExperimentConfig(scenario="pairing-success", trials=1, output_path=str(tmp_path))
+    summary = run_experiment(config)
+    assert summary["success_rate"] == 0.0
+    assert not summary["checks"]["keys_identical"]
 
 
 def test_adversarial_scenario_small(tmp_path):

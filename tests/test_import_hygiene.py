@@ -76,3 +76,30 @@ def _unused_imports(text: str) -> list[str]:
 @pytest.mark.parametrize("module", [name for name in MODULES if name != "__init__.py"])
 def test_every_imported_name_is_used(module):
     assert _unused_imports(MODULES[module]) == []
+
+
+def _bound_names(text: str) -> list[str]:
+    """The non-dunder names a module binds at its top level."""
+    names = []
+    for node in ast.parse(text).body:
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            names += [a.asname or a.name.split(".")[0] for a in node.names]
+        elif isinstance(node, ast.Assign):
+            names += [t.id for t in node.targets if isinstance(t, ast.Name)]
+        elif isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.append(node.name)
+    return [name for name in names if not (name.startswith("__") and name.endswith("__"))]
+
+
+def test_every_top_level_name_is_read_from_the_package():
+    """The package namespace holds only what is read as ``sienna.<name>``
+    outside it; every other name is imported from its own module."""
+    paths = [p for p in (SRC / "sienna").glob("*.py") if p.name != "__init__.py"]
+    paths += [p for d in ("demos", "perfbench") for p in (ROOT / d).rglob("*.py")]
+    readers = "\n".join(p.read_text() for p in paths)
+    unread = [
+        name
+        for name in _bound_names(MODULES["__init__.py"])
+        if not re.search(rf"\bsienna\.{re.escape(name)}\b", readers)
+    ]
+    assert unread == []

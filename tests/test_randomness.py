@@ -80,6 +80,16 @@ def test_drbg_seed_is_an_int_below_2_128():
     assert top == hashlib.sha256(b"\xff" * 16 + bytes(8)).digest()
 
 
+def test_drbg_stream_across_odd_size_reads_is_pinned():
+    """Reads that split and straddle 32-byte blocks give the pinned stream."""
+    drbg = Sha256Drbg(2024)
+    stream = hashlib.sha256()
+    for n_bytes in (1, 31, 33, 1000):
+        stream.update(drbg.read(n_bytes))
+    stream.update(drbg.bits(10**6).tobytes())
+    assert stream.hexdigest() == "66af249a6a020f4461140f96a941ac83c75094c5cd9ad002db31f338b4b04089"
+
+
 def test_biased_source_low_entropy():
     rng = np.random.default_rng(0)
     bits = (rng.random(100_000) < 0.1).astype(np.uint8)
