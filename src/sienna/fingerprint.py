@@ -76,10 +76,12 @@ def qtz(x: float, q_plus: float, q_minus: float) -> tuple[int, int]:
 def extract(series: DisplacementSeries, t_str: float, t_end: float) -> np.ndarray:
     """Quantize a window at instants t_str + j*T, final floor instant included.
 
-    T is ``SAMPLE_INTERVAL_S``. Returns uint8 bits of shape
-    (..., branches * samples * 2), branch-major. Every series of a stack is
-    quantized by one comparison against the upper and lower threshold
-    vectors; row c of the result is the fingerprint of series c.
+    T is ``SAMPLE_INTERVAL_S``. Only ``series.value_at`` is read, so any
+    object with that method quantizes like a ``DisplacementSeries``.
+    Returns uint8 bits of shape (..., branches * samples * 2),
+    branch-major. Every series of a stack is quantized by one comparison
+    against the upper and lower threshold vectors; row c of the result is
+    the fingerprint of series c.
     """
     if t_end <= t_str:
         raise ValueError("window must have positive length")

@@ -56,7 +56,7 @@ from .commitment import (
     deserialize_commitment,
     xor_fold,
 )
-from .fingerprint import extract, normalize_series, segment_pad, skew
+from .fingerprint import NORMALIZED_STD, extract, normalize_series, segment_pad, skew
 from .ica import jade_separate, lowpass_filter
 from .rs import RsCodeSpec, standard_code
 
@@ -369,30 +369,70 @@ def prepare_series(observation: BeltObservation | PrmsObservation) -> Displaceme
     return _orient(normalize_series(DisplacementSeries(separation.sources, rate, t_start)))
 
 
+def _affine_moments(samples: np.ndarray, weights: np.ndarray):
+    """Mean, standard deviation and third central moment of each row of ``weights @ samples``.
+
+    They follow from the (n, T) rows' means, n x n covariance and
+    n x n x n third-moment tensor, one pass over T each, so the (C, T) rows
+    themselves are never built.
+    """
+    n = samples.shape[0]
+    mean = samples.mean(axis=-1)
+    d = samples - mean[:, None]
+    pairs = (d[:, None, :] * d[None, :, :]).reshape(n * n, -1)  # d_a * d_b
+    cov = pairs.mean(axis=-1)  # (n * n,)
+    third = pairs @ d.T / d.shape[-1]  # (n * n, n): mean(d_a * d_b * d_c)
+    outer = (weights[:, :, None] * weights[:, None, :]).reshape(len(weights), n * n)
+    return weights @ mean, np.sqrt(outer @ cov), np.sum((outer @ third) * weights, axis=-1)
+
+
+@dataclass(frozen=True)
+class _Candidates:
+    """Candidate series as an affine map of the sources: ``weights @ sources + offsets``."""
+
+    sources: DisplacementSeries  # (n, T)
+    weights: np.ndarray  # (C, n)
+    offsets: np.ndarray  # (C,)
+
+    def value_at(self, instants: np.ndarray) -> np.ndarray:
+        return self.weights @ self.sources.value_at(instants) + self.offsets[:, None]
+
+
 class _Device:
     """One device's fingerprint pipeline over one observation.
 
-    Every candidate series is prepared once, at construction, into one
-    (C, T) matrix on one time base: the rows of ``prepare_series``, then the
+    The candidates are the rows of ``prepare_series``, then the
     leakage-corrected recombinations ``s_i - mu * s_j`` for each ordered
-    pair of distinct sources and each ``mu`` in ``LEAKAGE_GRID``, built by
-    one fancy-indexed subtraction and normalized and oriented together. A
-    window then interpolates, quantizes and folds all candidates at once.
+    pair of distinct sources and each ``mu`` in ``LEAKAGE_GRID``, each
+    normalized and oriented over the whole observation. Recombining,
+    normalizing and orienting are affine in the sources, so the device
+    keeps the (n, T) sources and a (C, n) map with (C,) offsets, built
+    from the sources' moments; a window interpolates the n sources and
+    maps them to all C candidates, which it quantizes and folds at once.
     """
 
     def __init__(self, observation: BeltObservation | PrmsObservation, config: PipelineConfig):
         self.config = config
-        self.candidates = sources = prepare_series(observation)
+        sources = prepare_series(observation)
         n = sources.samples.shape[0]
-        if n >= 2:
-            pairs = [(i, j) for i in range(n) for j in range(n) if i != j]
-            # Rows in the order (i, j, mu): every mu of a pair, pair by pair.
-            first, second = np.repeat(pairs, len(LEAKAGE_GRID), axis=0).T
-            mu = np.tile(LEAKAGE_GRID, len(pairs))[:, None]
-            S = sources.samples
-            recombined = replace(sources, samples=S[first] - mu * S[second])
-            oriented = _orient(normalize_series(recombined)).samples
-            self.candidates = replace(sources, samples=np.concatenate([S, oriented]))
+        eye = np.eye(n)
+        pairs = [(i, j) for i in range(n) for j in range(n) if i != j]
+        # Rows in the order (i, j, mu): every mu of a pair, pair by pair.
+        mixes = np.array([eye[i] - mu * eye[j] for i, j in pairs for mu in LEAKAGE_GRID])
+        mixes = mixes.reshape(-1, n)
+        mean, std, third = _affine_moments(sources.samples, mixes)
+        # Both sources have std NORMALIZED_STD and |mu| <= 0.08, so
+        # std(s_i - mu * s_j) >= NORMALIZED_STD * (1 - |mu|) > 0. The gain
+        # normalizes each recombination and orients it to a non-negative
+        # third central moment, as _orient does.
+        gain = np.where(third < 0, -NORMALIZED_STD, NORMALIZED_STD) / std
+        # The sources are already centred, so their rows map to themselves
+        # bit for bit: 1.0 * v + 0.0 * w + 0.0 == v.
+        self.candidates = _Candidates(
+            sources,
+            np.concatenate([eye, gain[:, None] * mixes]),
+            np.concatenate([np.zeros(n), -gain * mean]),
+        )
 
     def derive_fingerprints(self, window_ms: tuple[int, int]) -> list[np.ndarray]:
         """Folded fingerprint of every candidate over a window, in candidate order."""
@@ -408,7 +448,8 @@ class BeltDevice(_Device):
 
 class PrmsDevice(_Device):
     """Device b: radar unit; candidates are the separated subjects and their
-    leakage-corrected recombinations."""
+    leakage-corrected recombinations, held as the sources and a 14 x 2 map
+    when the radar separates two subjects."""
 
 
 def slot_window(

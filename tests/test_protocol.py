@@ -4,14 +4,32 @@ import hashlib
 import json
 from collections import Counter
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from sienna.bits import bits_from_bytes, random_bits
-from sienna.breathing import belt_observe, radar_observe, sample_profile, synth_displacement
+from sienna.breathing import (
+    DisplacementSeries,
+    belt_observe,
+    radar_observe,
+    sample_profile,
+    synth_displacement,
+)
 from sienna.channel import ChannelParams, JammingLadder, ladder_levels
 from sienna.commitment import commit, hash256, new_salt, open_commitment, xor_fold
-from sienna.fingerprint import SAMPLE_INTERVAL_S, THRESHOLDS, extract, hamming_similarity
+from sienna.fingerprint import (
+    NORMALIZED_STD,
+    SAMPLE_INTERVAL_S,
+    THRESHOLDS,
+    extract,
+    hamming_similarity,
+    normalize_series,
+    segment_pad,
+    skew,
+)
 from sienna import protocol
 from sienna.protocol import (
     COMMIT_MASK_OFFSET_BITS,
@@ -36,6 +54,7 @@ from sienna.protocol import (
     handle_ack,
     initiate,
     observe_scene,
+    prepare_series,
     receive_init,
     run_pairing,
     slot_window,
@@ -518,6 +537,81 @@ def test_candidate_bits_per_seed(seed):
         add(BeltDevice(belt_obs, CONFIG).derive_fingerprints((0, d * 1000)))
         add(PrmsDevice(prms_obs, CONFIG).derive_fingerprints((0, d * 1000)))
     assert digest.hexdigest() == PINNED_CANDIDATE_BITS[seed]
+
+
+def _candidate_matrix(observation):
+    """The (C, T) candidate matrix built in full: the sources, then every
+    ``S[I] - mu * S[J]``, normalized and oriented over the whole observation."""
+    sources = prepare_series(observation)
+    S = sources.samples
+    pairs = [(i, j) for i in range(len(S)) for j in range(len(S)) if i != j]
+    rows = [(i, j, mu) for i, j in pairs for mu in protocol.LEAKAGE_GRID]
+    if not rows:
+        return sources
+    first, second, mu = (np.array(column) for column in zip(*rows))
+    recombined = replace(sources, samples=S[first] - mu[:, None] * S[second])
+    oriented = protocol._orient(normalize_series(recombined)).samples
+    return replace(sources, samples=np.concatenate([S, oriented]))
+
+
+ORACLE_WINDOWS = (
+    [(k * COMMIT_SLOT_MS, (k + 1) * COMMIT_SLOT_MS) for k in range(6)]
+    + [(0, d * 1000) for d in (6, 12, 24, 48, 60)]
+    + [(3_300, 13_300)]
+)
+
+
+@pytest.mark.parametrize("subjects", [1, 2])
+@pytest.mark.parametrize("seed", range(8))
+def test_candidate_map_matches_the_full_candidate_matrix(seed, subjects):
+    scene = two_subject_scene(seed) if subjects == 2 else single_subject_scene(seed)
+    belt_obs, prms_obs = observe_scene(scene)
+    views = ((BeltDevice, belt_obs, 1), (PrmsDevice, prms_obs, subjects))
+    for kind, observation, n_sources in views:
+        device, matrix = kind(observation, CONFIG), _candidate_matrix(observation)
+        n = device.candidates.sources.samples.shape[0]
+        assert n == n_sources
+        values = device.candidates.value_at(matrix.times)
+        assert values.shape == matrix.samples.shape
+        assert np.array_equal(values[:n], matrix.samples[:n])
+        np.testing.assert_allclose(values, matrix.samples, rtol=0, atol=1e-12)
+        for window in ORACLE_WINDOWS:
+            t_str, t_end = window[0] / 1000, window[1] / 1000
+            expected = extract(matrix, t_str, t_end)
+            assert np.array_equal(extract(device.candidates, t_str, t_end), expected)
+            segments = segment_pad(expected, CONFIG.rs_spec.codeword_bits)
+            folded = np.bitwise_xor.reduce(segments, axis=-2)
+            assert np.array_equal(np.array(device.derive_fingerprints(window)), folded)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n_samples=st.integers(50, 4000),
+    seed=st.integers(0, 2**32 - 1),
+    asymmetry=st.floats(-1.0, 1.0),
+    correlation=st.floats(-0.95, 0.95),
+)
+def test_closed_form_moments_match_the_materialized_rows(n_samples, seed, asymmetry, correlation):
+    """Sources shaped as ``prepare_series`` leaves them: std NORMALIZED_STD, oriented."""
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal((2, n_samples))
+    x = x + asymmetry * x * x
+    x[1] = correlation * x[0] + np.sqrt(1 - correlation**2) * x[1]
+    S = protocol._orient(normalize_series(DisplacementSeries(x, 50.0))).samples
+    eye = np.eye(2)
+    pairs = [(i, j, mu) for i, j in ((0, 1), (1, 0)) for mu in protocol.LEAKAGE_GRID]
+    mixes = np.array([eye[i] - mu * eye[j] for i, j, mu in pairs])
+    rows = np.array([S[i] - mu * S[j] for i, j, mu in pairs])
+
+    mean, std, third = protocol._affine_moments(S, mixes)
+    np.testing.assert_allclose(std, rows.std(axis=-1), rtol=1e-12, atol=0)
+    np.testing.assert_allclose(mean, rows.mean(axis=-1), rtol=0, atol=1e-15)
+    normalized = normalize_series(DisplacementSeries(rows, 50.0)).samples
+    closed_form = (rows - mean[:, None]) * (NORMALIZED_STD / std)[:, None]
+    np.testing.assert_allclose(closed_form, normalized, rtol=0, atol=1e-12)
+    skews = skew(normalized)
+    clear = np.abs(skews) > 1e-9
+    assert np.array_equal(np.sign(third[clear]), np.sign(skews[clear]))
 
 
 @pytest.mark.parametrize(
