@@ -74,7 +74,7 @@ def qtz(x: float, q_plus: float, q_minus: float) -> tuple[int, int]:
 
 
 def extract(series: DisplacementSeries, t_str: float, t_end: float) -> np.ndarray:
-    """Quantize a window at instants t_str + j*T, final floor instant included.
+    """Quantize a window at instants t_str + j*T, through the last one in it.
 
     T is ``SAMPLE_INTERVAL_S``. Only ``series.value_at`` is read, so any
     object with that method quantizes like a ``DisplacementSeries``.
@@ -86,7 +86,9 @@ def extract(series: DisplacementSeries, t_str: float, t_end: float) -> np.ndarra
     if t_end <= t_str:
         raise ValueError("window must have positive length")
     T = SAMPLE_INTERVAL_S
-    n_samples = int(np.floor((t_end - t_str) / T)) + 1
+    # A window of whole instants can divide to just below its count, as
+    # (81.6 - 33.6) / 0.1 does; the tolerance keeps its last instant.
+    n_samples = int(np.floor((t_end - t_str) / T + 1e-9)) + 1
     instants = t_str + np.arange(n_samples) * T
     values = series.value_at(instants)[..., None, :]  # (..., 1, samples)
 

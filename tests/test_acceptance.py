@@ -230,17 +230,19 @@ def test_criterion_06_dialog_codes_asymmetry():
 
 
 def test_criterion_07_insider_defeat():
-    """Ladder defeats the perfect-knowledge insider at every tap position."""
+    """Ladder defeats the perfect-knowledge insider at every tap position.
+
+    The 20-point grid gives the insider's exact odds, with no sampling; the
+    full-protocol probes run real frames through the real decoder.
+    """
     t_start = time.perf_counter()
     summary = run_experiment(
-        ExperimentConfig(
-            scenario="adversarial-ber", trials=1000, output_path="/tmp/sienna-accept"
-        )
+        ExperimentConfig(scenario="adversarial-ber", output_path="/tmp/sienna-accept")
     )
     min_failure = summary["min_insider_failure_rate"]
     disabled = summary["jamming_disabled_success_rate"]
 
-    # Cross-validate the vectorized harness against the full protocol path
+    # Cross-validate the exact harness against the full protocol path
     # (real frames, real decoder) at a few eavesdropper positions.
     config = PipelineConfig()
     channel = ChannelParams()
@@ -283,7 +285,7 @@ def test_criterion_07_insider_defeat():
     assert _verdict(
         7,
         ok,
-        f"insider failure >= {min_failure:.3f} on the 20-point grid (1000 trials each); "
+        f"exact insider failure >= {min_failure:.3f} on the 20-point grid; "
         f"jamming-off success {disabled:.3f}; full-protocol probes {full_path_failures}/{probes} "
         f"defeated; BER q50={summary['ber_quantiles']['q50']:.3f} "
         f"q90={summary['ber_quantiles']['q90']:.3f} reported ({elapsed:.0f}s)",
@@ -299,7 +301,7 @@ def test_criterion_08_end_to_end_pairing():
         )
     )
     rate = summary["success_rate"]
-    keys_ok = summary["keys_identical_in_every_success"]
+    keys_ok = summary["keys_identical_in_every_completed_round"]
     elapsed = time.perf_counter() - t_start
     ok = rate > 0.90 and keys_ok
     assert _verdict(

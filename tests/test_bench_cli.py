@@ -79,7 +79,7 @@ def test_separation_scenario(tmp_path):
 def test_pairing_scenario_small(tmp_path):
     config = ExperimentConfig(scenario="pairing-success", trials=8, output_path=str(tmp_path))
     summary = run_experiment(config)
-    assert summary["keys_identical_in_every_success"]
+    assert summary["keys_identical_in_every_completed_round"]
     assert summary["success_rate"] >= 0.75
     blob = json.loads((tmp_path / "pairing-success-summary.json").read_text())
     assert blob["scenario"] == "pairing-success"
@@ -99,7 +99,7 @@ def test_keys_identical_gate_fails_when_a_completed_round_disagrees(tmp_path, mo
 
 
 def test_adversarial_scenario_small(tmp_path):
-    config = ExperimentConfig(scenario="adversarial-ber", trials=50, output_path=str(tmp_path))
+    config = ExperimentConfig(scenario="adversarial-ber", output_path=str(tmp_path))
     summary = run_experiment(config)
     assert summary["checks"]["insider_fails_ge_99pct_everywhere"]
     assert summary["checks"]["disabled_jamming_insider_succeeds"]

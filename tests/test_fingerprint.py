@@ -65,6 +65,14 @@ def test_extract_bit_count_default_bank():
     assert fp.size == 10 * 2 * 601
 
 
+@pytest.mark.parametrize("t_str, t_end, instants", [(0.0, 0.3, 4), (33.6, 81.6, 481)])
+def test_extract_counts_the_last_instant_of_the_window(t_str, t_end, instants):
+    """Both lengths divide by T to just below a whole count; the second is
+    the 48 s fingerprint-similarity window at offset 33.6 s."""
+    series = DisplacementSeries(np.zeros(1000), 10.0)
+    assert extract(series, t_str, t_end).size == THRESHOLDS.size * 2 * instants
+
+
 def test_extract_window_outside_series():
     series = DisplacementSeries(np.zeros(100), 10.0)
     with pytest.raises(ValueError):
