@@ -44,7 +44,7 @@ fingerprint = lambda w: insider.derive_fingerprints(w)[0]
 
 outcome = run_pairing(
     device_a, device_b, channel, ladder, np.random.default_rng(1),
-    salt_seed=99, eavesdropper_p2=channel.p1,
+    salt_seed=99,
 )
 print(f"\npairing: success={outcome.success}, keys match={outcome.key_a == outcome.key_b}")
 for record in outcome.levels:
@@ -57,7 +57,7 @@ print("transcript head:")
 for line in transcript_to_jsonl(outcome.transcript).splitlines()[:3]:
     print("  " + line)
 
-result = attack(outcome.taps, outcome.sub_salts, fingerprint, config.rs_spec,
+result = attack(outcome, channel.p1, channel, fingerprint, config.rs_spec,
                 rng=np.random.default_rng(2))
 print(f"\ninsider with the ladder active: salt recovered = {result.salt_recovered}")
 for lvl in result.per_level:
@@ -65,9 +65,9 @@ for lvl in result.per_level:
 
 quiet = run_pairing(
     device_a, device_b, channel, JammingLadder((0.0,)), np.random.default_rng(3),
-    salt_seed=100, eavesdropper_p2=channel.p1,
+    salt_seed=100,
 )
-undefended = attack(quiet.taps, quiet.sub_salts, fingerprint, config.rs_spec,
+undefended = attack(quiet, channel.p1, channel, fingerprint, config.rs_spec,
                     rng=np.random.default_rng(4))
 print(f"\nsame insider with jamming disabled: salt recovered = {undefended.salt_recovered}")
 print("the jamming, not the fuzziness, is what shuts the insider out")

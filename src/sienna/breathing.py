@@ -98,9 +98,8 @@ class DisplacementSeries:
     def value_at(self, instants: np.ndarray) -> np.ndarray:
         """Linear interpolation of every series; instants must fall inside the span.
 
-        Returns shape (..., len(instants)) and reproduces ``np.interp`` bit
-        for bit: the sample itself at a sample instant or beyond either end,
-        else ``slope * (t - t_j) + x_j`` on the enclosing interval.
+        Returns shape (..., len(instants)): ``np.interp`` of each row, which
+        gives the end sample for instants up to half a sample beyond either end.
         """
         instants = np.asarray(instants, dtype=np.float64)
         times = self.times
@@ -110,14 +109,9 @@ class DisplacementSeries:
                 f"window [{instants.min():.3f}, {instants.max():.3f}] s outside "
                 f"series span [{self.t_start:.3f}, {times[-1]:.3f}] s"
             )
-        x = self.samples
-        if times.size == 1:
-            return np.broadcast_to(x[..., :1], (*x.shape[:-1], instants.size)).copy()
-        j = np.clip(np.searchsorted(times, instants, side="right") - 1, 0, times.size - 2)
-        slope = (x[..., j + 1] - x[..., j]) / (times[j + 1] - times[j])
-        values = slope * (instants - times[j]) + x[..., j]
-        values = np.where(instants <= times[j], x[..., j], values)
-        return np.where(instants >= times[-1], x[..., -1:], values)
+        rows = self.samples.reshape(-1, times.size)
+        values = np.stack([np.interp(instants, times, row) for row in rows])
+        return values.reshape(*self.samples.shape[:-1], instants.size)
 
     def slice(self, t0: float, t1: float) -> DisplacementSeries:
         """The samples at t0 through t1, both ends included, starting at t0."""

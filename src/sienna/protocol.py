@@ -66,7 +66,6 @@ __all__ = [
     "BeltDevice",
     "BeltObservation",
     "CommitMessage",
-    "EavesdropTap",
     "InitMessage",
     "PairingOutcome",
     "PairingScene",
@@ -533,15 +532,6 @@ def observe_scene(scene: PairingScene) -> tuple[BeltObservation, PrmsObservation
 # -- pairing run --------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class EavesdropTap:
-    level_index: int
-    retry: int
-    window_ms: tuple[int, int]
-    frame: np.ndarray  # the on-air symbols, both copies of every pair
-    truth_bits: np.ndarray
-
-
 @dataclass
 class LevelRecord:
     level_index: int
@@ -550,6 +540,9 @@ class LevelRecord:
     verdict: str
     stitched_bit_errors: int
     candidate_used: int | None
+    # The slot and the on-air bits of the level's last attempt.
+    window_ms: tuple[int, int]
+    payload: np.ndarray
 
 
 @dataclass
@@ -561,7 +554,6 @@ class PairingOutcome:
     transcript: list[dict]
     levels: list[LevelRecord]
     failed_level: int | None = None
-    taps: list[EavesdropTap] = field(default_factory=list)
     sub_salts: list[np.ndarray] = field(default_factory=list)
 
 
@@ -573,21 +565,19 @@ def run_pairing(
     rng: np.random.Generator,
     *,
     salt_seed: int,
-    eavesdropper_p2: float | None = None,
 ) -> PairingOutcome:
     """Execute one full key-evolution round over the simulated channel.
 
     ``salt_seed`` seeds the deterministic CSPRNG that draws a's sub-salts.
-    ``eavesdropper_p2`` places an insider tap that receives the frames at
-    that signal power over the channel's noise floor ``p0``; its frames are
-    returned in ``taps``. The transcript is stamped in simulated ms.
+    Each level's record keeps the slot and the on-air bits of its last
+    attempt, which is what an eavesdropper could intercept (see ``attack``).
+    The transcript is stamped in simulated ms.
     """
     now_ms = 0
     rs_spec = device_a.config.rs_spec
     state_a = SessionState(role="a")
     state_b = SessionState(role="b")
     transcript: list[dict] = []
-    taps: list[EavesdropTap] = []
 
     def log(direction: str, mtype: str, **extra):
         transcript.append({"t_ms": now_ms, "direction": direction, "type": mtype, **extra})
@@ -626,23 +616,6 @@ def run_pairing(
             frame_b = dup_and_jam(
                 symbols, mask, jam_level / channel.p1, rng, noise_power=noise_main
             )
-            if eavesdropper_p2 is not None:
-                frame_e = dup_and_jam(
-                    symbols,
-                    mask,
-                    jam_level / eavesdropper_p2,
-                    rng,
-                    noise_power=noise_power_for_snr(eavesdropper_p2 / channel.p0, QAM),
-                )
-                taps.append(
-                    EavesdropTap(
-                        level_index=level_idx,
-                        retry=attempt,
-                        window_ms=window,
-                        frame=frame_e,
-                        truth_bits=payload,
-                    )
-                )
             log("a->b", "commit", level=level_idx, retry=attempt, bits=int(payload.size))
 
             stitched = receiver_stitch(frame_b, mask)
@@ -680,6 +653,8 @@ def run_pairing(
                 verdict=verdict,
                 stitched_bit_errors=stitched_errors,
                 candidate_used=candidate_used,
+                window_ms=window,
+                payload=payload,
             )
         )
         if verdict != "ACK":
@@ -704,7 +679,6 @@ def run_pairing(
         transcript=transcript,
         levels=levels,
         failed_level=failed_level,
-        taps=taps,
         sub_salts=sub_salts,
     )
 
@@ -730,47 +704,43 @@ class AttackResult:
 
 
 def attack(
-    taps: Sequence[EavesdropTap],
-    true_sub_salts: Sequence[np.ndarray],
+    outcome: PairingOutcome,
+    p2: float,
+    channel: ChannelParams,
     fingerprint: Callable[[tuple[int, int]], np.ndarray],
     rs_spec: RsCodeSpec,
     *,
     rng: np.random.Generator,
 ) -> AttackResult:
-    """The insider's attack on eavesdropped frames: recover the evolution salt.
+    """The insider's attack on a round's frames: recover the evolution salt.
 
-    The insider measures their own breathing, so ``fingerprint`` maps any
-    commitment window in ms to the exact fingerprint bits. The attacker
-    picks one copy of every duplicated symbol pair at random and opens each
-    level's intercepted commitment with that fingerprint. Success requires
-    every sub-salt: a single undecodable level destroys the XOR-folded
-    evolution salt. Each level's ``ber`` is the bit error rate of the
-    attacker's view against the transmitted payload.
+    The insider receives each level's last frame at signal power ``p2`` over
+    the channel's noise floor ``p0``, with the level's jam over ``p2`` on one
+    copy of every duplicated symbol pair. Only that frame's sub-salt
+    survives into the evolution salt. The jam mask is drawn afresh: the
+    insider picks one copy of every pair at random, so its odds do not
+    depend on which copy was jammed. The insider measures their own
+    breathing, so ``fingerprint`` maps any commitment window in ms to the
+    exact fingerprint bits, and opens each level's intercepted commitment
+    with it. Success requires every sub-salt: a single undecodable level
+    destroys the XOR-folded evolution salt. Each level's ``ber`` is the bit
+    error rate of the insider's view against the transmitted payload.
     """
-    if not taps:
-        raise ValueError("attack needs at least one eavesdropped frame")
-    n_levels = max(t.level_index for t in taps) + 1
-
-    # Only the final transmission of each level carries the sub-salt that
-    # survives into the evolution salt; the protocol discarded earlier attempts.
-    final_tap: dict[int, EavesdropTap] = {}
-    for tap in taps:
-        prev = final_tap.get(tap.level_index)
-        if prev is None or tap.retry > prev.retry:
-            final_tap[tap.level_index] = tap
-
+    noise_power = noise_power_for_snr(p2 / channel.p0, QAM)
+    mask_end = COMMIT_MASK_OFFSET_BITS + rs_spec.codeword_bits
     per_level = []
-    for level_idx in range(n_levels):
-        tap = final_tap[level_idx]
-        estimates = eavesdrop(tap.frame, "random-pick", rng)
-        rx_bits = qam_demodulate(estimates, QAM, n_bits=tap.truth_bits.size)
-        ber = float(np.mean(rx_bits != tap.truth_bits))
-        mask_end = COMMIT_MASK_OFFSET_BITS + rs_spec.codeword_bits
-        true_digest = salt_digest(as_bits(true_sub_salts[level_idx]))
+    for record, sub_salt in zip(outcome.levels, outcome.sub_salts):
+        symbols = qam_modulate(record.payload, QAM)
+        mask = random_bits(symbols.size, rng)
+        frame = dup_and_jam(symbols, mask, record.jam_power / p2, rng, noise_power=noise_power)
+        estimates = eavesdrop(frame, "random-pick", rng)
+        rx_bits = qam_demodulate(estimates, QAM, n_bits=record.payload.size)
+        ber = float(np.mean(rx_bits != record.payload))
         # The intercepted mask, checked against the true salt's digest.
+        true_digest = salt_digest(as_bits(sub_salt))
         intercepted = Commitment(rx_bits[COMMIT_MASK_OFFSET_BITS:mask_end], true_digest, rs_spec)
-        recovered = open_commitment(intercepted, fingerprint(tap.window_ms), rs_spec).recovered
-        per_level.append(LevelAttackOutcome(level_idx, recovered, ber))
+        recovered = open_commitment(intercepted, fingerprint(record.window_ms), rs_spec).recovered
+        per_level.append(LevelAttackOutcome(record.level_index, recovered, ber))
 
     return AttackResult(
         salt_recovered=all(lvl.recovered for lvl in per_level),

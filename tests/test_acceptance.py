@@ -230,7 +230,7 @@ def test_criterion_06_dialog_codes_asymmetry():
 
 
 def test_criterion_07_insider_defeat():
-    """Ladder defeats the perfect-knowledge insider at every tap position.
+    """Ladder defeats the perfect-knowledge insider at every signal power.
 
     The 20-point grid gives the insider's exact odds, with no sampling; the
     full-protocol probes run real frames through the real decoder.
@@ -243,7 +243,7 @@ def test_criterion_07_insider_defeat():
     disabled = summary["jamming_disabled_success_rate"]
 
     # Cross-validate the exact harness against the full protocol path
-    # (real frames, real decoder) at a few eavesdropper positions.
+    # (real frames, real decoder) at a few insider powers.
     config = PipelineConfig()
     channel = ChannelParams()
     ladder = ladder_levels(1000.0, 1.0)
@@ -255,24 +255,24 @@ def test_criterion_07_insider_defeat():
     fingerprint = lambda w: insider.derive_fingerprints(w)[0]
     full_path_failures = 0
     probes = 0
-    for p2 in np.logspace(0, 3, 5):
-        for trial in range(3):
-            out = run_pairing(
-                device_a, device_b, channel, ladder,
-                np.random.default_rng(900 + trial), salt_seed=7000 + trial,
-                eavesdropper_p2=float(p2),
-            )
-            result = attack(out.taps, out.sub_salts, fingerprint, config.rs_spec,
-                            rng=np.random.default_rng(trial))
+    # A round does not depend on the insider's power, so each round is
+    # attacked at every power.
+    for trial in range(3):
+        out = run_pairing(
+            device_a, device_b, channel, ladder,
+            np.random.default_rng(900 + trial), salt_seed=7000 + trial,
+        )
+        for k, p2 in enumerate(np.logspace(0, 3, 5)):
+            result = attack(out, float(p2), channel, fingerprint, config.rs_spec,
+                            rng=np.random.default_rng([trial, k]))
             probes += 1
             full_path_failures += not result.salt_recovered
     disabled_out = run_pairing(
         device_a, device_b, channel, JammingLadder((0.0,)),
         np.random.default_rng(901), salt_seed=7100,
-        eavesdropper_p2=channel.p1,
     )
     disabled_attack = attack(
-        disabled_out.taps, disabled_out.sub_salts, fingerprint, config.rs_spec,
+        disabled_out, channel.p1, channel, fingerprint, config.rs_spec,
         rng=np.random.default_rng(5),
     )
     elapsed = time.perf_counter() - t_start

@@ -4,10 +4,12 @@ The scenario computes, with no RNG, the probability that an insider who
 knows the fingerprint recovers each level's sub-salt. The oracle below
 simulates the same insider frame by frame: modulate a random payload, add
 channel noise to every symbol and the level's jam to a random half of them,
-demodulate, and count the wrong RS symbols.
+demodulate, and count the wrong RS symbols. The protocol's own ``attack``
+on a real round's frames must agree with the same odds.
 """
 
 import json
+from dataclasses import replace
 from math import comb
 
 import numpy as np
@@ -15,10 +17,26 @@ import pytest
 
 from sienna.bench import ADVERSARIAL_GRID_POINTS, ExperimentConfig, _insider_success, run_experiment
 from sienna.bits import random_bits
-from sienna.channel import ber_theoretical, noise_power_for_snr, qam_demodulate, qam_modulate
+from sienna.channel import (
+    ChannelParams,
+    ber_theoretical,
+    ladder_levels,
+    noise_power_for_snr,
+    qam_demodulate,
+    qam_modulate,
+)
 from sienna.cli import cli_entry
 from sienna.gf import FieldSpec
-from sienna.protocol import QAM
+from sienna.protocol import (
+    QAM,
+    BeltDevice,
+    PipelineConfig,
+    PrmsDevice,
+    attack,
+    observe_scene,
+    run_pairing,
+    two_subject_scene,
+)
 from sienna.rs import RsCodeSpec, standard_code
 
 ORACLE_TRIALS = 400
@@ -42,6 +60,11 @@ def _monte_carlo_success(spec, p2, jam_to_signal, p0, rng):
     return int(np.count_nonzero(wrong <= spec.t))
 
 
+def _binomial_bound(n, p):
+    """Four binomial standard deviations, plus one count for the discreteness."""
+    return 4 * np.sqrt(n * p * (1 - p)) + 1
+
+
 @pytest.mark.parametrize(
     "spec",
     [standard_code(), RsCodeSpec(FieldSpec(7), 127, 97), RsCodeSpec(FieldSpec(3), 7, 3)],
@@ -59,9 +82,52 @@ def test_level_odds_match_a_seeded_monte_carlo(spec, tmp_path):
     for g in ORACLE_GRID_INDICES:
         for p2, level_index, jam_to_signal, _, exact, _ in rows[g * n_levels : (g + 1) * n_levels]:
             hits = _monte_carlo_success(spec, p2, jam_to_signal, config.channel.p0, rng)
-            # Four binomial standard deviations, plus one count for the discreteness.
-            bound = 4 * np.sqrt(n * exact * (1 - exact)) + 1
+            bound = _binomial_bound(n, exact)
             assert abs(hits - n * exact) <= bound, (g, level_index, hits / n, exact)
+
+
+ATTACK_DRAWS = 300
+
+
+@pytest.mark.parametrize(
+    "grid_index, level_index",
+    [(11, 3), (22, 2), (34, 1)],  # p2 ≈ 7.0, 49 and 413, where the odds are 0.66, 0.75 and 0.60
+)
+def test_attack_on_a_round_matches_the_exact_odds(grid_index, level_index):
+    """The insider holds device a's own fingerprint, so only the channel
+    errs; its recovery rate on one level of a seeded round must match
+    ``_insider_success`` at the same insider power and jam level."""
+    config, channel = PipelineConfig(), ChannelParams()
+    ladder = ladder_levels(1000.0, channel.p0)
+    belt_obs, prms_obs = observe_scene(two_subject_scene(3))
+    device_a = BeltDevice(belt_obs, config)
+    out = run_pairing(
+        device_a, PrmsDevice(prms_obs, config), channel, ladder,
+        np.random.default_rng(3), salt_seed=3,
+    )
+    assert out.success
+    # Each draw attacks the one level under test, not all four.
+    one_level = replace(
+        out, levels=out.levels[level_index : level_index + 1],
+        sub_salts=out.sub_salts[level_index : level_index + 1],
+    )
+    p2 = float(np.logspace(0, 3, 40)[grid_index])
+    jam = ladder.levels[level_index]
+    # The flip odds of a clean and a jammed copy, as the scenario takes them.
+    noise = noise_power_for_snr(p2 / channel.p0, QAM)
+    p_clean = ber_theoretical(QAM.order, p2 / channel.p0)
+    p_jammed = ber_theoretical(QAM.order, 1.0 / (2.0 * (noise + jam / p2)))
+    exact = float(_insider_success(config.rs_spec, np.array([p_clean]), np.array([p_jammed]))[0])
+
+    rng = np.random.default_rng(grid_index)
+    hits = sum(
+        attack(one_level, p2, channel, lambda w: device_a.derive_fingerprints(w)[0],
+               config.rs_spec, rng=rng).salt_recovered
+        for _ in range(ATTACK_DRAWS)
+    )
+    assert abs(hits - ATTACK_DRAWS * exact) <= _binomial_bound(ATTACK_DRAWS, exact), (
+        hits / ATTACK_DRAWS, exact,
+    )
 
 
 def test_even_width_odds_equal_the_binomial_tail():

@@ -691,29 +691,25 @@ def _insider_setup(seed=3):
     true_series = synth_displacement(scene.subjects[0], 0, scene.duration_s, 100.0)
     insider = BeltDevice(BeltObservation(belt_observe(true_series, noise_std=0.0)), CONFIG)
     fingerprint = lambda w: insider.derive_fingerprints(w)[0]
-    eve = CHANNEL.p1
-    return a, b, fingerprint, eve
+    return a, b, fingerprint
 
 
 def test_insider_succeeds_without_jamming():
-    a, b, fingerprint, eve = _insider_setup()
+    a, b, fingerprint = _insider_setup()
     out = run_pairing(
-        a, b, CHANNEL, JammingLadder((0.0,)), np.random.default_rng(7),
-        salt_seed=11, eavesdropper_p2=eve,
+        a, b, CHANNEL, JammingLadder((0.0,)), np.random.default_rng(7), salt_seed=11
     )
     assert out.success
-    res = attack(out.taps, out.sub_salts, fingerprint, CONFIG.rs_spec,
+    res = attack(out, CHANNEL.p1, CHANNEL, fingerprint, CONFIG.rs_spec,
                  rng=np.random.default_rng(1))
     assert res.salt_recovered
 
 
 def test_insider_defeated_by_ladder():
-    a, b, fingerprint, eve = _insider_setup()
-    out = run_pairing(
-        a, b, CHANNEL, LADDER, np.random.default_rng(8), salt_seed=12, eavesdropper_p2=eve
-    )
+    a, b, fingerprint = _insider_setup()
+    out = run_pairing(a, b, CHANNEL, LADDER, np.random.default_rng(8), salt_seed=12)
     assert out.success  # legitimate side is unaffected
-    res = attack(out.taps, out.sub_salts, fingerprint, CONFIG.rs_spec,
+    res = attack(out, CHANNEL.p1, CHANNEL, fingerprint, CONFIG.rs_spec,
                  rng=np.random.default_rng(2))
     assert not res.salt_recovered
     assert any(not lvl.recovered for lvl in res.per_level)
@@ -721,23 +717,16 @@ def test_insider_defeated_by_ladder():
 
 def test_distribution_attacker_rejected():
     """Another person's breathing does not open: eight sampled subjects, each
-    fingerprint through the insider's attack on the same unjammed view."""
-    a, b, _, eve = _insider_setup()
+    fingerprint through the insider's attack on the same unjammed round."""
+    a, b, _ = _insider_setup()
     out = run_pairing(
-        a, b, CHANNEL, JammingLadder((0.0,)), np.random.default_rng(10),
-        salt_seed=14, eavesdropper_p2=eve,
+        a, b, CHANNEL, JammingLadder((0.0,)), np.random.default_rng(10), salt_seed=14
     )
     for i in range(1, 9):
         profile = sample_profile(10_000 + i, 0.01)
         series = synth_displacement(profile, 0, 61, 50.0)
         obs = BeltObservation(belt_observe(series, noise_std=0.0, sample_rate=100.0))
         fp = BeltDevice(obs, CONFIG).derive_fingerprints((0, 10_000))[0]
-        res = attack(out.taps, out.sub_salts, lambda w: fp, CONFIG.rs_spec,
+        res = attack(out, CHANNEL.p1, CHANNEL, lambda w: fp, CONFIG.rs_spec,
                      rng=np.random.default_rng(4))
         assert not res.salt_recovered
-
-
-def test_attack_requires_taps():
-    with pytest.raises(ValueError):
-        attack([], [], lambda w: np.zeros(8, dtype=np.uint8), CONFIG.rs_spec,
-               rng=np.random.default_rng(0))
