@@ -57,8 +57,7 @@ print("transcript head:")
 for line in transcript_to_jsonl(outcome.transcript).splitlines()[:3]:
     print("  " + line)
 
-result = attack(outcome, channel.p1, channel, fingerprint, config.rs_spec,
-                rng=np.random.default_rng(2))
+result = attack(outcome, channel.p1, channel, fingerprint, rng=np.random.default_rng(2))
 print(f"\ninsider with the ladder active: salt recovered = {result.salt_recovered}")
 for lvl in result.per_level:
     print(f"  level {lvl.level_index}: recovered={lvl.recovered}, commitment BER {lvl.ber:.3f}")
@@ -67,7 +66,6 @@ quiet = run_pairing(
     device_a, device_b, channel, JammingLadder((0.0,)), np.random.default_rng(3),
     salt_seed=100,
 )
-undefended = attack(quiet, channel.p1, channel, fingerprint, config.rs_spec,
-                    rng=np.random.default_rng(4))
+undefended = attack(quiet, channel.p1, channel, fingerprint, rng=np.random.default_rng(4))
 print(f"\nsame insider with jamming disabled: salt recovered = {undefended.salt_recovered}")
 print("the jamming, not the fuzziness, is what shuts the insider out")

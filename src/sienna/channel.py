@@ -95,8 +95,10 @@ class JammingLadder:
         object.__setattr__(self, "levels", tuple(float(v) for v in self.levels))
         if not self.levels:
             raise ValueError("ladder needs at least one level")
+        if not all(0 <= v < math.inf for v in self.levels):
+            raise ValueError(f"jamming powers must be finite and non-negative, got {self.levels}")
         for hi, lo in zip(self.levels, self.levels[1:]):
-            if not math.isclose(hi / lo, 9.0, rel_tol=1e-9):
+            if not (lo > 0 and math.isclose(hi / lo, 9.0, rel_tol=1e-9)):
                 raise ValueError("ladder levels must descend by a factor of 9")
 
     @property
@@ -178,8 +180,8 @@ def qam_demodulate(symbols: np.ndarray, spec: QamSpec, n_bits: int | None = None
 
 def awgn(symbols: np.ndarray, noise_power: float, rng: np.random.Generator) -> np.ndarray:
     """Complex Gaussian noise of total power ``noise_power`` per symbol."""
-    if noise_power < 0:
-        raise ValueError("noise power must be non-negative")
+    if not 0 <= noise_power < math.inf:
+        raise ValueError(f"noise power must be finite and non-negative, got {noise_power}")
     if noise_power == 0:
         return np.array(symbols, dtype=np.complex128, copy=True)
     scale = math.sqrt(noise_power / 2)
@@ -215,6 +217,8 @@ def dup_and_jam(
     jam_mask = as_bits(jam_mask)
     if jam_mask.size != symbols.size:
         raise ValueError("need one mask bit per symbol pair")
+    if not 0 <= jam_power < math.inf:
+        raise ValueError(f"jam power must be finite and non-negative, got {jam_power}")
     on_air = np.repeat(symbols, 2)
     if jam_power > 0:
         jammed_idx = 2 * np.arange(symbols.size) + jam_mask

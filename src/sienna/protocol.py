@@ -21,7 +21,7 @@ from typing import Callable, Literal, Sequence
 
 import numpy as np
 
-from .bits import Sha256Drbg, as_bits, bits_from_bytes, bits_to_bytes, random_bits
+from .bits import Sha256Drbg, bits_from_bytes, bits_to_bytes, random_bits
 from .breathing import (
     DisplacementSeries,
     RadarIQ,
@@ -51,7 +51,6 @@ from .commitment import (
     kdf,
     new_salt,
     open_commitment,
-    salt_digest,
     serialize_commitment,
     deserialize_commitment,
     xor_fold,
@@ -459,7 +458,10 @@ def slot_window(
     Successive levels take successive slots of the announced window; a
     reattempt of a level moves on by ``n_levels`` slots so it re-measures
     a different stretch of breathing. Wraps around when the ladder and
-    retries need more slots than the window holds.
+    retries need more slots than the window holds. A wrapped slot is
+    committed on twice, and device a's fingerprint of a slot does not
+    change, so the two masks XOR to RS(s ^ s'); the code is systematic, so
+    anyone on the air reads s ^ s', the XOR of those two sub-salts.
     """
     n_slots = max(1, (window_ms[1] - window_ms[0]) // COMMIT_SLOT_MS)
     slot = (level + attempt * n_levels) % n_slots
@@ -534,27 +536,36 @@ def observe_scene(scene: PairingScene) -> tuple[BeltObservation, PrmsObservation
 
 @dataclass
 class LevelRecord:
+    """One level of a round; ``window_ms`` and ``commitment`` are its last
+    attempt's, ACKed or not, whose commit frame is all a listener sees."""
+
     level_index: int
     jam_power: float
     retries: int
     verdict: str
     stitched_bit_errors: int
     candidate_used: int | None
-    # The slot and the on-air bits of the level's last attempt.
     window_ms: tuple[int, int]
-    payload: np.ndarray
+    commitment: Commitment
 
 
 @dataclass
 class PairingOutcome:
-    success: bool
     key_a: bytes | None
     key_b: bytes | None
     evolution_salt: np.ndarray | None
     transcript: list[dict]
     levels: list[LevelRecord]
-    failed_level: int | None = None
-    sub_salts: list[np.ndarray] = field(default_factory=list)
+
+    @property
+    def failed_level(self) -> int | None:
+        """The level that exhausted its retries, which ends a round."""
+        return next((lvl.level_index for lvl in self.levels if lvl.verdict != "ACK"), None)
+
+    @property
+    def success(self) -> bool:
+        """Every level was ACKed and both devices derived the same key."""
+        return self.key_a is not None and self.key_a == self.key_b
 
 
 def run_pairing(
@@ -569,9 +580,10 @@ def run_pairing(
     """Execute one full key-evolution round over the simulated channel.
 
     ``salt_seed`` seeds the deterministic CSPRNG that draws a's sub-salts.
-    Each level's record keeps the slot and the on-air bits of its last
-    attempt, which is what an eavesdropper could intercept (see ``attack``).
-    The transcript is stamped in simulated ms.
+    The outcome holds one ``LevelRecord`` per level tried, with the slot and
+    the commitment of its last attempt (what ``attack`` intercepts), and
+    the keys and evolution salt once every level is ACKed. The transcript
+    is stamped in simulated ms.
     """
     now_ms = 0
     rs_spec = device_a.config.rs_spec
@@ -591,9 +603,8 @@ def run_pairing(
     noise_main = noise_power_for_snr(channel.snr_main, QAM)
 
     levels: list[LevelRecord] = []
-    sub_salts: list[np.ndarray] = []
+    sent_salts: list[np.ndarray] = []
     recovered_salts: list[np.ndarray] = []
-    failed_level = None
     for level_idx, jam_level in enumerate(ladder.levels):
         outcome_salt = None
         candidate_used = None
@@ -642,8 +653,6 @@ def run_pairing(
             if verdict == "ACK":
                 break
 
-        # The sub-salt of a level's last attempt, ACKed or not.
-        sub_salts.append(sub_salt)
         levels.append(
             LevelRecord(
                 level_index=level_idx,
@@ -654,16 +663,16 @@ def run_pairing(
                 stitched_bit_errors=stitched_errors,
                 candidate_used=candidate_used,
                 window_ms=window,
-                payload=payload,
+                commitment=commitment,
             )
         )
         if verdict != "ACK":
-            failed_level = level_idx
             break
+        sent_salts.append(sub_salt)
         recovered_salts.append(outcome_salt)
 
-    if failed_level is None:
-        evolution_salt = xor_fold(sub_salts)
+    if state_a.phase == "done":
+        evolution_salt = xor_fold(sent_salts)
         key_a = conclude(state_a, evolution_salt)
         key_b = conclude(state_b, xor_fold(recovered_salts))
         log("a<->b", "kdf", round=state_a.round_index)
@@ -671,16 +680,7 @@ def run_pairing(
         state_a.fail("commitment-rejected")
         state_b.fail("commitment-rejected")
         evolution_salt = key_a = key_b = None
-    return PairingOutcome(
-        success=failed_level is None and key_a == key_b,
-        key_a=key_a,
-        key_b=key_b,
-        evolution_salt=evolution_salt,
-        transcript=transcript,
-        levels=levels,
-        failed_level=failed_level,
-        sub_salts=sub_salts,
-    )
+    return PairingOutcome(key_a, key_b, evolution_salt, transcript, levels)
 
 
 def transcript_to_jsonl(transcript: Sequence[dict]) -> str:
@@ -699,8 +699,12 @@ class LevelAttackOutcome:
 
 @dataclass(frozen=True)
 class AttackResult:
-    salt_recovered: bool
     per_level: tuple[LevelAttackOutcome, ...]
+
+    @property
+    def salt_recovered(self) -> bool:
+        """A single level the insider cannot open destroys the evolution salt."""
+        return all(lvl.recovered for lvl in self.per_level)
 
 
 def attack(
@@ -708,41 +712,36 @@ def attack(
     p2: float,
     channel: ChannelParams,
     fingerprint: Callable[[tuple[int, int]], np.ndarray],
-    rs_spec: RsCodeSpec,
     *,
     rng: np.random.Generator,
 ) -> AttackResult:
     """The insider's attack on a round's frames: recover the evolution salt.
 
-    The insider receives each level's last frame at signal power ``p2`` over
-    the channel's noise floor ``p0``, with the level's jam over ``p2`` on one
-    copy of every duplicated symbol pair. Only that frame's sub-salt
-    survives into the evolution salt. The jam mask is drawn afresh: the
-    insider picks one copy of every pair at random, so its odds do not
-    depend on which copy was jammed. The insider measures their own
-    breathing, so ``fingerprint`` maps any commitment window in ms to the
-    exact fingerprint bits, and opens each level's intercepted commitment
-    with it. Success requires every sub-salt: a single undecodable level
-    destroys the XOR-folded evolution salt. Each level's ``ber`` is the bit
-    error rate of the insider's view against the transmitted payload.
+    For each level, the insider receives the commit frame of the record's
+    commitment at signal power ``p2`` over the channel's noise floor
+    ``p0``, with the level's jam over ``p2`` on one copy of every duplicated
+    symbol pair. Only that frame's sub-salt survives into the evolution
+    salt. The jam mask is drawn afresh: the insider picks one copy of every
+    pair at random, so its odds do not depend on which copy was jammed. The
+    insider measures their own breathing, so ``fingerprint`` maps any
+    commitment window in ms to the exact fingerprint bits, and opens the
+    intercepted mask, under the commitment's own code and digest, with it.
+    Success requires every sub-salt. Each level's ``ber`` is the bit error
+    rate of the insider's view against the transmitted frame.
     """
     noise_power = noise_power_for_snr(p2 / channel.p0, QAM)
-    mask_end = COMMIT_MASK_OFFSET_BITS + rs_spec.codeword_bits
     per_level = []
-    for record, sub_salt in zip(outcome.levels, outcome.sub_salts):
-        symbols = qam_modulate(record.payload, QAM)
+    for record in outcome.levels:
+        commitment = record.commitment
+        payload = bits_from_bytes(encode_message(CommitMessage(record.level_index, commitment)))
+        symbols = qam_modulate(payload, QAM)
         mask = random_bits(symbols.size, rng)
         frame = dup_and_jam(symbols, mask, record.jam_power / p2, rng, noise_power=noise_power)
         estimates = eavesdrop(frame, "random-pick", rng)
-        rx_bits = qam_demodulate(estimates, QAM, n_bits=record.payload.size)
-        ber = float(np.mean(rx_bits != record.payload))
-        # The intercepted mask, checked against the true salt's digest.
-        true_digest = salt_digest(as_bits(sub_salt))
-        intercepted = Commitment(rx_bits[COMMIT_MASK_OFFSET_BITS:mask_end], true_digest, rs_spec)
-        recovered = open_commitment(intercepted, fingerprint(record.window_ms), rs_spec).recovered
-        per_level.append(LevelAttackOutcome(record.level_index, recovered, ber))
-
-    return AttackResult(
-        salt_recovered=all(lvl.recovered for lvl in per_level),
-        per_level=tuple(per_level),
-    )
+        rx_bits = qam_demodulate(estimates, QAM, n_bits=payload.size)
+        ber = float(np.mean(rx_bits != payload))
+        mask_end = COMMIT_MASK_OFFSET_BITS + commitment.spec.codeword_bits
+        intercepted = replace(commitment, masked_codeword=rx_bits[COMMIT_MASK_OFFSET_BITS:mask_end])
+        opened = open_commitment(intercepted, fingerprint(record.window_ms), commitment.spec)
+        per_level.append(LevelAttackOutcome(record.level_index, opened.recovered, ber))
+    return AttackResult(tuple(per_level))

@@ -263,7 +263,7 @@ def test_criterion_07_insider_defeat():
             np.random.default_rng(900 + trial), salt_seed=7000 + trial,
         )
         for k, p2 in enumerate(np.logspace(0, 3, 5)):
-            result = attack(out, float(p2), channel, fingerprint, config.rs_spec,
+            result = attack(out, float(p2), channel, fingerprint,
                             rng=np.random.default_rng([trial, k]))
             probes += 1
             full_path_failures += not result.salt_recovered
@@ -272,8 +272,7 @@ def test_criterion_07_insider_defeat():
         np.random.default_rng(901), salt_seed=7100,
     )
     disabled_attack = attack(
-        disabled_out, channel.p1, channel, fingerprint, config.rs_spec,
-        rng=np.random.default_rng(5),
+        disabled_out, channel.p1, channel, fingerprint, rng=np.random.default_rng(5),
     )
     elapsed = time.perf_counter() - t_start
     ok = (

@@ -107,10 +107,7 @@ def test_attack_on_a_round_matches_the_exact_odds(grid_index, level_index):
     )
     assert out.success
     # Each draw attacks the one level under test, not all four.
-    one_level = replace(
-        out, levels=out.levels[level_index : level_index + 1],
-        sub_salts=out.sub_salts[level_index : level_index + 1],
-    )
+    one_level = replace(out, levels=out.levels[level_index : level_index + 1])
     p2 = float(np.logspace(0, 3, 40)[grid_index])
     jam = ladder.levels[level_index]
     # The flip odds of a clean and a jammed copy, as the scenario takes them.
@@ -122,7 +119,7 @@ def test_attack_on_a_round_matches_the_exact_odds(grid_index, level_index):
     rng = np.random.default_rng(grid_index)
     hits = sum(
         attack(one_level, p2, channel, lambda w: device_a.derive_fingerprints(w)[0],
-               config.rs_spec, rng=rng).salt_recovered
+               rng=rng).salt_recovered
         for _ in range(ATTACK_DRAWS)
     )
     assert abs(hits - ATTACK_DRAWS * exact) <= _binomial_bound(ATTACK_DRAWS, exact), (

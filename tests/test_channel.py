@@ -140,6 +140,17 @@ def test_dup_and_jam_duplicates_back_to_back():
     assert np.array_equal(frame[1::2], sym)
 
 
+def test_powers_that_cannot_be_applied_are_rejected():
+    """A NaN or negative jam would otherwise send the clean frame, and a NaN
+    noise power would return NaN symbols."""
+    rng = np.random.default_rng(0)
+    for power in (math.nan, -1.0, math.inf):
+        with pytest.raises(ValueError):
+            dup_and_jam(np.ones(4), np.zeros(4), power, rng)
+        with pytest.raises(ValueError):
+            awgn(np.ones(4), power, rng)
+
+
 def test_zero_jam_power_copies_identical_up_to_noise():
     rng = np.random.default_rng(4)
     sym = qam_modulate(random_bits(400, rng), QamSpec(4))
@@ -292,3 +303,7 @@ def test_jamming_ladder_validation():
         JammingLadder(())
     with pytest.raises(ValueError):
         JammingLadder((10.0, 2.0))
+    for levels in ((math.nan,), (math.inf,), (-5.0,), (-9.0, -1.0), (9.0, 0.0), (0.0, 0.0)):
+        with pytest.raises(ValueError):
+            JammingLadder(levels)
+    assert JammingLadder((0.0,)).levels == (0.0,)  # jamming off

@@ -19,7 +19,7 @@ from sienna.breathing import (
     synth_displacement,
 )
 from sienna.channel import ChannelParams, JammingLadder, ladder_levels
-from sienna.commitment import commit, hash256, new_salt, open_commitment, xor_fold
+from sienna.commitment import commit, hash256, kdf, new_salt, open_commitment, xor_fold
 from sienna.fingerprint import (
     NORMALIZED_STD,
     SAMPLE_INTERVAL_S,
@@ -30,6 +30,7 @@ from sienna.fingerprint import (
     segment_pad,
     skew,
 )
+from sienna.gf import FieldSpec
 from sienna import protocol
 from sienna.protocol import (
     COMMIT_MASK_OFFSET_BITS,
@@ -61,7 +62,7 @@ from sienna.protocol import (
     transcript_to_jsonl,
     two_subject_scene,
 )
-from sienna.rs import standard_code
+from sienna.rs import RsCodeSpec, standard_code
 
 CONFIG = PipelineConfig()
 CHANNEL = ChannelParams()
@@ -93,9 +94,23 @@ def test_commit_message_round_trip():
     assert back.level_index == 2
     assert np.array_equal(back.commitment.masked_codeword, c.masked_codeword)
     assert back.commitment.salt_hash == c.salt_hash
-    bits = bits_from_bytes(encode_message(msg))
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [standard_code(), RsCodeSpec(FieldSpec(7), 127, 97), RsCodeSpec(FieldSpec(3), 7, 3)],
+    ids=["K8", "K7", "K3"],  # K3's 21-bit mask is not byte-aligned
+)
+def test_commit_frame_holds_the_mask_at_a_symbol_boundary(spec):
+    """``attack`` slices the intercepted mask at ``COMMIT_MASK_OFFSET_BITS``,
+    and the insider's exact odds walk QAM symbols from the mask's first bit,
+    so the mask starts there and on a whole QAM symbol, whatever the code."""
+    rng = np.random.default_rng(spec.codeword_bits)
+    c = commit(new_salt(spec, 5), random_bits(spec.codeword_bits, rng), spec)
+    bits = bits_from_bytes(encode_message(CommitMessage(2, c)))
     mask = bits[COMMIT_MASK_OFFSET_BITS : COMMIT_MASK_OFFSET_BITS + spec.codeword_bits]
     assert np.array_equal(mask, c.masked_codeword)
+    assert COMMIT_MASK_OFFSET_BITS % protocol.QAM.bits_per_symbol == 0
 
 
 def test_acknak_round_trip():
@@ -370,7 +385,7 @@ def test_quiet_two_subject_scene_succeeds_with_matching_keys():
     )
     assert out.success
     assert out.key_a == out.key_b
-    assert len(out.sub_salts) == LADDER.count
+    assert len(out.levels) == LADDER.count
 
 
 def test_cross_subject_pairing_fails():
@@ -475,6 +490,38 @@ def test_same_keys_per_seed(seed):
     assert out.success == (key_hex is not None)
     assert (out.key_a.hex() if out.key_a else None) == key_hex
     assert [(lvl.retries, lvl.candidate_used) for lvl in out.levels] == levels
+
+
+def test_level_records_are_all_a_round_needs():
+    """Each record's commitment opens under a's own fingerprint of its slot,
+    the sub-salts fold into the evolution salt behind a's key, and the
+    verdicts name the failed level (pinned rounds 95 and 49)."""
+    rounds = {}
+    for seed in (95, 49):
+        belt_obs, prms_obs = observe_scene(two_subject_scene(seed))
+        device_a = BeltDevice(belt_obs, CONFIG)
+        out = run_pairing(
+            device_a,
+            PrmsDevice(prms_obs, CONFIG),
+            CHANNEL,
+            LADDER,
+            np.random.default_rng(seed),
+            salt_seed=seed,
+        )
+        rounds[seed] = device_a, out
+
+    device_a, out = rounds[95]
+    assert out.success and out.failed_level is None
+    salts = [
+        open_commitment(
+            record.commitment, device_a.derive_fingerprints(record.window_ms)[0], CONFIG.rs_spec
+        ).salt
+        for record in out.levels
+    ]
+    assert np.array_equal(xor_fold(salts), out.evolution_salt)
+    assert kdf(bootstrap_key(), out.evolution_salt) == out.key_a
+    _, failed = rounds[49]
+    assert failed.failed_level == 0 and not failed.success
 
 
 @pytest.mark.parametrize("seed", [49, 95])  # a failed round; a round with retries
@@ -700,8 +747,7 @@ def test_insider_succeeds_without_jamming():
         a, b, CHANNEL, JammingLadder((0.0,)), np.random.default_rng(7), salt_seed=11
     )
     assert out.success
-    res = attack(out, CHANNEL.p1, CHANNEL, fingerprint, CONFIG.rs_spec,
-                 rng=np.random.default_rng(1))
+    res = attack(out, CHANNEL.p1, CHANNEL, fingerprint, rng=np.random.default_rng(1))
     assert res.salt_recovered
 
 
@@ -709,8 +755,7 @@ def test_insider_defeated_by_ladder():
     a, b, fingerprint = _insider_setup()
     out = run_pairing(a, b, CHANNEL, LADDER, np.random.default_rng(8), salt_seed=12)
     assert out.success  # legitimate side is unaffected
-    res = attack(out, CHANNEL.p1, CHANNEL, fingerprint, CONFIG.rs_spec,
-                 rng=np.random.default_rng(2))
+    res = attack(out, CHANNEL.p1, CHANNEL, fingerprint, rng=np.random.default_rng(2))
     assert not res.salt_recovered
     assert any(not lvl.recovered for lvl in res.per_level)
 
@@ -727,6 +772,5 @@ def test_distribution_attacker_rejected():
         series = synth_displacement(profile, 0, 61, 50.0)
         obs = BeltObservation(belt_observe(series, noise_std=0.0, sample_rate=100.0))
         fp = BeltDevice(obs, CONFIG).derive_fingerprints((0, 10_000))[0]
-        res = attack(out, CHANNEL.p1, CHANNEL, lambda w: fp, CONFIG.rs_spec,
-                     rng=np.random.default_rng(4))
+        res = attack(out, CHANNEL.p1, CHANNEL, lambda w: fp, rng=np.random.default_rng(4))
         assert not res.salt_recovered
