@@ -7,7 +7,7 @@ person's bits disagree far beyond what error correction would bridge.
 """
 
 from sienna.fingerprint import SAMPLE_INTERVAL_S, THRESHOLDS, extract, hamming_similarity, qtz
-from sienna.protocol import PairingScene, observe_scene, prepare_series
+from sienna.protocol import BeltDevice, PairingScene, PrmsDevice, observe_scene
 from sienna.breathing import sample_profile
 
 print(f"bank: {THRESHOLDS.size} branches, thresholds ±0.05..±0.50, "
@@ -17,8 +17,8 @@ print(f"qtz(-0.6) -> {qtz(-0.6, 0.5, -0.5)}   (at or below the lower threshold)"
 print(f"qtz(0.0)  -> {qtz(0.0, 0.5, -0.5)}   (inside the band)")
 
 
-def fingerprint_bits(observation, t0, t1):
-    return extract(prepare_series(observation), t0, t1)[0]
+def fingerprint_bits(device, observation, t0, t1):
+    return extract(device.prepare(observation), t0, t1)[0]
 
 
 subjects = [sample_profile(seed, drift_std=0.015) for seed in (11, 22, 33)]
@@ -28,8 +28,11 @@ for idx, profile in enumerate(subjects):
         subjects=(profile,), seed=idx,
         belt_noise_std=0.02, radar_phase_noise_std=0.05,
     )
-    belt_obs, prms_obs = observe_scene(scene)
-    views[idx] = (fingerprint_bits(belt_obs, 0, 60), fingerprint_bits(prms_obs, 0, 60))
+    belt, radar = observe_scene(scene)
+    views[idx] = (
+        fingerprint_bits(BeltDevice, belt, 0, 60),
+        fingerprint_bits(PrmsDevice, radar, 0, 60),
+    )
 
 print(f"\nfingerprint length at 60 s: {views[0][0].size} bits "
       f"({THRESHOLDS.size} branches x 2 x 601 samples)")

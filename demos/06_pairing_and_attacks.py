@@ -14,7 +14,6 @@ from sienna.breathing import belt_observe, synth_displacement
 from sienna.channel import ChannelParams, JammingLadder, ladder_levels
 from sienna.protocol import (
     BeltDevice,
-    BeltObservation,
     PipelineConfig,
     PrmsDevice,
     attack,
@@ -33,13 +32,13 @@ scene = two_subject_scene(seed=5)
 rates = [p.resp_rate for p in scene.subjects]
 print(f"two subjects breathing at {rates[0]:.1f} and {rates[1]:.1f} breaths/min")
 
-belt_obs, prms_obs = observe_scene(scene)
-device_a = BeltDevice(belt_obs, config)
-device_b = PrmsDevice(prms_obs, config)
+belt, radar = observe_scene(scene)
+device_a = BeltDevice(belt, config)
+device_b = PrmsDevice(radar, config)
 
 # the insider is the target patient: perfect knowledge of their own breathing
 true_series = synth_displacement(scene.subjects[0], 0, scene.duration_s, 100.0)
-insider = BeltDevice(BeltObservation(belt_observe(true_series, noise_std=0.0)), config)
+insider = BeltDevice(belt_observe(true_series, noise_std=0.0), config)
 fingerprint = lambda w: insider.derive_fingerprints(w)[0]
 
 outcome = run_pairing(

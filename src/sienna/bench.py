@@ -27,13 +27,10 @@ from .ica import jade_separate, match_sources
 from .protocol import (
     QAM,
     BeltDevice,
-    BeltObservation,
     PairingScene,
     PipelineConfig,
     PrmsDevice,
-    PrmsObservation,
     observe_scene,
-    prepare_series,
     run_pairing,
     two_subject_scene,
 )
@@ -150,17 +147,11 @@ def _run_separation(config: ExperimentConfig):
 # -- fingerprint similarity -------------------------------------------------------
 
 
-def _slice_observations(belt_obs, prms_obs, t0: float, t1: float):
-    """Restrict both observations to [t0, t1], as a session of that length."""
-    return (
-        BeltObservation(belt_obs.series.slice(t0, t1)),
-        PrmsObservation(tuple(iq.slice(t0, t1) for iq in prms_obs.iq_channels)),
-    )
-
-
-def _raw_window_bits(observation, t0: float, t1: float):
-    """Raw quantizer bits of a standalone session over [t0, t1]."""
-    return extract(prepare_series(observation), t0, t1)[0]
+def _window_bits(belt, radar, t0: float, t1: float):
+    """Raw quantizer bits of belt and radar as standalone sessions over [t0, t1]."""
+    belt_series = BeltDevice.prepare(belt.slice(t0, t1))
+    radar_series = PrmsDevice.prepare(tuple(iq.slice(t0, t1) for iq in radar))
+    return extract(belt_series, t0, t1)[0], extract(radar_series, t0, t1)[0]
 
 
 def _run_fingerprint_similarity(config: ExperimentConfig):
@@ -190,22 +181,17 @@ def _run_fingerprint_similarity(config: ExperimentConfig):
     for duration in sorted(config.durations):
         offsets = np.linspace(0.0, obs_len - 1.0 - duration, SIMILARITY_OFFSETS)
         sims_same = []
-        for i, (belt_obs, prms_obs) in enumerate(observations):
+        for i, (belt, radar) in enumerate(observations):
             for w, off in enumerate(offsets):
                 t0, t1 = float(off), float(off + duration)
-                belt_cut, prms_cut = _slice_observations(belt_obs, prms_obs, t0, t1)
-                bits_a = _raw_window_bits(belt_cut, t0, t1)
-                bits_b = _raw_window_bits(prms_cut, t0, t1)
+                bits_a, bits_b = _window_bits(belt, radar, t0, t1)
                 sim = hamming_similarity(bits_a, bits_b)
                 sims_same.append(sim)
                 rows.append(("same", i, i, duration, w, sim))
         same_means[duration] = float(np.mean(sims_same))
-    full_bits_belt = []
-    full_bits_radar = []
-    for belt_obs, prms_obs in observations:
-        belt_cut, prms_cut = _slice_observations(belt_obs, prms_obs, 0.0, 60.0)
-        full_bits_belt.append(_raw_window_bits(belt_cut, 0.0, 60.0))
-        full_bits_radar.append(_raw_window_bits(prms_cut, 0.0, 60.0))
+    full_bits_belt, full_bits_radar = zip(
+        *(_window_bits(belt, radar, 0.0, 60.0) for belt, radar in observations)
+    )
     cross_sims = []
     for i in range(config.population):
         for j in range(config.population):
@@ -237,8 +223,8 @@ def _run_commitment_entropy(config: ExperimentConfig):
     n_samples = config.samples or 10_000
     spec = config.rs
     seed = config.trial_seed(0, salt=1)
-    belt_obs, _ = observe_scene(PairingScene(subjects=(sample_profile(seed),), seed=seed))
-    belt = BeltDevice(belt_obs, PipelineConfig(rs_spec=spec))
+    belt_series, _ = observe_scene(PairingScene(subjects=(sample_profile(seed),), seed=seed))
+    belt = BeltDevice(belt_series, PipelineConfig(rs_spec=spec))
     fingerprint = belt.derive_fingerprints((0, 60_000))[0]
     drbg = Sha256Drbg(config.trial_seed(0, salt=2))
     # The rank rate stacks R = codeword_bits + 64 differences x_i ^ x_0, so a
@@ -472,10 +458,10 @@ def _run_pairing_success(config: ExperimentConfig):
     for i in range(trials):
         seed = config.trial_seed(i, salt=5)
         scene = two_subject_scene(seed)
-        belt_obs, prms_obs = observe_scene(scene)
+        belt, radar = observe_scene(scene)
         outcome = run_pairing(
-            BeltDevice(belt_obs, pipeline),
-            PrmsDevice(prms_obs, pipeline),
+            BeltDevice(belt, pipeline),
+            PrmsDevice(radar, pipeline),
             config.channel,
             ladder,
             np.random.default_rng(seed ^ 0x9E3779B9),

@@ -79,7 +79,7 @@ def hash256(data: bytes) -> bytes:
     return hashlib.sha256(data).digest()
 
 
-def salt_digest(salt_bits: np.ndarray) -> bytes:
+def _salt_digest(salt_bits: np.ndarray) -> bytes:
     """Domain-separated SHA-256 of a salt the caller has already validated."""
     return hashlib.sha256(_SALT_HASH_PREFIX + np.packbits(salt_bits).tobytes()).digest()
 
@@ -125,7 +125,7 @@ def commit(salt_bits: np.ndarray, fingerprint_bits: np.ndarray, spec: RsCodeSpec
     codeword_bits = codec.symbols_to_bits(codec.encode(codec.bits_to_symbols(salt_bits)))
     return Commitment(
         masked_codeword=codeword_bits ^ fingerprint_bits,
-        salt_hash=salt_digest(salt_bits),
+        salt_hash=_salt_digest(salt_bits),
         spec=spec,
     )
 
@@ -153,7 +153,7 @@ def open_commitment(
     if message is None:
         return OpenOutcome("decode-failure")
     salt_bits = codec.symbols_to_bits(message)
-    if salt_digest(salt_bits) != commitment.salt_hash:
+    if _salt_digest(salt_bits) != commitment.salt_hash:
         return OpenOutcome("hash-mismatch")
     return OpenOutcome("recovered", salt=salt_bits)
 

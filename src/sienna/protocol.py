@@ -63,14 +63,14 @@ __all__ = [
     "AckNak",
     "AttackResult",
     "BeltDevice",
-    "BeltObservation",
     "CommitMessage",
     "InitMessage",
+    "LevelAttackOutcome",
+    "LevelRecord",
     "PairingOutcome",
     "PairingScene",
     "PipelineConfig",
     "PrmsDevice",
-    "PrmsObservation",
     "ProtocolError",
     "PUBLIC_PARAMETER",
     "SessionState",
@@ -83,7 +83,6 @@ __all__ = [
     "handle_ack",
     "initiate",
     "observe_scene",
-    "prepare_series",
     "receive_init",
     "run_pairing",
     "slot_window",
@@ -134,6 +133,11 @@ class ProtocolError(Exception):
 # -- messages and wire format -------------------------------------------------
 
 
+def _check_uint(value: int, bits: int, what: str) -> None:
+    if not 0 <= value < 1 << bits:
+        raise ValueError(f"{what} must lie in [0, 2**{bits}), got {value}")
+
+
 @dataclass(frozen=True)
 class InitMessage:
     key_hash: bytes
@@ -143,6 +147,8 @@ class InitMessage:
     def __post_init__(self):
         if len(self.key_hash) != 32:
             raise ValueError("key hash must be 32 bytes")
+        _check_uint(self.t_str, 64, "window start")
+        _check_uint(self.t_end, 64, "window end")
         if self.t_end <= self.t_str:
             raise ValueError("observation window must have positive length")
 
@@ -152,11 +158,19 @@ class CommitMessage:
     level_index: int
     commitment: Commitment
 
+    def __post_init__(self):
+        _check_uint(self.level_index, 32, "level")
+
 
 @dataclass(frozen=True)
 class AckNak:
     verdict: Literal["ACK", "NAK"]
     level_index: int
+
+    def __post_init__(self):
+        if self.verdict not in ("ACK", "NAK"):
+            raise ValueError(f"verdict must be 'ACK' or 'NAK', got {self.verdict!r}")
+        _check_uint(self.level_index, 32, "level")
 
 
 def _field(data: bytes) -> bytes:
@@ -313,7 +327,9 @@ def conclude(state: SessionState, salt_bits: np.ndarray) -> bytes:
 
 @dataclass(frozen=True)
 class PipelineConfig:
-    """The RS code both devices must agree on; it sets the fingerprint length."""
+    """A device's RS code; it sets the fingerprint length. Each device encodes,
+    decodes and opens with its own, so a code the two do not share fails
+    device b's header check on every commit frame and the round at level 0."""
 
     rs_spec: RsCodeSpec = field(default_factory=standard_code)
 
@@ -328,43 +344,6 @@ def _orient(series: DisplacementSeries) -> DisplacementSeries:
     """
     flip = np.asarray(skew(series.samples) < 0)[..., None]
     return replace(series, samples=np.where(flip, -series.samples, series.samples))
-
-
-@dataclass(frozen=True)
-class BeltObservation:
-    series: DisplacementSeries
-
-
-@dataclass(frozen=True)
-class PrmsObservation:
-    iq_channels: tuple[RadarIQ, ...]
-
-
-def prepare_series(observation: BeltObservation | PrmsObservation) -> DisplacementSeries:
-    """Low-pass, demodulate/separate, normalize, and orient one observation.
-
-    Returns the candidate breathing series this device can quantize, stacked
-    on one time base with shape (n, T): one row for the belt, one per
-    separated source for the radar (in separation confidence order).
-    Normalization and orientation happen once over the whole observation so
-    every sub-window is quantized consistently.
-    """
-    if isinstance(observation, BeltObservation):
-        series = observation.series
-        filtered = lowpass_filter(series.samples, series.sample_rate)
-        stacked = DisplacementSeries(filtered[None, :], series.sample_rate, series.t_start)
-        return _orient(normalize_series(stacked))
-
-    rate = observation.iq_channels[0].sample_rate
-    t_start = observation.iq_channels[0].t_start
-    mixture = np.stack([linear_demodulate(iq) for iq in observation.iq_channels])
-    mixture = lowpass_filter(mixture, rate)
-    centered = mixture - mixture.mean(axis=1, keepdims=True)
-    eigvals = np.linalg.eigvalsh(centered @ centered.T / centered.shape[1])[::-1]
-    effective = int(np.sum(eigvals > SOURCE_RANK_REL * eigvals[0]))
-    n_sources = max(1, min(MAX_SOURCES, mixture.shape[0], effective))
-    separation = jade_separate(mixture, n_sources)
-    return _orient(normalize_series(DisplacementSeries(separation.sources, rate, t_start)))
 
 
 def _affine_moments(samples: np.ndarray, weights: np.ndarray):
@@ -397,21 +376,23 @@ class _Candidates:
 
 
 class _Device:
-    """One device's fingerprint pipeline over one observation.
+    """One device's fingerprint pipeline over what its sensor gives.
 
-    The candidates are the rows of ``prepare_series``, then the
-    leakage-corrected recombinations ``s_i - mu * s_j`` for each ordered
-    pair of distinct sources and each ``mu`` in ``LEAKAGE_GRID``, each
-    normalized and oriented over the whole observation. Recombining,
+    The device's class picks the pipeline: its ``prepare`` turns the
+    observation into sources, normalized and oriented over the whole
+    observation so every window is quantized alike. The candidates are
+    those rows, then the leakage-corrected recombinations ``s_i - mu * s_j``
+    for each ordered pair of distinct sources and each ``mu`` in
+    ``LEAKAGE_GRID``, each normalized and oriented likewise. Recombining,
     normalizing and orienting are affine in the sources, so the device
     keeps the (n, T) sources and a (C, n) map with (C,) offsets, built
     from the sources' moments; a window interpolates the n sources and
     maps them to all C candidates, which it quantizes and folds at once.
     """
 
-    def __init__(self, observation: BeltObservation | PrmsObservation, config: PipelineConfig):
+    def __init__(self, observation, config: PipelineConfig):
         self.config = config
-        sources = prepare_series(observation)
+        sources = self.prepare(observation)
         n = sources.samples.shape[0]
         eye = np.eye(n)
         pairs = [(i, j) for i in range(n) for j in range(n) if i != j]
@@ -443,11 +424,33 @@ class _Device:
 class BeltDevice(_Device):
     """Device a: phone plus respiratory belt (one fingerprint)."""
 
+    @staticmethod
+    def prepare(series: DisplacementSeries) -> DisplacementSeries:
+        """Low-pass, normalize and orient the belt series into one (1, T) row."""
+        filtered = lowpass_filter(series.samples, series.sample_rate)
+        stacked = DisplacementSeries(filtered[None, :], series.sample_rate, series.t_start)
+        return _orient(normalize_series(stacked))
+
 
 class PrmsDevice(_Device):
-    """Device b: radar unit; candidates are the separated subjects and their
-    leakage-corrected recombinations, held as the sources and a 14 x 2 map
-    when the radar separates two subjects."""
+    """Device b: radar unit; it separates the subjects in its I/Q channels,
+    and its candidates are them and their leakage-corrected recombinations,
+    held as the sources and a 14 x 2 map when it separates two subjects."""
+
+    @staticmethod
+    def prepare(iq_channels: tuple[RadarIQ, ...]) -> DisplacementSeries:
+        """Demodulate, low-pass, separate (JADE at the mixture's rank, at most
+        ``MAX_SOURCES``), normalize and orient: (n, T), most confident first."""
+        rate = iq_channels[0].sample_rate
+        t_start = iq_channels[0].t_start
+        mixture = np.stack([linear_demodulate(iq) for iq in iq_channels])
+        mixture = lowpass_filter(mixture, rate)
+        centered = mixture - mixture.mean(axis=1, keepdims=True)
+        eigvals = np.linalg.eigvalsh(centered @ centered.T / centered.shape[1])[::-1]
+        effective = int(np.sum(eigvals > SOURCE_RANK_REL * eigvals[0]))
+        n_sources = max(1, min(MAX_SOURCES, mixture.shape[0], effective))
+        separation = jade_separate(mixture, n_sources)
+        return _orient(normalize_series(DisplacementSeries(separation.sources, rate, t_start)))
 
 
 def slot_window(
@@ -501,8 +504,9 @@ def two_subject_scene(seed: int, **overrides) -> PairingScene:
     return PairingScene(subjects=sample_separable_pair(rng), seed=seed, **overrides)
 
 
-def observe_scene(scene: PairingScene) -> tuple[BeltObservation, PrmsObservation]:
-    """Belt view of the target subject and the radar's view of everyone."""
+def observe_scene(scene: PairingScene) -> tuple[DisplacementSeries, tuple[RadarIQ, ...]]:
+    """The target's belt series (a ``BeltDevice``'s input) and the radar's
+    I/Q channels of everyone (a ``PrmsDevice``'s)."""
     rng = np.random.default_rng(scene.seed)
     sources = np.stack(
         [
@@ -528,7 +532,7 @@ def observe_scene(scene: PairingScene) -> tuple[BeltObservation, PrmsObservation
                 seed=int(rng.integers(1 << 31)),
             )
         )
-    return BeltObservation(belt), PrmsObservation(tuple(iqs))
+    return belt, tuple(iqs)
 
 
 # -- pairing run --------------------------------------------------------------
@@ -586,7 +590,7 @@ def run_pairing(
     is stamped in simulated ms.
     """
     now_ms = 0
-    rs_spec = device_a.config.rs_spec
+    spec_a, spec_b = device_a.config.rs_spec, device_b.config.rs_spec
     state_a = SessionState(role="a")
     state_b = SessionState(role="b")
     transcript: list[dict] = []
@@ -597,7 +601,7 @@ def run_pairing(
     init = initiate(state_a)
     now_ms += 1
     log("a->b", "init", t_str=init.t_str, t_end=init.t_end, key_hash=init.key_hash.hex())
-    receive_init(state_b, decode_message(encode_message(init), rs_spec))
+    receive_init(state_b, decode_message(encode_message(init), spec_b))
 
     drbg = Sha256Drbg(salt_seed)
     noise_main = noise_power_for_snr(channel.snr_main, QAM)
@@ -619,8 +623,8 @@ def run_pairing(
             window = slot_window(state_a.window_ms, ladder.count, level_idx, attempt)
             window_b = slot_window(state_b.window_ms, ladder.count, level_idx, attempt)
             fp_a = device_a.derive_fingerprints(window)[0]
-            sub_salt = new_salt(rs_spec, drbg)
-            commitment = commit(sub_salt, fp_a, rs_spec)
+            sub_salt = new_salt(spec_a, drbg)
+            commitment = commit(sub_salt, fp_a, spec_a)
             payload = bits_from_bytes(encode_message(CommitMessage(level_idx, commitment)))
             symbols = qam_modulate(payload, QAM)
             mask = random_bits(symbols.size, rng)
@@ -633,13 +637,13 @@ def run_pairing(
             rx_payload = qam_demodulate(stitched, QAM, n_bits=payload.size)
             stitched_errors = int(np.sum(rx_payload != payload))
             try:
-                received = decode_message(bits_to_bytes(rx_payload), rs_spec)
+                received = decode_message(bits_to_bytes(rx_payload), spec_b)
             except ValueError:
                 received = None
             # A frame that does not parse as this level's commitment is a NAK.
             if isinstance(received, CommitMessage) and received.level_index == level_idx:
                 for cand_idx, fp_candidate in enumerate(device_b.derive_fingerprints(window_b)):
-                    opened = open_commitment(received.commitment, fp_candidate, rs_spec)
+                    opened = open_commitment(received.commitment, fp_candidate, spec_b)
                     if opened.recovered:
                         outcome_salt = opened.salt
                         candidate_used = cand_idx
@@ -647,7 +651,7 @@ def run_pairing(
             verdict = "ACK" if outcome_salt is not None else "NAK"
             now_ms += 5
             log("b->a", "acknak", level=level_idx, verdict=verdict)
-            ack = decode_message(encode_message(AckNak(verdict, level_idx)), rs_spec)
+            ack = decode_message(encode_message(AckNak(verdict, level_idx)), spec_a)
             handle_ack(state_a, ack, ladder.count)
             handle_ack(state_b, ack, ladder.count)
             if verdict == "ACK":

@@ -26,7 +26,7 @@ import numpy as np
 
 from .gf import FieldSpec
 
-__all__ = ["RsCodeSpec", "RsCodec"]
+__all__ = ["RsCodeSpec", "RsCodec", "standard_code"]
 
 
 @dataclass(frozen=True)

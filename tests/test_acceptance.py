@@ -27,7 +27,6 @@ from sienna.commitment import commit, new_salt, open_commitment
 from sienna.gf import FieldSpec
 from sienna.protocol import (
     BeltDevice,
-    BeltObservation,
     PipelineConfig,
     PrmsDevice,
     attack,
@@ -251,7 +250,7 @@ def test_criterion_07_insider_defeat():
     belt_obs, prms_obs = observe_scene(scene)
     device_a, device_b = BeltDevice(belt_obs, config), PrmsDevice(prms_obs, config)
     true_series = synth_displacement(scene.subjects[0], 0, scene.duration_s, 100.0)
-    insider = BeltDevice(BeltObservation(belt_observe(true_series, noise_std=0.0)), config)
+    insider = BeltDevice(belt_observe(true_series, noise_std=0.0), config)
     fingerprint = lambda w: insider.derive_fingerprints(w)[0]
     full_path_failures = 0
     probes = 0

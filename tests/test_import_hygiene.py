@@ -1,8 +1,8 @@
 """What the package imports and exports.
 
 The runtime needs numpy alone: importing the package loads no scipy. Every
-name a module exports has a reader outside the tests, and every name it
-imports is read.
+name a module exports has a reader outside the tests, every public class
+and function is exported, and every name a module imports is read.
 """
 
 import ast
@@ -58,6 +58,19 @@ def test_every_exported_name_has_a_reader_outside_the_tests(module):
         and not re.search(rf"\b{re.escape(name)}\b", others)
     ]
     assert unread == []
+
+
+@pytest.mark.parametrize("module", [name for name, text in MODULES.items() if "__all__" in text])
+def test_every_public_definition_is_exported(module):
+    """A public top-level class or function is in its module's ``__all__``,
+    so the reader rule above covers every piece of public code."""
+    names, _ = _exports(MODULES[module])
+    defined = [
+        node.name
+        for node in ast.parse(MODULES[module]).body
+        if isinstance(node, (ast.ClassDef, ast.FunctionDef)) and not node.name.startswith("_")
+    ]
+    assert [name for name in defined if name not in names] == []
 
 
 def _unused_imports(text: str) -> list[str]:

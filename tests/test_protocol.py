@@ -37,7 +37,6 @@ from sienna.protocol import (
     COMMIT_SLOT_MS,
     AckNak,
     BeltDevice,
-    BeltObservation,
     CommitMessage,
     InitMessage,
     PairingScene,
@@ -55,7 +54,6 @@ from sienna.protocol import (
     handle_ack,
     initiate,
     observe_scene,
-    prepare_series,
     receive_init,
     run_pairing,
     slot_window,
@@ -393,16 +391,13 @@ def test_cross_subject_pairing_fails():
     target = sample_profile(77, 0.01)
     other = sample_profile(78, 0.01)
     belt_truth = synth_displacement(target, 0, 61, 100.0)
-    belt_obs = BeltObservation(belt_observe(belt_truth, noise_std=0.001, seed=1))
+    belt = belt_observe(belt_truth, noise_std=0.001, seed=1)
     other_truth = synth_displacement(other, 0, 61, 50.0)
     iq = radar_observe(other_truth, phase_noise_std=0.002, seed=2)
-    from sienna.protocol import PrmsObservation
-
-    prms_obs = PrmsObservation((iq,))
     config = PipelineConfig()
     out = run_pairing(
-        BeltDevice(belt_obs, config),
-        PrmsDevice(prms_obs, config),
+        BeltDevice(belt, config),
+        PrmsDevice((iq,), config),
         CHANNEL,
         JammingLadder((9.0,)),
         np.random.default_rng(5),
@@ -410,6 +405,26 @@ def test_cross_subject_pairing_fails():
     )
     assert not out.success
     assert out.failed_level == 0
+
+
+@pytest.mark.parametrize("radar_code", [(8, 255, 191), (7, 127, 97)])
+def test_a_radar_on_another_code_naks_every_commit(radar_code):
+    """b decodes and opens with its own code, so every commit frame on the
+    belt's (255, 201) code fails b's header check: a NAK per attempt, and the
+    round fails at level 0 with no key on either side."""
+    k, m, n = radar_code
+    belt_obs, prms_obs = observe_scene(two_subject_scene(3))
+    out = run_pairing(
+        BeltDevice(belt_obs, CONFIG),
+        PrmsDevice(prms_obs, PipelineConfig(RsCodeSpec(FieldSpec(k), m, n))),
+        CHANNEL,
+        LADDER,
+        np.random.default_rng(3),
+        salt_seed=3,
+    )
+    assert out.failed_level == 0 and out.key_a is None and out.key_b is None
+    verdicts = [r["verdict"] for r in out.transcript if r["type"] == "acknak"]
+    assert verdicts == ["NAK"] * (protocol.RETRY_BUDGET + 1)
 
 
 def test_pairing_transcript_jsonl():
@@ -586,10 +601,10 @@ def test_candidate_bits_per_seed(seed):
     assert digest.hexdigest() == PINNED_CANDIDATE_BITS[seed]
 
 
-def _candidate_matrix(observation):
+def _candidate_matrix(kind, observation):
     """The (C, T) candidate matrix built in full: the sources, then every
     ``S[I] - mu * S[J]``, normalized and oriented over the whole observation."""
-    sources = prepare_series(observation)
+    sources = kind.prepare(observation)
     S = sources.samples
     pairs = [(i, j) for i in range(len(S)) for j in range(len(S)) if i != j]
     rows = [(i, j, mu) for i, j in pairs for mu in protocol.LEAKAGE_GRID]
@@ -615,7 +630,7 @@ def test_candidate_map_matches_the_full_candidate_matrix(seed, subjects):
     belt_obs, prms_obs = observe_scene(scene)
     views = ((BeltDevice, belt_obs, 1), (PrmsDevice, prms_obs, subjects))
     for kind, observation, n_sources in views:
-        device, matrix = kind(observation, CONFIG), _candidate_matrix(observation)
+        device, matrix = kind(observation, CONFIG), _candidate_matrix(kind, observation)
         n = device.candidates.sources.samples.shape[0]
         assert n == n_sources
         values = device.candidates.value_at(matrix.times)
@@ -639,7 +654,7 @@ def test_candidate_map_matches_the_full_candidate_matrix(seed, subjects):
     correlation=st.floats(-0.95, 0.95),
 )
 def test_closed_form_moments_match_the_materialized_rows(n_samples, seed, asymmetry, correlation):
-    """Sources shaped as ``prepare_series`` leaves them: std NORMALIZED_STD, oriented."""
+    """Sources shaped as a device's ``prepare`` leaves them: std NORMALIZED_STD, oriented."""
     rng = np.random.default_rng(seed)
     x = rng.standard_normal((2, n_samples))
     x = x + asymmetry * x * x
@@ -736,7 +751,7 @@ def _insider_setup(seed=3):
     belt_obs, prms_obs = observe_scene(scene)
     a, b = BeltDevice(belt_obs, CONFIG), PrmsDevice(prms_obs, CONFIG)
     true_series = synth_displacement(scene.subjects[0], 0, scene.duration_s, 100.0)
-    insider = BeltDevice(BeltObservation(belt_observe(true_series, noise_std=0.0)), CONFIG)
+    insider = BeltDevice(belt_observe(true_series, noise_std=0.0), CONFIG)
     fingerprint = lambda w: insider.derive_fingerprints(w)[0]
     return a, b, fingerprint
 
@@ -770,7 +785,7 @@ def test_distribution_attacker_rejected():
     for i in range(1, 9):
         profile = sample_profile(10_000 + i, 0.01)
         series = synth_displacement(profile, 0, 61, 50.0)
-        obs = BeltObservation(belt_observe(series, noise_std=0.0, sample_rate=100.0))
-        fp = BeltDevice(obs, CONFIG).derive_fingerprints((0, 10_000))[0]
+        belt = belt_observe(series, noise_std=0.0, sample_rate=100.0)
+        fp = BeltDevice(belt, CONFIG).derive_fingerprints((0, 10_000))[0]
         res = attack(out, CHANNEL.p1, CHANNEL, lambda w: fp, rng=np.random.default_rng(4))
         assert not res.salt_recovered

@@ -2,15 +2,16 @@
 
 Every input either decodes or raises ``ValueError``: round trips return
 what was encoded, no strict prefix or suffixed blob decodes, and a blob
-with any one byte replaced raises nothing but ``ValueError``. The flat
-config text round trips every valid configuration exactly.
+with any one byte replaced raises nothing but ``ValueError``. A message
+whose fields the encoder cannot write raises ``ValueError`` when built.
+The flat config text round trips every valid configuration exactly.
 """
 
 import numpy as np
 import pytest
 
 hypothesis = pytest.importorskip("hypothesis")
-from hypothesis import given, settings, strategies as st  # noqa: E402
+from hypothesis import example, given, settings, strategies as st  # noqa: E402
 
 from sienna.bench import SCENARIOS, ExperimentConfig  # noqa: E402
 from sienna.channel import ChannelParams  # noqa: E402
@@ -109,6 +110,43 @@ def test_snna_round_trip_and_framing(msg):
 def test_snna_single_byte_corruption_raises_only_value_error(msg, data):
     blob = corrupted(encode_message(msg), data)
     decodes_or_value_error(lambda b: decode_message(b, SMALL), blob)
+
+
+# Messages whose fields the SNNA encoder cannot write: a window bound
+# outside u64 or an empty window, a level outside u32, an unknown verdict.
+def outside(bits):
+    return st.integers(max_value=-1) | st.integers(min_value=1 << bits)
+
+
+u64 = st.integers(0, 2**64 - 1)
+key_hashes = st.binary(min_size=32, max_size=32)
+invalid_messages = st.one_of(
+    st.builds(lambda h, t, e: lambda: InitMessage(h, t, e), key_hashes, outside(64), u64),
+    st.builds(lambda h, t, e: lambda: InitMessage(h, t, e), key_hashes, u64, outside(64)),
+    st.builds(
+        lambda h, w: lambda: InitMessage(h, *sorted(w, reverse=True)),
+        key_hashes,
+        st.tuples(u64, u64),
+    ),
+    st.builds(lambda lvl, c: lambda: CommitMessage(lvl, c), outside(32), commitments),
+    st.builds(lambda v, lvl: lambda: AckNak(v, lvl), st.sampled_from(["ACK", "NAK"]), outside(32)),
+    st.builds(
+        lambda v, lvl: lambda: AckNak(v, lvl),
+        st.text(max_size=4).filter(lambda v: v not in ("ACK", "NAK")),
+        u32,
+    ),
+)
+
+
+@FUZZ
+@given(invalid_messages)
+@example(lambda: AckNak("ack", 0))
+@example(lambda: AckNak("ACK", -1))
+@example(lambda: AckNak("NAK", 2**32))
+@example(lambda: InitMessage(bytes(32), -1, 5))
+def test_messages_reject_fields_the_wire_cannot_carry(build):
+    with pytest.raises(ValueError):
+        build()
 
 
 # Powers are finite and positive, and p_max lies above p0 by a ratio the
