@@ -44,6 +44,8 @@ SIMILARITY_OFFSETS = 6  # window start offsets per duration in fingerprint-simil
 RS_TIMING_PARITIES = (16, 32, 54)  # parity symbols of the codes rs-timing decodes
 RS_TIMING_REPS = 40  # timed decodes of every error count in rs-timing
 ADVERSARIAL_GRID_POINTS = 20  # insider powers, log-spaced from p0 to p_max
+# Scenarios that read no seed; their summaries record none.
+SEEDLESS_SCENARIOS = ("adversarial-ber",)
 
 
 @dataclass(frozen=True)
@@ -97,7 +99,9 @@ def run_experiment(config: ExperimentConfig) -> dict:
     rows, summary = runner(config)
     out_dir = Path(config.output_path)
     _write_csv(out_dir / f"{config.scenario}.csv", header, rows)
-    summary_blob = {"scenario": config.scenario, "seeds": list(config.seeds), **summary}
+    summary_blob = {"scenario": config.scenario, **summary}
+    if config.scenario not in SEEDLESS_SCENARIOS:
+        summary_blob["seeds"] = list(config.seeds)
     out_dir.mkdir(parents=True, exist_ok=True)
     with open(out_dir / f"{config.scenario}-summary.json", "w") as fh:
         json.dump(summary_blob, fh, indent=2, sort_keys=True, default=float)

@@ -137,40 +137,35 @@ def _position_to_gray(spec: QamSpec) -> np.ndarray:
 
 
 def qam_modulate(bits: np.ndarray, spec: QamSpec) -> np.ndarray:
-    """Gray-mapped symbols; input is zero-padded to a whole symbol count."""
+    """Gray-mapped symbols; input is zero-padded to a whole symbol count.
+
+    Each symbol's bits are its I label then its Q label, so the labels in
+    bit order are the interleaved float planes of the complex symbols.
+    """
     bits = as_bits(bits)
     k = spec.bits_per_symbol
     if bits.size % k:
         bits = np.concatenate([bits, np.zeros(k - bits.size % k, dtype=np.uint8)])
     half = k // 2
-    groups = bits.reshape(-1, k)
-    weights = 1 << np.arange(half - 1, -1, -1)
-    i_label = groups[:, :half].astype(np.int64) @ weights
-    q_label = groups[:, half:].astype(np.int64) @ weights
-    to_pos = _gray_to_position(spec)
-    side = spec.side
-    i_amp = 2 * to_pos[i_label] - side + 1
-    q_amp = 2 * to_pos[q_label] - side + 1
-    return spec.amplitude_scale * (i_amp + 1j * q_amp)
+    labels = np.zeros(bits.size // half, dtype=np.intp)
+    for j in range(half):  # most significant bit first
+        labels = (labels << 1) | bits[j::half]
+    levels = spec.amplitude_scale * (2 * _gray_to_position(spec) - spec.side + 1)
+    return levels[labels].view(np.complex128)
 
 
 def qam_demodulate(symbols: np.ndarray, spec: QamSpec, n_bits: int | None = None) -> np.ndarray:
-    """Hard-decision demapping; ``n_bits`` trims the modulator's zero padding."""
-    symbols = np.asarray(symbols, dtype=np.complex128)
+    """Hard-decision demapping; ``n_bits`` trims the modulator's zero padding.
+
+    Both axes are decided in one pass over the symbols' float planes.
+    """
+    planes = np.ascontiguousarray(symbols, dtype=np.complex128).view(np.float64)
     side = spec.side
     half = spec.bits_per_symbol // 2
-    to_gray = _position_to_gray(spec)
-
-    def axis_labels(values):
-        pos = np.clip(np.round((values / spec.amplitude_scale + side - 1) / 2), 0, side - 1)
-        return to_gray[pos.astype(np.int64)]
-
-    i_label = axis_labels(symbols.real)
-    q_label = axis_labels(symbols.imag)
+    pos = np.clip(np.round((planes / spec.amplitude_scale + side - 1) / 2), 0, side - 1)
+    labels = _position_to_gray(spec)[pos.astype(np.intp)]
     shifts = np.arange(half - 1, -1, -1)
-    i_bits = (i_label[:, None] >> shifts) & 1
-    q_bits = (q_label[:, None] >> shifts) & 1
-    bits = np.concatenate([i_bits, q_bits], axis=1).ravel().astype(np.uint8)
+    bits = ((labels[:, None] >> shifts) & 1).ravel().astype(np.uint8)
     if n_bits is not None:
         if not 0 <= n_bits <= bits.size:
             raise ValueError(f"asked for {n_bits} bits, frame holds {bits.size}")
@@ -178,15 +173,22 @@ def qam_demodulate(symbols: np.ndarray, spec: QamSpec, n_bits: int | None = None
     return bits
 
 
+def _add_noise(planes: np.ndarray, power: float, rng: np.random.Generator) -> None:
+    """Add complex Gaussian noise of total power ``power`` to (n, 2) float
+    planes in place; every real part is drawn before any imaginary part."""
+    scale = math.sqrt(power / 2)
+    for part in (0, 1):
+        planes[:, part] += scale * rng.standard_normal(planes.shape[0])
+
+
 def awgn(symbols: np.ndarray, noise_power: float, rng: np.random.Generator) -> np.ndarray:
     """Complex Gaussian noise of total power ``noise_power`` per symbol."""
     if not 0 <= noise_power < math.inf:
         raise ValueError(f"noise power must be finite and non-negative, got {noise_power}")
-    if noise_power == 0:
-        return np.array(symbols, dtype=np.complex128, copy=True)
-    scale = math.sqrt(noise_power / 2)
-    n = symbols.size
-    return symbols + scale * (rng.normal(size=n) + 1j * rng.normal(size=n))
+    noisy = np.array(symbols, dtype=np.complex128, copy=True)
+    if noise_power > 0:
+        _add_noise(noisy.view(np.float64).reshape(-1, 2), noise_power, rng)
+    return noisy
 
 
 def noise_power_for_snr(snr: float, spec: QamSpec) -> float:
@@ -213,7 +215,7 @@ def dup_and_jam(
     Gaussian with the same form as the modulated signal; channel noise of
     ``noise_power`` lands on both copies.
     """
-    symbols = np.asarray(symbols, dtype=np.complex128)
+    symbols = np.ascontiguousarray(symbols, dtype=np.complex128)
     jam_mask = as_bits(jam_mask)
     if jam_mask.size != symbols.size:
         raise ValueError("need one mask bit per symbol pair")
@@ -221,12 +223,9 @@ def dup_and_jam(
         raise ValueError(f"jam power must be finite and non-negative, got {jam_power}")
     on_air = np.repeat(symbols, 2)
     if jam_power > 0:
-        jammed_idx = 2 * np.arange(symbols.size) + jam_mask
-        scale = math.sqrt(jam_power / 2)
-        on_air = on_air.copy()
-        on_air[jammed_idx] += scale * (
-            rng.normal(size=symbols.size) + 1j * rng.normal(size=symbols.size)
-        )
+        jammed = symbols.view(np.float64).reshape(-1, 2).copy()
+        _add_noise(jammed, jam_power, rng)
+        on_air[2 * np.arange(symbols.size) + jam_mask] = jammed.view(np.complex128).ravel()
     return awgn(on_air, noise_power, rng)
 
 
@@ -245,7 +244,7 @@ def receiver_stitch(frame: np.ndarray, jam_mask: np.ndarray) -> np.ndarray:
     n_pairs = pairs.shape[0]
     if jam_mask.size != n_pairs:
         raise ValueError(f"mask length {jam_mask.size} does not match {n_pairs} pairs")
-    return pairs[np.arange(n_pairs), 1 - jam_mask]
+    return np.where(jam_mask, pairs[:, 0], pairs[:, 1])
 
 
 def eavesdrop(
@@ -261,10 +260,10 @@ def eavesdrop(
     pairs = _pairs(frame)
     if strategy == "random-pick":
         pick = rng.integers(0, 2, size=pairs.shape[0])
-        return pairs[np.arange(pairs.shape[0]), pick]
+        return np.where(pick, pairs[:, 1], pairs[:, 0])
     if strategy == "energy-threshold":
         pick = np.argmin(np.abs(pairs) ** 2, axis=1)
-        return pairs[np.arange(pairs.shape[0]), pick]
+        return np.where(pick, pairs[:, 1], pairs[:, 0])
     if strategy == "average-both":
         return pairs.mean(axis=1)
     raise ValueError(f"unknown eavesdropping strategy: {strategy!r}")

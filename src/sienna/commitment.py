@@ -22,6 +22,7 @@ __all__ = [
     "Commitment",
     "OpenOutcome",
     "commit",
+    "committed_fingerprint",
     "hash256",
     "kdf",
     "new_salt",
@@ -107,6 +108,12 @@ def xor_fold(segments: Sequence[np.ndarray]) -> np.ndarray:
     return np.bitwise_xor.reduce(segments)
 
 
+def _opening_value(salt_bits: np.ndarray, spec: RsCodeSpec) -> np.ndarray:
+    """RS(salt) as M*K bits."""
+    codec = spec.codec()
+    return codec.symbols_to_bits(codec.encode(codec.bits_to_symbols(salt_bits)))
+
+
 def commit(salt_bits: np.ndarray, fingerprint_bits: np.ndarray, spec: RsCodeSpec) -> Commitment:
     """Bind a salt to a fingerprint: mask = RS(salt) XOR fingerprint.
 
@@ -121,10 +128,8 @@ def commit(salt_bits: np.ndarray, fingerprint_bits: np.ndarray, spec: RsCodeSpec
         raise ValueError(
             f"fingerprint must be {spec.codeword_bits} bits, got {fingerprint_bits.size}"
         )
-    codec = spec.codec()
-    codeword_bits = codec.symbols_to_bits(codec.encode(codec.bits_to_symbols(salt_bits)))
     return Commitment(
-        masked_codeword=codeword_bits ^ fingerprint_bits,
+        masked_codeword=_opening_value(salt_bits, spec) ^ fingerprint_bits,
         salt_hash=_salt_digest(salt_bits),
         spec=spec,
     )
@@ -156,6 +161,21 @@ def open_commitment(
     if _salt_digest(salt_bits) != commitment.salt_hash:
         return OpenOutcome("hash-mismatch")
     return OpenOutcome("recovered", salt=salt_bits)
+
+
+def committed_fingerprint(commitment: Commitment, salt_bits: np.ndarray) -> np.ndarray:
+    """The fingerprint a commitment binds, given its salt: mask XOR RS(salt).
+
+    The code's minimum distance is 2t + 1, so a candidate opens the
+    commitment exactly when it lies within t symbols of this fingerprint;
+    any other decoder output fails the digest.
+    """
+    salt_bits = as_bits(salt_bits)
+    if salt_bits.size != commitment.spec.message_bits:
+        raise ValueError(
+            f"salt must be {commitment.spec.message_bits} bits, got {salt_bits.size}"
+        )
+    return commitment.masked_codeword ^ _opening_value(salt_bits, commitment.spec)
 
 
 # -- wire format ------------------------------------------------------------

@@ -6,7 +6,9 @@ sub-salt per jamming-ladder level against its fingerprint. Each commitment
 crosses the simulated channel as an SNNA commit frame sent as duplicated
 QAM symbols, while ``b`` jams one copy of every pair at that level's power,
 stitches its own clean view, decodes the frame, and opens the commitment
-with each of its candidate fingerprints. After every level is acknowledged
+with its candidate fingerprints: first the one recorded for the previous
+level, then the rest in index order. The candidate it records is the lowest
+index that opens, whatever the order. After every level is acknowledged
 both sides XOR the sub-salts into the evolution salt and derive the next key.
 
 The device observations and channel are simulated, the cryptography and
@@ -47,6 +49,7 @@ from .commitment import (
     COMMITMENT_HEADER_BYTES,
     Commitment,
     commit,
+    committed_fingerprint,
     hash256,
     kdf,
     new_salt,
@@ -116,9 +119,10 @@ RADAR_RATE_HZ = 50.0
 BELT_RATE_HZ = 100.0
 # Finite-sample ICA leaves a little of each bystander in the separated
 # target, so a device with several sources also offers the recombinations
-# ``s_i - mu * s_j`` for each of these ``mu``. Opening walks the candidates
-# most-plausible-first and the commitment digest decides, so extra
-# candidates cost retries at worst, never a wrong key.
+# ``s_i - mu * s_j`` for each of these ``mu``. Candidates are ordered
+# most-plausible-first; device b opens its last match first, then the rest
+# in that order, and the commitment digest decides, so extra candidates cost
+# opens at worst, never a wrong key.
 LEAKAGE_GRID = (-0.08, -0.05, -0.02, 0.02, 0.05, 0.08)
 
 
@@ -572,6 +576,18 @@ class PairingOutcome:
         return self.key_a is not None and self.key_a == self.key_b
 
 
+def _lowest_opening(
+    fingerprints: Sequence[np.ndarray], committed: np.ndarray, spec: RsCodeSpec
+) -> int:
+    """Index of the first fingerprint within t symbols of the committed one,
+    that is the first that opens the commitment; the last one must open."""
+    diff = np.asarray(fingerprints) ^ committed
+    distances = np.count_nonzero(
+        diff.reshape(len(fingerprints), spec.m_symbols, -1).any(axis=-1), axis=-1
+    )
+    return int(np.flatnonzero(distances <= spec.t)[0])
+
+
 def run_pairing(
     device_a: BeltDevice,
     device_b: PrmsDevice,
@@ -588,6 +604,15 @@ def run_pairing(
     the commitment of its last attempt (what ``attack`` intercepts), and
     the keys and evolution salt once every level is ACKed. The transcript
     is stamped in simulated ms.
+
+    Device b opens each commitment with the previous level's
+    ``candidate_used`` first (index 0 at level 0), then with the others in
+    index order. A level's ``candidate_used`` is the lowest index that
+    opens it, as if b had walked the candidates in index order: when the
+    first candidate tried opens, the recovered salt gives the committed
+    fingerprint, and the lowest candidate within t symbols of it is the
+    lowest that opens. In every other case each lower index has been
+    opened and failed.
     """
     now_ms = 0
     spec_a, spec_b = device_a.config.rs_spec, device_b.config.rs_spec
@@ -607,6 +632,7 @@ def run_pairing(
     noise_main = noise_power_for_snr(channel.snr_main, QAM)
 
     levels: list[LevelRecord] = []
+    last_match = 0  # the previous level's candidate_used
     sent_salts: list[np.ndarray] = []
     recovered_salts: list[np.ndarray] = []
     for level_idx, jam_level in enumerate(ladder.levels):
@@ -642,11 +668,19 @@ def run_pairing(
                 received = None
             # A frame that does not parse as this level's commitment is a NAK.
             if isinstance(received, CommitMessage) and received.level_index == level_idx:
-                for cand_idx, fp_candidate in enumerate(device_b.derive_fingerprints(window_b)):
-                    opened = open_commitment(received.commitment, fp_candidate, spec_b)
+                fingerprints = device_b.derive_fingerprints(window_b)
+                order = [last_match] + [c for c in range(len(fingerprints)) if c != last_match]
+                for cand_idx in order:
+                    opened = open_commitment(received.commitment, fingerprints[cand_idx], spec_b)
                     if opened.recovered:
                         outcome_salt = opened.salt
                         candidate_used = cand_idx
+                        if cand_idx == last_match > 0:  # lower indices were not tried
+                            candidate_used = _lowest_opening(
+                                fingerprints[: cand_idx + 1],
+                                committed_fingerprint(received.commitment, opened.salt),
+                                spec_b,
+                            )
                         break
             verdict = "ACK" if outcome_salt is not None else "NAK"
             now_ms += 5
@@ -672,6 +706,7 @@ def run_pairing(
         )
         if verdict != "ACK":
             break
+        last_match = candidate_used
         sent_salts.append(sub_salt)
         recovered_salts.append(outcome_salt)
 

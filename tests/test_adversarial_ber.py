@@ -8,7 +8,6 @@ demodulate, and count the wrong RS symbols. The protocol's own ``attack``
 on a real round's frames must agree with the same odds.
 """
 
-import json
 from dataclasses import replace
 from math import comb
 
@@ -171,10 +170,4 @@ def test_artifacts_ignore_the_seed_and_the_trial_count(tmp_path):
         outs[seed, trials] = out
     for name in ("adversarial-ber.csv", "adversarial-ber-summary.json"):
         assert (outs["0", "3"] / name).read_bytes() == (outs["0", "1000"] / name).read_bytes()
-    assert (outs["0", "3"] / "adversarial-ber.csv").read_bytes() == (
-        outs["7", "3"] / "adversarial-ber.csv"
-    ).read_bytes()
-    # The summary records the seeds it was asked for; nothing else in it moves.
-    summaries = [json.loads((outs[k] / "adversarial-ber-summary.json").read_text()) for k in outs]
-    assert [s.pop("seeds") for s in summaries] == [[0], [0], [7]]
-    assert summaries[0] == summaries[2]
+        assert (outs["0", "3"] / name).read_bytes() == (outs["7", "3"] / name).read_bytes()

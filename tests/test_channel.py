@@ -307,3 +307,137 @@ def test_jamming_ladder_validation():
         with pytest.raises(ValueError):
             JammingLadder(levels)
     assert JammingLadder((0.0,)).levels == (0.0,)  # jamming off
+
+
+# -- float-plane arithmetic against the complex reference -----------------------
+#
+# The channel computes on the float64 planes of its complex arrays. These are
+# the complex-arithmetic versions it replaced; every output must match them
+# byte for byte and leave the generator in the same state.
+
+
+def _ref_qam_modulate(bits, spec):
+    bits = np.asarray(bits, dtype=np.uint8).ravel()
+    k = spec.bits_per_symbol
+    if bits.size % k:
+        bits = np.concatenate([bits, np.zeros(k - bits.size % k, dtype=np.uint8)])
+    half = k // 2
+    groups = bits.reshape(-1, k)
+    weights = 1 << np.arange(half - 1, -1, -1)
+    i_label = groups[:, :half].astype(np.int64) @ weights
+    q_label = groups[:, half:].astype(np.int64) @ weights
+    to_pos = np.zeros(spec.side, dtype=np.int64)
+    for pos in range(spec.side):
+        to_pos[pos ^ (pos >> 1)] = pos
+    i_amp = 2 * to_pos[i_label] - spec.side + 1
+    q_amp = 2 * to_pos[q_label] - spec.side + 1
+    return spec.amplitude_scale * (i_amp + 1j * q_amp)
+
+
+def _ref_qam_demodulate(symbols, spec, n_bits=None):
+    symbols = np.asarray(symbols, dtype=np.complex128)
+    side = spec.side
+    half = spec.bits_per_symbol // 2
+    pos_range = np.arange(side)
+    to_gray = pos_range ^ (pos_range >> 1)
+
+    def axis_labels(values):
+        pos = np.clip(np.round((values / spec.amplitude_scale + side - 1) / 2), 0, side - 1)
+        return to_gray[pos.astype(np.int64)]
+
+    i_label = axis_labels(symbols.real)
+    q_label = axis_labels(symbols.imag)
+    shifts = np.arange(half - 1, -1, -1)
+    i_bits = (i_label[:, None] >> shifts) & 1
+    q_bits = (q_label[:, None] >> shifts) & 1
+    bits = np.concatenate([i_bits, q_bits], axis=1).ravel().astype(np.uint8)
+    return bits if n_bits is None else bits[:n_bits]
+
+
+def _ref_awgn(symbols, noise_power, rng):
+    if noise_power == 0:
+        return np.array(symbols, dtype=np.complex128, copy=True)
+    scale = math.sqrt(noise_power / 2)
+    n = symbols.size
+    return symbols + scale * (rng.normal(size=n) + 1j * rng.normal(size=n))
+
+
+def _ref_dup_and_jam(symbols, jam_mask, jam_power, rng, noise_power=0.0):
+    symbols = np.asarray(symbols, dtype=np.complex128)
+    on_air = np.repeat(symbols, 2)
+    if jam_power > 0:
+        jammed_idx = 2 * np.arange(symbols.size) + jam_mask
+        scale = math.sqrt(jam_power / 2)
+        on_air = on_air.copy()
+        on_air[jammed_idx] += scale * (
+            rng.normal(size=symbols.size) + 1j * rng.normal(size=symbols.size)
+        )
+    return _ref_awgn(on_air, noise_power, rng)
+
+
+def _ref_receiver_stitch(frame, jam_mask):
+    pairs = np.asarray(frame, dtype=np.complex128).reshape(-1, 2)
+    return pairs[np.arange(pairs.shape[0]), 1 - jam_mask]
+
+
+def _ref_eavesdrop(frame, strategy, rng):
+    pairs = np.asarray(frame, dtype=np.complex128).reshape(-1, 2)
+    if strategy == "random-pick":
+        pick = rng.integers(0, 2, size=pairs.shape[0])
+        return pairs[np.arange(pairs.shape[0]), pick]
+    if strategy == "energy-threshold":
+        pick = np.argmin(np.abs(pairs) ** 2, axis=1)
+        return pairs[np.arange(pairs.shape[0]), pick]
+    return pairs.mean(axis=1)
+
+
+def _same(new, ref):
+    assert new.dtype == ref.dtype and new.shape == ref.shape
+    assert new.tobytes() == ref.tobytes()
+
+
+@pytest.mark.parametrize("order", [4, 16, 64])
+@pytest.mark.parametrize("n_bits", [1, 7, 101, 2531])
+@pytest.mark.parametrize("jam_power", [0.0, 0.37, 9.0])
+@pytest.mark.parametrize("noise_power", [0.0, 0.02, 1.5])
+def test_float_planes_match_the_complex_reference(order, n_bits, jam_power, noise_power):
+    spec = QamSpec(order)
+    seed = [order, n_bits, int(100 * jam_power), int(100 * noise_power)]
+    data_rng = np.random.default_rng(seed)
+    bits = random_bits(n_bits, data_rng)
+    symbols = qam_modulate(bits, spec)
+    _same(symbols, _ref_qam_modulate(bits, spec))
+    mask = random_bits(symbols.size, data_rng)
+
+    rng, ref_rng = np.random.default_rng(seed + [1]), np.random.default_rng(seed + [1])
+    frame = dup_and_jam(symbols, mask, jam_power, rng, noise_power=noise_power)
+    _same(frame, _ref_dup_and_jam(symbols, mask, jam_power, ref_rng, noise_power))
+    assert rng.bit_generator.state == ref_rng.bit_generator.state
+    _same(awgn(symbols, noise_power, rng), _ref_awgn(symbols, noise_power, ref_rng))
+    assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+    stitched = receiver_stitch(frame, mask)
+    _same(stitched, _ref_receiver_stitch(frame, mask))
+    views = [stitched]
+    for strategy in ("random-pick", "energy-threshold", "average-both"):
+        view = eavesdrop(frame, strategy, rng)
+        _same(view, _ref_eavesdrop(frame, strategy, ref_rng))
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
+        views.append(view)
+    for view in views:
+        _same(qam_demodulate(view, spec), _ref_qam_demodulate(view, spec))
+        _same(
+            qam_demodulate(view, spec, n_bits=n_bits),
+            _ref_qam_demodulate(view, spec, n_bits=n_bits),
+        )
+
+
+def test_demodulation_ties_round_half_to_even():
+    """Points exactly between two levels decide as the complex reference does."""
+    for order in (4, 16, 64):
+        spec = QamSpec(order)
+        side = spec.side
+        # Every decision boundary and both outer edges, on both axes.
+        edges = spec.amplitude_scale * np.arange(-side, side + 1, 2, dtype=np.float64)
+        symbols = (edges[:, None] + 1j * edges[None, :]).ravel()
+        _same(qam_demodulate(symbols, spec), _ref_qam_demodulate(symbols, spec))

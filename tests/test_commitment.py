@@ -10,6 +10,7 @@ from sienna.bits import Sha256Drbg, bits_from_bytes, bits_to_bytes, random_bits
 from sienna.commitment import (
     Commitment,
     commit,
+    committed_fingerprint,
     deserialize_commitment,
     hash256,
     kdf,
@@ -49,6 +50,22 @@ def test_zero_fingerprint_reveals_codeword():
     codec = SMALL.codec()
     codeword_bits = codec.symbols_to_bits(codec.encode(codec.bits_to_symbols(salt)))
     assert np.array_equal(c.masked_codeword, codeword_bits)
+
+
+@pytest.mark.parametrize("spec", [SMALL, standard_code()])
+def test_committed_fingerprint_from_the_salt(spec):
+    """The true salt reveals the committing fingerprint, and an opened salt
+    the same one; a wrong salt reveals another word, and a short one raises."""
+    rng = np.random.default_rng(12)
+    salt = new_salt(spec, 3)
+    fp = random_bits(spec.codeword_bits, rng)
+    c = commit(salt, fp, spec)
+    assert np.array_equal(committed_fingerprint(c, salt), fp)
+    near = flip_symbols(fp, spec, [0], [1])
+    assert np.array_equal(committed_fingerprint(c, open_commitment(c, near, spec).salt), fp)
+    assert not np.array_equal(committed_fingerprint(c, new_salt(spec, 4)), fp)
+    with pytest.raises(ValueError, match="salt must be"):
+        committed_fingerprint(c, salt[:-1])
 
 
 def test_exhaustive_completeness_small_field():

@@ -507,6 +507,66 @@ def test_same_keys_per_seed(seed):
     assert [(lvl.retries, lvl.candidate_used) for lvl in out.levels] == levels
 
 
+def _seeded_rounds(seeds):
+    """Device b and the outcome of one default round per two-subject scene seed."""
+    for seed in seeds:
+        belt_obs, prms_obs = observe_scene(two_subject_scene(seed))
+        device_b = PrmsDevice(prms_obs, CONFIG)
+        out = run_pairing(
+            BeltDevice(belt_obs, CONFIG),
+            device_b,
+            CHANNEL,
+            LADDER,
+            np.random.default_rng(seed),
+            salt_seed=seed,
+        )
+        yield device_b, out
+
+
+def _openers(record, device_b):
+    """Every candidate index of b's that opens the record's commitment."""
+    fps = device_b.derive_fingerprints(record.window_ms)
+    opens = [open_commitment(record.commitment, fp, CONFIG.rs_spec) for fp in fps]
+    return [c for c, opened in enumerate(opens) if opened.recovered]
+
+
+def test_candidate_used_is_the_lowest_index_that_opens():
+    """b opens its last match first, yet reports what an index-order walk
+    would: the lowest candidate that opens. Some of these rounds have a
+    lower candidate that opens below the one b tried first."""
+    lowered = 0
+    for device_b, out in _seeded_rounds(range(100, 140)):
+        last_match = 0
+        for record in out.levels:
+            if record.verdict != "ACK":
+                continue
+            openers = _openers(record, device_b)
+            assert record.candidate_used == openers[0]
+            lowered += last_match in openers and openers[0] < last_match
+            last_match = record.candidate_used
+    assert lowered > 0
+
+
+def test_a_level_whose_last_match_opens_makes_one_open(monkeypatch):
+    open_ = protocol.open_commitment
+    opened = Counter()  # salt digest of each attempt's commitment -> opens
+
+    def counting(commitment, fingerprint, spec):
+        opened[commitment.salt_hash] += 1
+        return open_(commitment, fingerprint, spec)
+
+    monkeypatch.setattr(protocol, "open_commitment", counting)
+    first_try = 0
+    for device_b, out in _seeded_rounds(range(140, 160)):
+        last_match = 0
+        for record in out.levels:
+            if record.verdict == "ACK" and last_match in _openers(record, device_b):
+                assert opened[record.commitment.salt_hash] == 1
+                first_try += last_match > 0
+            last_match = record.candidate_used
+    assert first_try > 0
+
+
 def test_level_records_are_all_a_round_needs():
     """Each record's commitment opens under a's own fingerprint of its slot,
     the sub-salts fold into the evolution salt behind a's key, and the
