@@ -31,9 +31,9 @@ cov = white.whitened.T @ white.whitened / white.whitened.shape[0]
 print(f"whitened covariance off-diagonal: {abs(cov[0, 1]):.2e}")
 
 result = jade_separate(mixed, n_sources=2)
-print(f"joint diagonalization converged={result.converged} after {result.iterations} sweeps")
-off = result.off_diagonal_history
-print(f"off-diagonal criterion fell {off[0]:.3f} -> {off[-1]:.2e}")
+print(f"joint diagonalization angle {result.angle:+.4f} rad")
+before, after = result.off_diagonal
+print(f"off-diagonal criterion fell {before:.3f} -> {after:.2e}")
 
 for name, source in (("A", truth[0]), ("B", truth[1])):
     match = match_sources(result.sources, source)

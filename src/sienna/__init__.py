@@ -8,7 +8,7 @@ The stack, bottom to top:
   noisy fingerprint, plus the hash and key-derivation primitives.
 - :mod:`sienna.breathing` — synthetic chest displacement and its radar
   (quadrature Doppler) and respiratory-belt observations.
-- :mod:`sienna.ica` — JADE blind source separation for multi-person rooms.
+- :mod:`sienna.ica` — JADE blind source separation of up to two people.
 - :mod:`sienna.fingerprint` — level-crossing quantization into binary
   fingerprints comparable in Hamming space.
 - :mod:`sienna.channel` — M-QAM symbol channel with dialog-codes friendly

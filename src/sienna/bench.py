@@ -137,9 +137,7 @@ def _run_separation(config: ExperimentConfig):
         other = match_sources(result.sources, sources[1])
         ok = match.correlation >= 0.90
         hits += ok
-        rows.append(
-            (i, seed, match.correlation, other.correlation, int(result.converged), int(ok))
-        )
+        rows.append((i, seed, match.correlation, other.correlation, int(ok)))
     summary = {
         "trials": trials,
         "fraction_target_corr_ge_090": hits / trials,
@@ -506,7 +504,7 @@ def _run_pairing_success(config: ExperimentConfig):
 SCENARIO_TABLE = {
     "separation": (
         _run_separation,
-        ("trial", "seed", "target_corr", "other_corr", "converged", "target_ok"),
+        ("trial", "seed", "target_corr", "other_corr", "target_ok"),
     ),
     "fingerprint-similarity": (
         _run_fingerprint_similarity,

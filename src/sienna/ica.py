@@ -1,13 +1,15 @@
-"""Blind source separation with JADE: PCA whitening, fourth-order cumulant
-matrices, and Jacobi joint diagonalization.
+"""Blind source separation with JADE for at most two sources: PCA whitening,
+fourth-order cumulant matrices, and one closed-form Givens rotation.
 
 Whitening projects the observation matrix onto its leading principal
 components and rescales them to unit variance. The rotation that makes the
-whitened rows maximally independent is found by jointly diagonalizing the
-N(N+1)/2 symmetric slices of the whitened fourth-order cumulant tensor with
-Givens rotations, following Cardoso's real-signal formulation. Recovered
-sources are defined up to permutation, sign, and scale; ``match_sources``
-resolves all three against a reference series.
+whitened rows maximally independent jointly diagonalizes the symmetric
+slices of the whitened fourth-order cumulant tensor, following Cardoso's
+real-signal formulation. For two sources that rotation is a single Givens
+angle with a closed form (Cardoso & Souloumiac, IEE Proc. F 1993; SIAM J.
+Matrix Anal. Appl. 1996), so no Jacobi sweeps are run. Recovered sources are
+defined up to permutation, sign, and scale; ``match_sources`` resolves all
+three against a reference series.
 """
 
 from __future__ import annotations
@@ -18,6 +20,7 @@ from functools import lru_cache
 import numpy as np
 
 __all__ = [
+    "MAX_SOURCES",
     "MatchResult",
     "SeparationResult",
     "WhiteningResult",
@@ -27,10 +30,8 @@ __all__ = [
     "whiten",
 ]
 
-# Jacobi sweeps stop once the largest Givens angle of a sweep is below
-# JADE_TOL radians, or after JADE_MAX_SWEEPS sweeps.
-JADE_TOL = 1e-8
-JADE_MAX_SWEEPS = 100
+# jade_separate's one Givens angle separates a single pair of sources.
+MAX_SOURCES = 2
 # Breathing and heartbeat lie far below 10 Hz; the FIR has 65 taps unless
 # the signal is too short for them.
 LOWPASS_CUTOFF_HZ = 10.0
@@ -51,9 +52,13 @@ class SeparationResult:
     sources: np.ndarray  # shape (N, T), unit variance rows
     demixer: np.ndarray  # shape (N, M), applies to mean-centered observations
     rotation: np.ndarray  # orthogonal (N, N)
-    iterations: int
-    converged: bool
-    off_diagonal_history: tuple[float, ...]
+    angle: float  # the Givens angle, radians; 0 for one source
+    off_diagonal: tuple[float, float]  # off criterion before and after the rotation
+
+    @property
+    def iterations(self) -> int:
+        """One rotation, computed in closed form."""
+        return 1
 
 
 @dataclass(frozen=True)
@@ -115,52 +120,30 @@ def _cumulant_matrices(Z: np.ndarray) -> np.ndarray:
     return np.stack(slices)
 
 
-def _off_criterion(cm: np.ndarray) -> float:
-    """Sum of squared off-diagonal entries across all cumulant slices."""
-    total = float((cm**2).sum())
-    diag = float(sum((np.diagonal(c) ** 2).sum() for c in cm))
-    return total - diag
-
-
 def jade_separate(observations: np.ndarray, n_sources: int) -> SeparationResult:
-    """Recover independent non-Gaussian sources from linear mixtures.
+    """Recover one or two independent non-Gaussian sources from linear mixtures.
 
     Returns sources equal to the true ones up to permutation, sign, and
-    scale. ``converged`` is set when the largest Givens angle of a full
-    sweep drops below ``JADE_TOL`` radians.
+    scale. For two sources the rotation is the Givens angle that minimizes
+    the off criterion, the sum of squared off-diagonal entries of the three
+    cumulant slices; ``off_diagonal`` holds that sum before and after it.
     """
-    white = whiten(observations, n_sources)
-    Z = white.whitened.T.copy()  # (N, T)
+    if not 1 <= n_sources <= MAX_SOURCES:
+        raise ValueError(f"n_sources must be in [1, {MAX_SOURCES}], got {n_sources}")
     n = n_sources
-    cm = _cumulant_matrices(Z)
-    V = np.eye(n)
-    history = [_off_criterion(cm)]
-
-    sweeps = 0
-    converged = False
-    while sweeps < JADE_MAX_SWEEPS:
-        sweeps += 1
-        largest_angle = 0.0
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                g1 = cm[:, p, p] - cm[:, q, q]
-                g2 = cm[:, p, q] + cm[:, q, p]
-                ton = g1 @ g1 - g2 @ g2
-                toff = 2.0 * (g1 @ g2)
-                theta = 0.5 * np.arctan2(toff, ton + np.hypot(ton, toff))
-                largest_angle = max(largest_angle, abs(theta))
-                if theta != 0.0:
-                    c, s = np.cos(theta), np.sin(theta)
-                    G = np.array([[c, -s], [s, c]])
-                    V[:, [p, q]] = V[:, [p, q]] @ G
-                    cm[:, [p, q], :] = np.einsum("ab,nbt->nat", G.T, cm[:, [p, q], :])
-                    cm[:, :, [p, q]] = np.einsum("nta,ab->ntb", cm[:, :, [p, q]], G)
-        history.append(_off_criterion(cm))
-        if largest_angle < JADE_TOL:
-            converged = True
-            break
-
-    rotation = V
+    white = whiten(observations, n)
+    theta, off = 0.0, (0.0, 0.0)
+    if n == 2:
+        cm = _cumulant_matrices(white.whitened.T)
+        g1 = cm[:, 0, 0] - cm[:, 1, 1]
+        g2 = cm[:, 0, 1] + cm[:, 1, 0]
+        ton = g1 @ g1 - g2 @ g2
+        toff = 2.0 * (g1 @ g2)
+        theta = 0.5 * np.arctan2(toff, ton + np.hypot(ton, toff))
+        rotated = g2 * np.cos(2 * theta) - g1 * np.sin(2 * theta)
+        off = (0.5 * float(g2 @ g2), 0.5 * float(rotated @ rotated))
+    c, s = np.cos(theta), np.sin(theta)
+    rotation = np.array([[c, -s], [s, c]])[:n, :n]
     demixer = rotation.T @ white.whitener
     sources = demixer @ (np.asarray(observations, dtype=np.float64) - white.row_means[:, None])
 
@@ -177,12 +160,7 @@ def jade_separate(observations: np.ndarray, n_sources: int) -> SeparationResult:
     rotation = rotation * signs[None, :]
 
     return SeparationResult(
-        sources=sources,
-        demixer=demixer,
-        rotation=rotation,
-        iterations=sweeps,
-        converged=converged,
-        off_diagonal_history=tuple(history),
+        sources=sources, demixer=demixer, rotation=rotation, angle=float(theta), off_diagonal=off
     )
 
 

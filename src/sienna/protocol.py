@@ -59,7 +59,7 @@ from .commitment import (
     xor_fold,
 )
 from .fingerprint import NORMALIZED_STD, extract, normalize_series, segment_pad, skew
-from .ica import jade_separate, lowpass_filter
+from .ica import MAX_SOURCES, jade_separate, lowpass_filter
 from .rs import RsCodeSpec, standard_code
 
 __all__ = [
@@ -111,7 +111,6 @@ RETRY_BUDGET = 3  # reattempts of a ladder level after its first NAK
 # Each ladder level commits against its own slot of the announced window;
 # 10 s of 10 Hz quantization is 2020 bits, one padded codeword.
 COMMIT_SLOT_MS = 10_000
-MAX_SOURCES = 2  # the radar separates at most this many subjects
 # Model-order selection: mixture eigenvalues below this fraction of the
 # leading one are treated as distortion/noise, not extra subjects.
 SOURCE_RANK_REL = 0.02

@@ -72,7 +72,7 @@ def test_separation_scenario(tmp_path):
     summary = run_experiment(config)
     assert summary["fraction_target_corr_ge_090"] >= 0.9
     rows = (tmp_path / "separation.csv").read_text().strip().splitlines()
-    assert rows[0] == "trial,seed,target_corr,other_corr,converged,target_ok"
+    assert rows[0] == "trial,seed,target_corr,other_corr,target_ok"
     assert len(rows) == 21
 
 

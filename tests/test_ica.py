@@ -3,8 +3,16 @@
 import numpy as np
 import pytest
 
-from sienna.breathing import Scene, mix_scene, sample_profile
-from sienna.ica import _fir_taps, jade_separate, lowpass_filter, match_sources, whiten
+from sienna.breathing import Scene, linear_demodulate, mix_scene, sample_profile
+from sienna.ica import (
+    _cumulant_matrices,
+    _fir_taps,
+    jade_separate,
+    lowpass_filter,
+    match_sources,
+    whiten,
+)
+from sienna.protocol import observe_scene, two_subject_scene
 
 
 def sine_sawtooth(t_samples=6000, rate=100.0, seed=0):
@@ -65,7 +73,6 @@ def test_jade_orthogonal_mixture_recovery():
     angle = 0.6
     W = np.array([[np.cos(angle), -np.sin(angle)], [np.sin(angle), np.cos(angle)]])
     res = jade_separate(W @ S, 2)
-    assert res.converged
     assert np.allclose(res.rotation.T @ res.rotation, np.eye(2), atol=1e-6)
     for row in S:
         match = match_sources(res.sources, row)
@@ -83,12 +90,58 @@ def test_jade_general_mixture_and_reconstruction_identity():
         assert match_sources(res.sources, row).correlation >= 0.99
 
 
-def test_jade_off_diagonal_monotone():
-    S = sine_sawtooth()
+def _radar_mixture(seed):
+    """The demodulated, low-passed radar channels ``PrmsDevice.prepare`` separates."""
+    _, iqs = observe_scene(two_subject_scene(seed))
+    return lowpass_filter(np.stack([linear_demodulate(iq) for iq in iqs]), iqs[0].sample_rate)
+
+
+def _slices(X):
+    return _cumulant_matrices(whiten(X, 2).whitened.T)
+
+
+def _off(cm):
+    return float((cm**2).sum() - (np.diagonal(cm, axis1=1, axis2=2) ** 2).sum())
+
+
+def _givens(theta):
+    c, s = np.cos(theta), np.sin(theta)
+    return np.array([[c, -s], [s, c]])
+
+
+@pytest.mark.parametrize("seed", [None, 3, 11])
+def test_jade_off_diagonal_is_that_of_the_rotated_slices(seed):
+    """``off_diagonal`` is the off criterion of the cumulant slices before and
+    after the rotation by ``angle``, which lowers it."""
     W = np.array([[1.0, 0.7], [0.2, 1.0]])
-    res = jade_separate(W @ S, 2)
-    hist = np.array(res.off_diagonal_history)
-    assert np.all(np.diff(hist) <= 1e-9)
+    X = W @ sine_sawtooth() if seed is None else _radar_mixture(seed)
+    res = jade_separate(X, 2)
+    cm = _slices(X)
+    G = _givens(res.angle)
+    before, after = res.off_diagonal
+    assert before == pytest.approx(_off(cm), rel=1e-9)
+    assert after == pytest.approx(_off(G.T @ cm @ G), rel=1e-9)
+    assert after < before
+
+
+@pytest.mark.parametrize("seed", range(1, 21))
+def test_jade_angle_is_stationary(seed):
+    """A second Givens angle computed on the rotated slices vanishes: one
+    closed-form rotation is all a sweep loop would apply."""
+    X = _radar_mixture(seed)
+    G = _givens(jade_separate(X, 2).angle)
+    cm = G.T @ _slices(X) @ G
+    g1 = cm[:, 0, 0] - cm[:, 1, 1]
+    g2 = cm[:, 0, 1] + cm[:, 1, 0]
+    ton, toff = g1 @ g1 - g2 @ g2, 2.0 * (g1 @ g2)
+    assert abs(0.5 * np.arctan2(toff, ton + np.hypot(ton, toff))) < 1e-12
+
+
+@pytest.mark.parametrize("n_sources", [0, 3])
+def test_jade_rejects_source_counts_other_than_one_or_two(n_sources):
+    X = np.random.default_rng(8).normal(size=(3, 500))
+    with pytest.raises(ValueError, match="n_sources"):
+        jade_separate(X, n_sources)
 
 
 def test_jade_gaussian_sources_documented_failure():
@@ -97,8 +150,7 @@ def test_jade_gaussian_sources_documented_failure():
     S = rng.normal(size=(2, 8000))
     W = np.array([[1.0, 0.5], [0.3, 1.0]])
     res = jade_separate(W @ S, 2)
-    # must not crash; convergence flag may be either value, sources remain
-    # unit variance
+    # must not crash; the angle is arbitrary, the sources remain unit variance
     assert np.allclose(res.sources.var(axis=1), 1.0, atol=1e-6)
 
 
