@@ -49,11 +49,11 @@ print(f"\npairing: success={outcome.success}, keys match={outcome.key_a == outco
 for record in outcome.levels:
     print(
         f"  level {record.level_index}: jam {record.jam_power:8.2f}, "
-        f"{record.verdict} after {record.retries} retries, "
+        f"{record.verdict} after {record.retry} retries, "
         f"candidate {record.candidate_used}"
     )
 print("transcript head:")
-for line in transcript_to_jsonl(outcome.transcript).splitlines()[:3]:
+for line in transcript_to_jsonl(outcome).splitlines()[:3]:
     print("  " + line)
 
 result = attack(outcome, channel.p1, channel, fingerprint, rng=np.random.default_rng(2))

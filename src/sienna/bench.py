@@ -476,7 +476,7 @@ def _run_pairing_success(config: ExperimentConfig):
         completions += completed
         keys_equal = completed and outcome.key_a == outcome.key_b
         key_matches += keys_equal
-        retries = sum(rec.retries for rec in outcome.levels)
+        retries = sum(a.verdict == "NAK" for a in outcome.attempts)
         rows.append(
             (
                 i,

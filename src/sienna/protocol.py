@@ -64,12 +64,12 @@ from .rs import RsCodeSpec, standard_code
 
 __all__ = [
     "AckNak",
+    "Attempt",
     "AttackResult",
     "BeltDevice",
     "CommitMessage",
     "InitMessage",
     "LevelAttackOutcome",
-    "LevelRecord",
     "PairingOutcome",
     "PairingScene",
     "PipelineConfig",
@@ -541,33 +541,52 @@ def observe_scene(scene: PairingScene) -> tuple[DisplacementSeries, tuple[RadarI
 # -- pairing run --------------------------------------------------------------
 
 
-@dataclass
-class LevelRecord:
-    """One level of a round; ``window_ms`` and ``commitment`` are its last
-    attempt's, ACKed or not, whose commit frame is all a listener sees."""
+@dataclass(frozen=True)
+class Attempt:
+    """One commit of a round and b's answer: ``recovered_salt`` and
+    ``candidate_used`` are what b opened, both None on a NAK."""
 
     level_index: int
+    retry: int
     jam_power: float
-    retries: int
-    verdict: str
-    stitched_bit_errors: int
-    candidate_used: int | None
     window_ms: tuple[int, int]
+    sub_salt: np.ndarray
     commitment: Commitment
+    stitched_bit_errors: int
+    recovered_salt: np.ndarray | None
+    candidate_used: int | None
+
+    @property
+    def verdict(self) -> Literal["ACK", "NAK"]:
+        return "ACK" if self.recovered_salt is not None else "NAK"
 
 
-@dataclass
+@dataclass(frozen=True)
 class PairingOutcome:
+    """A round: a's announcement, every attempt in order, and the keys once
+    every level is ACKed. All else is derived from these."""
+
+    init: InitMessage
+    attempts: tuple[Attempt, ...]
     key_a: bytes | None
     key_b: bytes | None
-    evolution_salt: np.ndarray | None
-    transcript: list[dict]
-    levels: list[LevelRecord]
+
+    @property
+    def levels(self) -> list[Attempt]:
+        """Each level's last attempt, ACKed or not: the frames ``attack`` taps."""
+        return list({a.level_index: a for a in self.attempts}.values())
+
+    @property
+    def evolution_salt(self) -> np.ndarray | None:
+        """The XOR of a's ACKed sub-salts, once every level is ACKed."""
+        acked = [a.sub_salt for a in self.attempts if a.verdict == "ACK"]
+        return xor_fold(acked) if self.key_a is not None else None
 
     @property
     def failed_level(self) -> int | None:
-        """The level that exhausted its retries, which ends a round."""
-        return next((lvl.level_index for lvl in self.levels if lvl.verdict != "ACK"), None)
+        """The level whose last attempt NAKed, which ends a round."""
+        last = self.attempts[-1]
+        return last.level_index if last.verdict == "NAK" else None
 
     @property
     def success(self) -> bool:
@@ -599,54 +618,39 @@ def run_pairing(
     """Execute one full key-evolution round over the simulated channel.
 
     ``salt_seed`` seeds the deterministic CSPRNG that draws a's sub-salts.
-    The outcome holds one ``LevelRecord`` per level tried, with the slot and
-    the commitment of its last attempt (what ``attack`` intercepts), and
-    the keys and evolution salt once every level is ACKed. The transcript
-    is stamped in simulated ms.
+    The outcome holds a's announcement, one ``Attempt`` per commit, NAKed
+    ones included, and the keys once every level is ACKed: a from its own
+    ACKed sub-salts, b from the salts it recovered.
 
     Device b opens each commitment with the previous level's
     ``candidate_used`` first (index 0 at level 0), then with the others in
-    index order. A level's ``candidate_used`` is the lowest index that
+    index order. An attempt's ``candidate_used`` is the lowest index that
     opens it, as if b had walked the candidates in index order: when the
     first candidate tried opens, the recovered salt gives the committed
     fingerprint, and the lowest candidate within t symbols of it is the
     lowest that opens. In every other case each lower index has been
     opened and failed.
     """
-    now_ms = 0
     spec_a, spec_b = device_a.config.rs_spec, device_b.config.rs_spec
     state_a = SessionState(role="a")
     state_b = SessionState(role="b")
-    transcript: list[dict] = []
-
-    def log(direction: str, mtype: str, **extra):
-        transcript.append({"t_ms": now_ms, "direction": direction, "type": mtype, **extra})
-
     init = initiate(state_a)
-    now_ms += 1
-    log("a->b", "init", t_str=init.t_str, t_end=init.t_end, key_hash=init.key_hash.hex())
     receive_init(state_b, decode_message(encode_message(init), spec_b))
 
     drbg = Sha256Drbg(salt_seed)
     noise_main = noise_power_for_snr(channel.snr_main, QAM)
 
-    levels: list[LevelRecord] = []
-    last_match = 0  # the previous level's candidate_used
-    sent_salts: list[np.ndarray] = []
-    recovered_salts: list[np.ndarray] = []
+    attempts: list[Attempt] = []
     for level_idx, jam_level in enumerate(ladder.levels):
-        outcome_salt = None
-        candidate_used = None
-        for attempt in range(RETRY_BUDGET + 1):
+        last_match = attempts[-1].candidate_used if attempts else 0
+        for retry in range(RETRY_BUDGET + 1):
             begin_commit(state_a, level_idx)
             begin_commit(state_b, level_idx)
-            now_ms += 10
-            # Every (re)attempt binds a fresh sub-salt to a fresh slot of
-            # the announced window; b derives its candidates for the same
-            # slot of the window it received, and re-randomizes its jam mask
-            # per transmission.
-            window = slot_window(state_a.window_ms, ladder.count, level_idx, attempt)
-            window_b = slot_window(state_b.window_ms, ladder.count, level_idx, attempt)
+            # Every (re)attempt binds a fresh sub-salt to a fresh slot of the announced
+            # window; b derives its candidates for the same slot of the window it
+            # received, and re-randomizes its jam mask per transmission.
+            window = slot_window(state_a.window_ms, ladder.count, level_idx, retry)
+            window_b = slot_window(state_b.window_ms, ladder.count, level_idx, retry)
             fp_a = device_a.derive_fingerprints(window)[0]
             sub_salt = new_salt(spec_a, drbg)
             commitment = commit(sub_salt, fp_a, spec_a)
@@ -656,11 +660,9 @@ def run_pairing(
             frame_b = dup_and_jam(
                 symbols, mask, jam_level / channel.p1, rng, noise_power=noise_main
             )
-            log("a->b", "commit", level=level_idx, retry=attempt, bits=int(payload.size))
-
             stitched = receiver_stitch(frame_b, mask)
             rx_payload = qam_demodulate(stitched, QAM, n_bits=payload.size)
-            stitched_errors = int(np.sum(rx_payload != payload))
+            recovered_salt = candidate_used = None
             try:
                 received = decode_message(bits_to_bytes(rx_payload), spec_b)
             except ValueError:
@@ -672,8 +674,7 @@ def run_pairing(
                 for cand_idx in order:
                     opened = open_commitment(received.commitment, fingerprints[cand_idx], spec_b)
                     if opened.recovered:
-                        outcome_salt = opened.salt
-                        candidate_used = cand_idx
+                        recovered_salt, candidate_used = opened.salt, cand_idx
                         if cand_idx == last_match > 0:  # lower indices were not tried
                             candidate_used = _lowest_opening(
                                 fingerprints[: cand_idx + 1],
@@ -681,48 +682,47 @@ def run_pairing(
                                 spec_b,
                             )
                         break
-            verdict = "ACK" if outcome_salt is not None else "NAK"
-            now_ms += 5
-            log("b->a", "acknak", level=level_idx, verdict=verdict)
-            ack = decode_message(encode_message(AckNak(verdict, level_idx)), spec_a)
+            attempt = Attempt(
+                level_idx, retry, jam_level, window, sub_salt, commitment,
+                int(np.sum(rx_payload != payload)), recovered_salt, candidate_used,
+            )
+            attempts.append(attempt)
+            ack = decode_message(encode_message(AckNak(attempt.verdict, level_idx)), spec_a)
             handle_ack(state_a, ack, ladder.count)
             handle_ack(state_b, ack, ladder.count)
-            if verdict == "ACK":
+            if attempt.verdict == "ACK":
                 break
-
-        levels.append(
-            LevelRecord(
-                level_index=level_idx,
-                jam_power=jam_level,
-                # The ACKed attempt's index, or the attempt count on failure.
-                retries=attempt if verdict == "ACK" else attempt + 1,
-                verdict=verdict,
-                stitched_bit_errors=stitched_errors,
-                candidate_used=candidate_used,
-                window_ms=window,
-                commitment=commitment,
-            )
-        )
-        if verdict != "ACK":
+        if attempt.verdict != "ACK":
             break
-        last_match = candidate_used
-        sent_salts.append(sub_salt)
-        recovered_salts.append(outcome_salt)
 
     if state_a.phase == "done":
-        evolution_salt = xor_fold(sent_salts)
-        key_a = conclude(state_a, evolution_salt)
-        key_b = conclude(state_b, xor_fold(recovered_salts))
-        log("a<->b", "kdf", round=state_a.round_index)
+        acked = [a for a in attempts if a.verdict == "ACK"]
+        key_a = conclude(state_a, xor_fold([a.sub_salt for a in acked]))
+        key_b = conclude(state_b, xor_fold([a.recovered_salt for a in acked]))
     else:
         state_a.fail("commitment-rejected")
         state_b.fail("commitment-rejected")
-        evolution_salt = key_a = key_b = None
-    return PairingOutcome(key_a, key_b, evolution_salt, transcript, levels)
+        key_a = key_b = None
+    return PairingOutcome(init, tuple(attempts), key_a, key_b)
 
 
-def transcript_to_jsonl(transcript: Sequence[dict]) -> str:
-    return "\n".join(json.dumps(entry, sort_keys=True) for entry in transcript) + "\n"
+def transcript_to_jsonl(outcome: PairingOutcome) -> str:
+    """A round's messages as JSON lines in simulated ms: the init at 1, each commit 10
+    after the event before it, each ACK/NAK 5 after its commit, and the key derivation,
+    once every level is ACKed, with the last ACK. ``bits`` is a commit's frame length."""
+    events = [(1, "a->b", "init", {**vars(outcome.init), "key_hash": outcome.init.key_hash.hex()})]
+    for i, a in enumerate(outcome.attempts):
+        bits = 8 * len(encode_message(CommitMessage(a.level_index, a.commitment)))
+        events += [
+            (15 * i + 11, "a->b", "commit", dict(level=a.level_index, retry=a.retry, bits=bits)),
+            (15 * i + 16, "b->a", "acknak", dict(level=a.level_index, verdict=a.verdict)),
+        ]
+    if outcome.key_a is not None:
+        events.append((events[-1][0], "a<->b", "kdf", {"round": 1}))
+    return "".join(
+        json.dumps({"t_ms": t_ms, "direction": way, "type": kind, **extra}, sort_keys=True) + "\n"
+        for t_ms, way, kind, extra in events
+    )
 
 
 # -- insider attack harness ---------------------------------------------------
@@ -755,8 +755,8 @@ def attack(
 ) -> AttackResult:
     """The insider's attack on a round's frames: recover the evolution salt.
 
-    For each level, the insider receives the commit frame of the record's
-    commitment at signal power ``p2`` over the channel's noise floor
+    For each level, the insider receives the commit frame of its last
+    attempt's commitment at signal power ``p2`` over the channel's noise floor
     ``p0``, with the level's jam over ``p2`` on one copy of every duplicated
     symbol pair. Only that frame's sub-salt survives into the evolution
     salt. The jam mask is drawn afresh: the insider picks one copy of every

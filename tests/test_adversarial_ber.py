@@ -106,7 +106,7 @@ def test_attack_on_a_round_matches_the_exact_odds(grid_index, level_index):
     )
     assert out.success
     # Each draw attacks the one level under test, not all four.
-    one_level = replace(out, levels=out.levels[level_index : level_index + 1])
+    one_level = replace(out, attempts=(out.levels[level_index],))
     p2 = float(np.logspace(0, 3, 40)[grid_index])
     jam = ladder.levels[level_index]
     # The flip odds of a clean and a jammed copy, as the scenario takes them.

@@ -423,7 +423,7 @@ def test_a_radar_on_another_code_naks_every_commit(radar_code):
         salt_seed=3,
     )
     assert out.failed_level == 0 and out.key_a is None and out.key_b is None
-    verdicts = [r["verdict"] for r in out.transcript if r["type"] == "acknak"]
+    verdicts = [attempt.verdict for attempt in out.attempts]
     assert verdicts == ["NAK"] * (protocol.RETRY_BUDGET + 1)
 
 
@@ -438,7 +438,7 @@ def test_pairing_transcript_jsonl():
         np.random.default_rng(6),
         salt_seed=4,
     )
-    lines = transcript_to_jsonl(out.transcript).strip().splitlines()
+    lines = transcript_to_jsonl(out).strip().splitlines()
     records = [json.loads(line) for line in lines]
     assert records[0]["type"] == "init" and records[0]["direction"] == "a->b"
     assert {r["bits"] for r in records if r["type"] == "commit"} == {2528}  # one SNNA frame
@@ -490,6 +490,11 @@ PINNED_ROUNDS = {
 }
 
 
+def _retries(out, level_index):
+    """A level's retries: the NAKs it got."""
+    return sum(a.verdict == "NAK" for a in out.attempts if a.level_index == level_index)
+
+
 @pytest.mark.parametrize("seed", sorted(PINNED_ROUNDS))
 def test_same_keys_per_seed(seed):
     key_hex, levels = PINNED_ROUNDS[seed]
@@ -504,7 +509,7 @@ def test_same_keys_per_seed(seed):
     )
     assert out.success == (key_hex is not None)
     assert (out.key_a.hex() if out.key_a else None) == key_hex
-    assert [(lvl.retries, lvl.candidate_used) for lvl in out.levels] == levels
+    assert [(_retries(out, lvl.level_index), lvl.candidate_used) for lvl in out.levels] == levels
 
 
 def _seeded_rounds(seeds):
@@ -568,9 +573,10 @@ def test_a_level_whose_last_match_opens_makes_one_open(monkeypatch):
 
 
 def test_level_records_are_all_a_round_needs():
-    """Each record's commitment opens under a's own fingerprint of its slot,
-    the sub-salts fold into the evolution salt behind a's key, and the
-    verdicts name the failed level (pinned rounds 95 and 49)."""
+    """Every attempt's commitment, NAKed ones included, opens under a's own
+    fingerprint of its slot to its sub-salt; the ACKed sub-salts fold into
+    the evolution salt behind a's key and b's recovered salts into b's key;
+    the last verdict names the failed level (pinned rounds 95 and 49)."""
     rounds = {}
     for seed in (95, 49):
         belt_obs, prms_obs = observe_scene(two_subject_scene(seed))
@@ -584,19 +590,27 @@ def test_level_records_are_all_a_round_needs():
             salt_seed=seed,
         )
         rounds[seed] = device_a, out
+        for attempt in out.attempts:
+            fp = device_a.derive_fingerprints(attempt.window_ms)[0]
+            opened = open_commitment(attempt.commitment, fp, CONFIG.rs_spec)
+            assert opened.recovered and np.array_equal(opened.salt, attempt.sub_salt)
 
-    device_a, out = rounds[95]
+    _, out = rounds[95]
     assert out.success and out.failed_level is None
-    salts = [
-        open_commitment(
-            record.commitment, device_a.derive_fingerprints(record.window_ms)[0], CONFIG.rs_spec
-        ).salt
-        for record in out.levels
-    ]
-    assert np.array_equal(xor_fold(salts), out.evolution_salt)
+    acked = [attempt for attempt in out.attempts if attempt.verdict == "ACK"]
+    assert [attempt.level_index for attempt in acked] == list(range(LADDER.count))
+    assert np.array_equal(xor_fold([attempt.sub_salt for attempt in acked]), out.evolution_salt)
     assert kdf(bootstrap_key(), out.evolution_salt) == out.key_a
+    recovered = xor_fold([attempt.recovered_salt for attempt in acked])
+    assert kdf(bootstrap_key(), recovered) == out.key_b
+
     _, failed = rounds[49]
-    assert failed.failed_level == 0 and not failed.success
+    assert failed.failed_level == 0 and not failed.success and failed.evolution_salt is None
+    announced = (failed.init.t_str, failed.init.t_end)
+    assert [(a.level_index, a.retry, a.verdict, a.window_ms) for a in failed.attempts] == [
+        (0, k, "NAK", slot_window(announced, LADDER.count, 0, k)) for k in range(4)
+    ]
+    assert len({attempt.sub_salt.tobytes() for attempt in failed.attempts}) == 4
 
 
 @pytest.mark.parametrize("seed", [49, 95])  # a failed round; a round with retries
@@ -620,9 +634,26 @@ def test_every_message_of_a_round_crosses_the_codec(monkeypatch, seed):
         np.random.default_rng(seed),
         salt_seed=seed,
     )
-    attempts = sum(lvl.retries + (lvl.verdict == "ACK") for lvl in out.levels)
+    attempts = len(out.attempts)
     assert attempts == {49: 4, 95: 7}[seed]
     assert Counter(decoded) == {InitMessage: 1, CommitMessage: attempts, AckNak: attempts}
+
+
+# SHA-256 over the JSONL transcript and each level's (retries, candidate_used,
+# window_ms, stitched_bit_errors, verdict) of the default round of every scene
+# seed in 40..99, failed round 49 and round 95 with retries among them.
+PINNED_TRANSCRIPTS = "968407f8f3df0190dfb571251690264297245660d8f2f677cc72b29fd40742de"
+
+
+def test_whole_transcripts_per_seed():
+    digest = hashlib.sha256()
+    for _, out in _seeded_rounds(range(40, 100)):
+        digest.update(transcript_to_jsonl(out).encode())
+        for lvl in out.levels:
+            retries = _retries(out, lvl.level_index)
+            fields = (retries, lvl.candidate_used, lvl.window_ms, lvl.stitched_bit_errors, lvl.verdict)
+            digest.update(json.dumps(fields).encode())
+    assert digest.hexdigest() == PINNED_TRANSCRIPTS
 
 
 # SHA-256 over the packed bits of every candidate fingerprint of a belt and a
@@ -764,7 +795,7 @@ def test_commit_frame_b_cannot_accept_is_a_nak_and_opens_nothing(monkeypatch, fl
         salt_seed=1,
     )
     assert not out.success
-    assert out.levels[0].retries == 4 and out.levels[0].stitched_bit_errors == 1
+    assert [(a.verdict, a.stitched_bit_errors) for a in out.attempts] == [("NAK", 1)] * 4
     assert opens == []
 
 
