@@ -22,7 +22,6 @@ __all__ = [
     "Commitment",
     "OpenOutcome",
     "commit",
-    "committed_fingerprint",
     "hash256",
     "kdf",
     "new_salt",
@@ -161,21 +160,6 @@ def open_commitment(
     if _salt_digest(salt_bits) != commitment.salt_hash:
         return OpenOutcome("hash-mismatch")
     return OpenOutcome("recovered", salt=salt_bits)
-
-
-def committed_fingerprint(commitment: Commitment, salt_bits: np.ndarray) -> np.ndarray:
-    """The fingerprint a commitment binds, given its salt: mask XOR RS(salt).
-
-    The code's minimum distance is 2t + 1, so a candidate opens the
-    commitment exactly when it lies within t symbols of this fingerprint;
-    any other decoder output fails the digest.
-    """
-    salt_bits = as_bits(salt_bits)
-    if salt_bits.size != commitment.spec.message_bits:
-        raise ValueError(
-            f"salt must be {commitment.spec.message_bits} bits, got {salt_bits.size}"
-        )
-    return commitment.masked_codeword ^ _opening_value(salt_bits, commitment.spec)
 
 
 # -- wire format ------------------------------------------------------------

@@ -6,10 +6,10 @@ sub-salt per jamming-ladder level against its fingerprint. Each commitment
 crosses the simulated channel as an SNNA commit frame sent as duplicated
 QAM symbols, while ``b`` jams one copy of every pair at that level's power,
 stitches its own clean view, decodes the frame, and opens the commitment
-with its candidate fingerprints: first the one recorded for the previous
-level, then the rest in index order. The candidate it records is the lowest
-index that opens, whatever the order. After every level is acknowledged
-both sides XOR the sub-salts into the evolution salt and derive the next key.
+with its candidate fingerprints: first the one that opened the previous
+level, then the rest in index order. It records the candidate that opened.
+After every level is acknowledged both sides XOR the sub-salts into the
+evolution salt and derive the next key.
 
 The device observations and channel are simulated, the cryptography and
 message formats are real, and every step is deterministic per seed.
@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field, replace
-from typing import Callable, Literal, Sequence
+from typing import Callable, Literal
 
 import numpy as np
 
@@ -49,7 +49,6 @@ from .commitment import (
     COMMITMENT_HEADER_BYTES,
     Commitment,
     commit,
-    committed_fingerprint,
     hash256,
     kdf,
     new_salt,
@@ -451,7 +450,7 @@ class PrmsDevice(_Device):
         centered = mixture - mixture.mean(axis=1, keepdims=True)
         eigvals = np.linalg.eigvalsh(centered @ centered.T / centered.shape[1])[::-1]
         effective = int(np.sum(eigvals > SOURCE_RANK_REL * eigvals[0]))
-        n_sources = max(1, min(MAX_SOURCES, mixture.shape[0], effective))
+        n_sources = min(MAX_SOURCES, effective)
         separation = jade_separate(mixture, n_sources)
         return _orient(normalize_series(DisplacementSeries(separation.sources, rate, t_start)))
 
@@ -594,18 +593,6 @@ class PairingOutcome:
         return self.key_a is not None and self.key_a == self.key_b
 
 
-def _lowest_opening(
-    fingerprints: Sequence[np.ndarray], committed: np.ndarray, spec: RsCodeSpec
-) -> int:
-    """Index of the first fingerprint within t symbols of the committed one,
-    that is the first that opens the commitment; the last one must open."""
-    diff = np.asarray(fingerprints) ^ committed
-    distances = np.count_nonzero(
-        diff.reshape(len(fingerprints), spec.m_symbols, -1).any(axis=-1), axis=-1
-    )
-    return int(np.flatnonzero(distances <= spec.t)[0])
-
-
 def run_pairing(
     device_a: BeltDevice,
     device_b: PrmsDevice,
@@ -624,12 +611,8 @@ def run_pairing(
 
     Device b opens each commitment with the previous level's
     ``candidate_used`` first (index 0 at level 0), then with the others in
-    index order. An attempt's ``candidate_used`` is the lowest index that
-    opens it, as if b had walked the candidates in index order: when the
-    first candidate tried opens, the recovered salt gives the committed
-    fingerprint, and the lowest candidate within t symbols of it is the
-    lowest that opens. In every other case each lower index has been
-    opened and failed.
+    index order, and stops at the first that opens: that one is the
+    attempt's ``candidate_used``.
     """
     spec_a, spec_b = device_a.config.rs_spec, device_b.config.rs_spec
     state_a = SessionState(role="a")
@@ -675,12 +658,6 @@ def run_pairing(
                     opened = open_commitment(received.commitment, fingerprints[cand_idx], spec_b)
                     if opened.recovered:
                         recovered_salt, candidate_used = opened.salt, cand_idx
-                        if cand_idx == last_match > 0:  # lower indices were not tried
-                            candidate_used = _lowest_opening(
-                                fingerprints[: cand_idx + 1],
-                                committed_fingerprint(received.commitment, opened.salt),
-                                spec_b,
-                            )
                         break
             attempt = Attempt(
                 level_idx, retry, jam_level, window, sub_salt, commitment,

@@ -10,7 +10,6 @@ from sienna.bits import Sha256Drbg, bits_from_bytes, bits_to_bytes, random_bits
 from sienna.commitment import (
     Commitment,
     commit,
-    committed_fingerprint,
     deserialize_commitment,
     hash256,
     kdf,
@@ -52,20 +51,19 @@ def test_zero_fingerprint_reveals_codeword():
     assert np.array_equal(c.masked_codeword, codeword_bits)
 
 
-@pytest.mark.parametrize("spec", [SMALL, standard_code()])
-def test_committed_fingerprint_from_the_salt(spec):
-    """The true salt reveals the committing fingerprint, and an opened salt
-    the same one; a wrong salt reveals another word, and a short one raises."""
-    rng = np.random.default_rng(12)
-    salt = new_salt(spec, 3)
-    fp = random_bits(spec.codeword_bits, rng)
-    c = commit(salt, fp, spec)
-    assert np.array_equal(committed_fingerprint(c, salt), fp)
-    near = flip_symbols(fp, spec, [0], [1])
-    assert np.array_equal(committed_fingerprint(c, open_commitment(c, near, spec).salt), fp)
-    assert not np.array_equal(committed_fingerprint(c, new_salt(spec, 4)), fp)
-    with pytest.raises(ValueError, match="salt must be"):
-        committed_fingerprint(c, salt[:-1])
+def test_two_commitments_on_one_fingerprint_reveal_the_xor_of_their_salts():
+    """Why no slot may carry two commitments: device a's fingerprint of a slot
+    is fixed, so two masks on it XOR to RS(s ^ s'), a codeword with no
+    fingerprint left in it, and the code is systematic, so anyone holding
+    both masks reads s ^ s' from their first message_bits bits."""
+    spec = standard_code()
+    drbg = Sha256Drbg(31)
+    s, s_prime = new_salt(spec, drbg), new_salt(spec, drbg)
+    fp = random_bits(spec.codeword_bits, np.random.default_rng(31))
+    masks = commit(s, fp, spec).masked_codeword ^ commit(s_prime, fp, spec).masked_codeword
+    assert np.array_equal(masks, commit(s ^ s_prime, np.zeros_like(fp), spec).masked_codeword)
+    assert np.array_equal(masks[: spec.message_bits], s ^ s_prime)
+    assert not np.array_equal(s, s_prime)
 
 
 def test_exhaustive_completeness_small_field():
