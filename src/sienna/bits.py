@@ -66,6 +66,8 @@ class Sha256Drbg:
         self._buffer = b""
 
     def read(self, n_bytes: int) -> bytes:
+        if n_bytes < 0:
+            raise ValueError(f"cannot read {n_bytes} bytes")
         # Join all missing blocks at once: appending them one at a time
         # copies the buffer per block, quadratic in the request.
         n_blocks = max(0, (n_bytes - len(self._buffer) + 31) // 32)

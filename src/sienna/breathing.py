@@ -115,12 +115,16 @@ class DisplacementSeries:
 
     def slice(self, t0: float, t1: float) -> DisplacementSeries:
         """The samples at t0 through t1, both ends included, starting at t0."""
-        cut = _sample_range(self.t_start, self.sample_rate, t0, t1)
+        cut = _sample_range(self.t_start, self.sample_rate, self.samples.shape[-1], t0, t1)
         return replace(self, samples=self.samples[..., cut], t_start=t0)
 
 
-def _sample_range(t_start: float, rate: float, t0: float, t1: float) -> slice:
-    """Indices of the samples nearest t0 through t1, both ends included."""
+def _sample_range(t_start: float, rate: float, n: int, t0: float, t1: float) -> slice:
+    """Indices of the samples nearest t0 through t1, both ends included. Both ends
+    must lie within half a sample of the n samples' span, as for ``value_at``."""
+    eps, t_last = 0.5 / rate, t_start + (n - 1) / rate
+    if not t_start - eps <= t0 <= t1 <= t_last + eps:
+        raise ValueError(f"window [{t0}, {t1}] s is not inside the span [{t_start}, {t_last}] s")
     return slice(int(round((t0 - t_start) * rate)), int(round((t1 - t_start) * rate)) + 1)
 
 
@@ -214,7 +218,7 @@ class RadarIQ:
 
     def slice(self, t0: float, t1: float) -> RadarIQ:
         """The I/Q samples at t0 through t1, both ends included, starting at t0."""
-        cut = _sample_range(self.t_start, self.sample_rate, t0, t1)
+        cut = _sample_range(self.t_start, self.sample_rate, self.i_channel.size, t0, t1)
         return replace(
             self, i_channel=self.i_channel[cut], q_channel=self.q_channel[cut], t_start=t0
         )

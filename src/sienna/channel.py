@@ -80,10 +80,6 @@ class ChannelParams:
         if not (0 < self.p0 < math.inf and 0 < self.p1 < math.inf):
             raise ValueError(f"powers must be finite and positive, got {self.p0}, {self.p1}")
 
-    @property
-    def snr_main(self) -> float:
-        return self.p1 / self.p0
-
 
 @dataclass(frozen=True)
 class JammingLadder:
@@ -306,10 +302,8 @@ def secrecy_capacity(p1: float, p0: float, p2: float, p_jam: float) -> float:
 
 @dataclass(frozen=True)
 class GaussianityReport:
-    statistic: float
     p_value: float
     excess_kurtosis: float
-    n_samples: int
 
 
 def _normality(samples: np.ndarray) -> tuple[float, float]:
@@ -371,9 +365,4 @@ def ofdm_gaussianity_demo(
     time_domain = np.fft.ifft(loads, axis=1) * math.sqrt(n_subcarriers)
     samples = np.concatenate([time_domain.real.ravel(), time_domain.imag.ravel()])
     statistic, excess_kurtosis = _normality(samples)
-    return GaussianityReport(
-        statistic=statistic,
-        p_value=math.exp(-statistic / 2),
-        excess_kurtosis=excess_kurtosis,
-        n_samples=samples.size,
-    )
+    return GaussianityReport(p_value=math.exp(-statistic / 2), excess_kurtosis=excess_kurtosis)

@@ -50,8 +50,6 @@ class WhiteningResult:
 @dataclass(frozen=True)
 class SeparationResult:
     sources: np.ndarray  # shape (N, T), unit variance rows
-    demixer: np.ndarray  # shape (N, M), applies to mean-centered observations
-    rotation: np.ndarray  # orthogonal (N, N)
     angle: float  # the Givens angle, radians; 0 for one source
     off_diagonal: tuple[float, float]  # off criterion before and after the rotation
 
@@ -153,15 +151,11 @@ def jade_separate(observations: np.ndarray, n_sources: int) -> SeparationResult:
     mixing = np.linalg.pinv(demixer)
     order = np.argsort(-(mixing**2).sum(axis=0))
     demixer, sources = demixer[order], sources[order]
-    rotation = rotation[:, order]
     signs = np.sign(demixer[np.arange(n), np.abs(demixer).argmax(axis=1)])
     signs[signs == 0] = 1.0
-    demixer, sources = demixer * signs[:, None], sources * signs[:, None]
-    rotation = rotation * signs[None, :]
+    sources = sources * signs[:, None]
 
-    return SeparationResult(
-        sources=sources, demixer=demixer, rotation=rotation, angle=float(theta), off_diagonal=off
-    )
+    return SeparationResult(sources=sources, angle=float(theta), off_diagonal=off)
 
 
 def match_sources(candidates: np.ndarray, reference: np.ndarray) -> MatchResult:

@@ -593,6 +593,20 @@ class PairingOutcome:
         return self.key_a is not None and self.key_a == self.key_b
 
 
+def _on_air(
+    level: int, commitment: Commitment, jam_power: float, signal_power: float,
+    channel: ChannelParams, rng: np.random.Generator,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """A level's commit frame heard at ``signal_power`` over the noise floor ``p0``,
+    one copy of every symbol pair jammed at ``jam_power``: (payload, jam mask, frame)."""
+    payload = bits_from_bytes(encode_message(CommitMessage(level, commitment)))
+    symbols = qam_modulate(payload, QAM)
+    mask = random_bits(symbols.size, rng)
+    noise_power = noise_power_for_snr(signal_power / channel.p0, QAM)
+    frame = dup_and_jam(symbols, mask, jam_power / signal_power, rng, noise_power=noise_power)
+    return payload, mask, frame
+
+
 def run_pairing(
     device_a: BeltDevice,
     device_b: PrmsDevice,
@@ -621,7 +635,6 @@ def run_pairing(
     receive_init(state_b, decode_message(encode_message(init), spec_b))
 
     drbg = Sha256Drbg(salt_seed)
-    noise_main = noise_power_for_snr(channel.snr_main, QAM)
 
     attempts: list[Attempt] = []
     for level_idx, jam_level in enumerate(ladder.levels):
@@ -637,11 +650,8 @@ def run_pairing(
             fp_a = device_a.derive_fingerprints(window)[0]
             sub_salt = new_salt(spec_a, drbg)
             commitment = commit(sub_salt, fp_a, spec_a)
-            payload = bits_from_bytes(encode_message(CommitMessage(level_idx, commitment)))
-            symbols = qam_modulate(payload, QAM)
-            mask = random_bits(symbols.size, rng)
-            frame_b = dup_and_jam(
-                symbols, mask, jam_level / channel.p1, rng, noise_power=noise_main
+            payload, mask, frame_b = _on_air(
+                level_idx, commitment, jam_level, channel.p1, channel, rng
             )
             stitched = receiver_stitch(frame_b, mask)
             rx_payload = qam_demodulate(stitched, QAM, n_bits=payload.size)
@@ -744,14 +754,12 @@ def attack(
     Success requires every sub-salt. Each level's ``ber`` is the bit error
     rate of the insider's view against the transmitted frame.
     """
-    noise_power = noise_power_for_snr(p2 / channel.p0, QAM)
     per_level = []
     for record in outcome.levels:
         commitment = record.commitment
-        payload = bits_from_bytes(encode_message(CommitMessage(record.level_index, commitment)))
-        symbols = qam_modulate(payload, QAM)
-        mask = random_bits(symbols.size, rng)
-        frame = dup_and_jam(symbols, mask, record.jam_power / p2, rng, noise_power=noise_power)
+        payload, _, frame = _on_air(
+            record.level_index, commitment, record.jam_power, p2, channel, rng
+        )
         estimates = eavesdrop(frame, "random-pick", rng)
         rx_bits = qam_demodulate(estimates, QAM, n_bits=payload.size)
         ber = float(np.mean(rx_bits != payload))

@@ -32,7 +32,6 @@ class RandomnessReport:
     monobit_p: float
     runs_p: float
     approx_entropy_per_bit: float
-    approx_entropy_p: float
 
 
 def monobit_test(bits: np.ndarray) -> float:
@@ -67,23 +66,8 @@ def _phi(bits: np.ndarray, m: int) -> float:
     return float(np.sum(probs * np.log(probs)))
 
 
-def _gammaincc(a: int, x: float) -> float:
-    """Regularized upper incomplete gamma Q(a, x) for integer a >= 1.
-
-    For integer a it is the Poisson tail ``exp(-x) * sum(x**k / k!, k < a)``,
-    1.0 at x = 0; like ``scipy.special.gammaincc`` it is NaN for x < 0.
-    """
-    if x < 0:
-        return math.nan
-    term = total = 1.0
-    for k in range(1, a):
-        term *= x / k
-        total += term
-    return math.exp(-x) * total
-
-
-def approximate_entropy(bits: np.ndarray, block_len: int = 2) -> tuple[float, float]:
-    """ApEn(m) in nats and its NIST p-value.
+def approximate_entropy(bits: np.ndarray, block_len: int = 2) -> float:
+    """ApEn(m) in nats.
 
     ApEn compares the empirical entropy of overlapping ``block_len`` and
     ``block_len + 1`` bit patterns; i.i.d. fair bits approach ln 2 per bit.
@@ -91,11 +75,7 @@ def approximate_entropy(bits: np.ndarray, block_len: int = 2) -> tuple[float, fl
     if block_len < 1:
         raise ValueError(f"block_len must be at least 1, got {block_len}")
     bits = as_bits(bits)
-    n = bits.size
-    apen = _phi(bits, block_len) - _phi(bits, block_len + 1)
-    chi2 = 2.0 * n * (math.log(2.0) - apen)
-    p_value = _gammaincc(2 ** (block_len - 1), chi2 / 2.0)
-    return apen, p_value
+    return _phi(bits, block_len) - _phi(bits, block_len + 1)
 
 
 def randomness_tests(bits: np.ndarray) -> RandomnessReport:
@@ -103,13 +83,12 @@ def randomness_tests(bits: np.ndarray) -> RandomnessReport:
     bits = as_bits(bits)
     if bits.size < 100:
         raise ValueError(f"need at least 100 bits, got {bits.size}")
-    apen, apen_p = approximate_entropy(bits)
+    apen = approximate_entropy(bits)
     per_bit = min(max(apen / math.log(2.0), 0.0), 1.0)
     return RandomnessReport(
         monobit_p=monobit_test(bits),
         runs_p=runs_test(bits),
         approx_entropy_per_bit=per_bit,
-        approx_entropy_p=apen_p,
     )
 
 

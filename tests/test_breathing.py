@@ -250,6 +250,22 @@ def test_stacked_series_slice_and_span():
         DisplacementSeries(np.zeros((2, 2, 2)), 10.0)
 
 
+@pytest.mark.parametrize(
+    "duration, t0, t1",
+    [(10.0, -61.0, -60.0), (10.0, -0.05, 1.0), (61.0, 60.5, 70.0), (10.0, 2.0, 1.0), (10.0, -1.0, 0.5)],
+)
+def test_slice_rejects_a_window_outside_the_series(duration, t0, t1):
+    truth = synth_displacement(sample_profile(4), 0.0, duration, 100.0)
+    iq = radar_observe(truth)
+    for observation in (truth, iq):
+        with pytest.raises(ValueError):
+            observation.slice(t0, t1)
+    # Half a sample beyond either end is still inside, as for value_at.
+    end = truth.times[-1]
+    assert truth.slice(-0.004, end + 0.004).samples.size == truth.samples.size
+    assert iq.slice(-0.004, end + 0.004).i_channel.size == iq.i_channel.size
+
+
 @pytest.mark.parametrize("t0, t1", [(0.0, 6.0), (12.3, 30.05), (29.0, 90.0)])
 def test_slice_keeps_the_inclusive_end_sample(t0, t1):
     def cut(samples, rate, start):  # reference: the inclusive cut `slice` must keep

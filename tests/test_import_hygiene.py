@@ -1,8 +1,9 @@
 """What the package imports and exports.
 
 The runtime needs numpy alone: importing the package loads no scipy. Every
-name a module exports has a reader outside the tests, every public class
-and function is exported, and every name a module imports is read.
+name a module exports and every field of a frozen dataclass has a reader
+outside the tests, every public class and function is exported, and every
+name a module imports is read.
 """
 
 import ast
@@ -71,6 +72,48 @@ def test_every_public_definition_is_exported(module):
         if isinstance(node, (ast.ClassDef, ast.FunctionDef)) and not node.name.startswith("_")
     ]
     assert [name for name in defined if name not in names] == []
+
+
+def _is_frozen_dataclass(node: ast.ClassDef) -> bool:
+    return any(
+        isinstance(d, ast.Call)
+        and getattr(d.func, "id", None) == "dataclass"
+        and any(k.arg == "frozen" and getattr(k.value, "value", False) is True for k in d.keywords)
+        for d in node.decorator_list
+    )
+
+
+def _frozen_dataclass_members(text: str) -> list[tuple[str, str]]:
+    """(class, name) of every field and property of a module's frozen dataclasses."""
+    members = []
+    for node in ast.walk(ast.parse(text)):
+        if not (isinstance(node, ast.ClassDef) and _is_frozen_dataclass(node)):
+            continue
+        for item in node.body:
+            if isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name):
+                members.append((node.name, item.target.id))
+            elif isinstance(item, ast.FunctionDef) and any(
+                getattr(d, "id", None) == "property" for d in item.decorator_list
+            ):
+                members.append((node.name, item.name))
+    return members
+
+
+def test_every_frozen_dataclass_field_has_a_reader_outside_the_tests():
+    """Every field and property of a frozen dataclass is read as an attribute
+    somewhere in the package, the demos or the benchmark: a result that only
+    the tests read is code that exists for the tests alone."""
+    trees = [ast.parse(text) for text in MODULES.values()]
+    paths = [p for d in ("demos", "perfbench") for p in (ROOT / d).rglob("*.py")]
+    trees += [ast.parse(p.read_text()) for p in paths]
+    read = {
+        node.attr
+        for tree in trees
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+    }
+    members = [m for text in MODULES.values() for m in _frozen_dataclass_members(text)]
+    assert [f"{cls}.{name}" for cls, name in members if name not in read] == []
 
 
 def _unused_imports(text: str) -> list[str]:

@@ -53,8 +53,7 @@ def test_nist_worked_example_runs():
 def test_nist_worked_example_apen():
     # 0100110101 with m=3 from the NIST SP 800-22 ApEn walkthrough
     bits = np.array([0, 1, 0, 0, 1, 1, 0, 1, 0, 1], dtype=np.uint8)
-    apen, p = approximate_entropy(bits, block_len=3)
-    assert p == pytest.approx(0.261961, abs=1e-4)
+    assert approximate_entropy(bits, block_len=3) == pytest.approx(0.190954, abs=1e-6)
 
 
 def test_apen_needs_a_block_of_at_least_one_bit():
@@ -67,7 +66,6 @@ def test_csprng_output_passes_all_three():
     report = randomness_tests(bits)
     assert report.monobit_p >= 0.01
     assert report.runs_p >= 0.01
-    assert report.approx_entropy_p >= 0.01
     assert report.approx_entropy_per_bit > 0.999
 
 
@@ -88,6 +86,14 @@ def test_drbg_stream_across_odd_size_reads_is_pinned():
         stream.update(drbg.read(n_bytes))
     stream.update(drbg.bits(10**6).tobytes())
     assert stream.hexdigest() == "66af249a6a020f4461140f96a941ac83c75094c5cd9ad002db31f338b4b04089"
+
+
+def test_drbg_rejects_a_negative_read():
+    drbg = Sha256Drbg(2024)
+    head = drbg.read(5)
+    with pytest.raises(ValueError):
+        drbg.read(-3)
+    assert head + drbg.read(27) == Sha256Drbg(2024).read(32)
 
 
 def test_biased_source_low_entropy():
