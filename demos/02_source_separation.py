@@ -8,22 +8,16 @@ reference resolves which recovered source belongs to whom.
 
 import numpy as np
 
-from sienna.breathing import Scene, mix_scene, sample_profile
+from sienna.breathing import sample_profile, synth_displacement
 from sienna.ica import jade_separate, match_sources, whiten
 
 subject_a = sample_profile(seed=101, drift_std=0.005)
 subject_b = sample_profile(seed=404, drift_std=0.005)
 print(f"subject A breathes at {subject_a.resp_rate:.1f}/min, B at {subject_b.resp_rate:.1f}/min")
 
-scene = Scene(
-    subjects=(subject_a, subject_b),
-    mixing=np.array([[1.0, 0.55], [0.40, 1.0]]),
-    noise_std=0.01,
-    duration=60.0,
-    sample_rate=10.0,
-    seed=9,
-)
-mixed, truth = mix_scene(scene)
+truth = np.stack([synth_displacement(s, 0.0, 60.0, 10.0).samples for s in (subject_a, subject_b)])
+noise = np.random.default_rng(9).normal(0.0, 0.01, size=truth.shape)
+mixed = np.array([[1.0, 0.55], [0.40, 1.0]]) @ truth + noise
 print(f"mixture matrix {mixed.shape}: each channel sees both subjects")
 
 white = whiten(mixed, n_components=2)

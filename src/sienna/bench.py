@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from .bits import Sha256Drbg
-from .breathing import Scene, mix_scene, sample_profile, sample_separable_pair
+from .breathing import sample_profile, sample_separable_pair, synth_displacement
 from .channel import ChannelParams, ber_theoretical, ladder_levels, noise_power_for_snr
 from .commitment import commit, new_salt
 from .fingerprint import extract, hamming_similarity
@@ -66,6 +66,8 @@ class ExperimentConfig:
             raise ValueError(f"unknown scenario {self.scenario!r}; choose from {SCENARIOS}")
         if len(self.seeds) == 0:
             raise ValueError("need at least one seed")
+        if len(self.durations) == 0:
+            raise ValueError("need at least one window duration")
         for d in self.durations:
             if not 6.0 <= d <= 60.0:
                 raise ValueError(f"window durations must lie in [6, 60] s, got {d}")
@@ -123,15 +125,9 @@ def _run_separation(config: ExperimentConfig):
         mixing = np.array([[1.0, 0.0], [0.0, 1.0]]) + rng.uniform(0.3, 0.7) * np.array(
             [[0.0, 1.0], [1.0, 0.0]]
         )
-        scene = Scene(
-            subjects=(p1, p2),
-            mixing=mixing,
-            noise_std=0.01,
-            duration=60.0,
-            sample_rate=10.0,
-            seed=seed,
-        )
-        mixed, sources = mix_scene(scene)
+        sources = np.stack([synth_displacement(p, 0.0, 60.0, 10.0).samples for p in (p1, p2)])
+        noise = np.random.default_rng(seed).normal(0.0, 0.01, size=sources.shape)
+        mixed = mixing @ sources + noise
         result = jade_separate(mixed, 2)
         match = match_sources(result.sources, sources[0])
         other = match_sources(result.sources, sources[1])

@@ -21,12 +21,10 @@ import numpy as np
 __all__ = [
     "DisplacementSeries",
     "RadarIQ",
-    "Scene",
     "SubjectProfile",
     "arctan_demodulate",
     "belt_observe",
     "linear_demodulate",
-    "mix_scene",
     "radar_observe",
     "sample_profile",
     "sample_separable_pair",
@@ -307,42 +305,3 @@ def belt_observe(
     resampled = np.interp(t, displacement.times, displacement.samples)
     noise = rng.normal(0.0, noise_std, size=n) if noise_std > 0 else 0.0
     return DisplacementSeries(gain * resampled + noise, sample_rate, displacement.t_start)
-
-
-@dataclass(frozen=True)
-class Scene:
-    """Multi-subject scene: sources, mixing weights, and channel noise."""
-
-    subjects: tuple[SubjectProfile, ...]
-    mixing: np.ndarray  # shape (n_channels, n_subjects)
-    noise_std: float = 0.0
-    duration: float = 60.0
-    sample_rate: float = 10.0
-    seed: int = 0
-
-    def __post_init__(self):
-        object.__setattr__(self, "subjects", tuple(self.subjects))
-        object.__setattr__(self, "mixing", np.asarray(self.mixing, dtype=np.float64))
-        if self.mixing.ndim != 2 or self.mixing.shape[1] != len(self.subjects):
-            raise ValueError(
-                f"mixing must have one column per subject, got shape {self.mixing.shape} "
-                f"for {len(self.subjects)} subjects"
-            )
-        if not np.all(np.isfinite(self.mixing)):
-            raise ValueError("mixing weights must be finite")
-
-
-def mix_scene(scene: Scene) -> tuple[np.ndarray, np.ndarray]:
-    """Observed mixtures X = mixing @ S plus noise, along with ground truth S."""
-    sources = np.stack(
-        [
-            synth_displacement(p, 0.0, scene.duration, scene.sample_rate).samples
-            for p in scene.subjects
-        ]
-    )
-    rng = np.random.default_rng(scene.seed)
-    mixed = scene.mixing @ sources
-    if scene.noise_std > 0:
-        mixed = mixed + rng.normal(0.0, scene.noise_std, size=mixed.shape)
-    return mixed, sources
-

@@ -188,8 +188,10 @@ def cli_entry(argv: list[str] | None = None) -> int:
             print(f"config file not found: {path}", file=sys.stderr)
             return 2
         try:
-            config = parse_config_text(path.read_text(), base=config)
-            config = replace(config, scenario=args.scenario)
+            # The command line's scenario is read as the file's last line, so
+            # it and the file's lines apply together.
+            text = f"{path.read_text()}\nscenario={args.scenario}\n"
+            config = parse_config_text(text, base=config)
         except ValueError as exc:
             print(f"bad config {path}: {exc}", file=sys.stderr)
             return 2

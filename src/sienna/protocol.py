@@ -443,8 +443,13 @@ class PrmsDevice(_Device):
     def prepare(iq_channels: tuple[RadarIQ, ...]) -> DisplacementSeries:
         """Demodulate, low-pass, separate (JADE at the mixture's rank, at most
         ``MAX_SOURCES``), normalize and orient: (n, T), most confident first."""
-        rate = iq_channels[0].sample_rate
-        t_start = iq_channels[0].t_start
+        bases = {(iq.sample_rate, iq.t_start, iq.i_channel.size) for iq in iq_channels}
+        if len(bases) != 1:
+            raise ValueError(
+                "need at least one radar channel, all on one time base "
+                f"(sample rate, start, samples); got {sorted(bases)}"
+            )
+        ((rate, t_start, _),) = bases
         mixture = np.stack([linear_demodulate(iq) for iq in iq_channels])
         mixture = lowpass_filter(mixture, rate)
         centered = mixture - mixture.mean(axis=1, keepdims=True)

@@ -37,16 +37,21 @@ class RandomnessReport:
 def monobit_test(bits: np.ndarray) -> float:
     """P-value of the frequency test: is the 0/1 balance plausible?"""
     bits = as_bits(bits)
+    if bits.size == 0:
+        raise ValueError("the frequency test needs at least one bit")
     s = abs(int(2 * int(bits.sum()) - bits.size)) / math.sqrt(bits.size)
     return math.erfc(s / math.sqrt(2))
 
 
 def runs_test(bits: np.ndarray) -> float:
-    """P-value of the runs test; 0.0 when the frequency pre-check fails."""
+    """P-value of the runs test; 0.0 when the frequency pre-check fails or
+    the string is constant (the formula's limit there)."""
     bits = as_bits(bits)
     n = bits.size
+    if n == 0:
+        raise ValueError("the runs test needs at least one bit")
     pi = float(bits.sum()) / n
-    if abs(pi - 0.5) >= 2.0 / math.sqrt(n):
+    if pi in (0.0, 1.0) or abs(pi - 0.5) >= 2.0 / math.sqrt(n):
         return 0.0
     v = 1 + int(np.count_nonzero(np.diff(bits)))
     num = abs(v - 2.0 * n * pi * (1 - pi))

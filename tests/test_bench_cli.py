@@ -20,6 +20,8 @@ def test_config_validation():
         ExperimentConfig(scenario="nope")
     with pytest.raises(ValueError):
         ExperimentConfig(seeds=())
+    with pytest.raises(ValueError, match="duration"):
+        ExperimentConfig(scenario="fingerprint-similarity", durations=())
     with pytest.raises(ValueError):
         ExperimentConfig(durations=(5.0,))
     with pytest.raises(ValueError):
@@ -221,6 +223,17 @@ def test_cli_config_with_powers_no_scenario_can_run_exits_2(tmp_path, capsys, li
     assert cli_entry(["run", "adversarial-ber", "--config", str(bad), "--out", str(out)]) == 2
     assert "bad config" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_cli_scenario_applies_together_with_the_config_lines(tmp_path):
+    """The file's rs-timing line would need GF(2^8), but the command line
+    runs separation, which takes the GF(2^4) code."""
+    cfg = tmp_path / "other.cfg"
+    cfg.write_text("scenario=rs-timing\nrs=4,15,7\n")
+    out = tmp_path / "out"
+    argv = ["run", "separation", "--config", str(cfg), "--trials", "3", "--check"]
+    assert cli_entry(argv + ["--out", str(out)]) == 0
+    assert json.loads((out / "separation-summary.json").read_text())["scenario"] == "separation"
 
 
 def test_config_lines_apply_in_any_order():

@@ -5,12 +5,10 @@ import pytest
 
 from sienna.breathing import (
     DisplacementSeries,
-    Scene,
     SubjectProfile,
     arctan_demodulate,
     belt_observe,
     linear_demodulate,
-    mix_scene,
     radar_observe,
     sample_profile,
     synth_displacement,
@@ -166,48 +164,6 @@ def test_belt_noise_correlation():
     belt = belt_observe(x, gain=1.0, noise_std=0.01, sample_rate=100.0, seed=21)
     rho = np.corrcoef(belt.samples, x.samples)[0, 1]
     assert rho >= 0.99
-
-
-def test_mix_scene_identity():
-    scene = Scene(
-        subjects=(sample_profile(1, 0.0), sample_profile(2, 0.0)),
-        mixing=np.eye(2),
-        noise_std=0.0,
-        duration=30.0,
-    )
-    mixed, sources = mix_scene(scene)
-    assert np.array_equal(mixed, sources)
-
-
-def test_mix_scene_weights():
-    w = np.array([[1.0, 0.3], [0.3, 1.0]])
-    scene = Scene(
-        subjects=(sample_profile(3, 0.0), sample_profile(4, 0.0)),
-        mixing=w,
-        noise_std=0.0,
-        duration=30.0,
-    )
-    mixed, sources = mix_scene(scene)
-    assert np.allclose(mixed, w @ sources)
-
-
-def test_mix_scene_noise_floor():
-    silent = SubjectProfile(resp_amp=0.0, heart_amp=0.0, drift_std=0.0)
-    scene = Scene(
-        subjects=(silent, silent),
-        mixing=np.ones((2, 2)),
-        noise_std=0.05,
-        duration=1000.0,
-        sample_rate=10.0,
-        seed=6,
-    )
-    mixed, _ = mix_scene(scene)
-    assert mixed.std() == pytest.approx(0.05, rel=0.05)
-
-
-def test_scene_dimension_validation():
-    with pytest.raises(ValueError):
-        Scene(subjects=(sample_profile(1),), mixing=np.eye(2))
 
 
 def test_window_outside_series_rejected():

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from sienna.breathing import Scene, linear_demodulate, mix_scene, sample_profile
+from sienna.breathing import linear_demodulate, sample_profile, synth_displacement
 from sienna.ica import (
     _cumulant_matrices,
     _fir_taps,
@@ -171,15 +171,10 @@ def test_jade_equivariance_to_channel_scaling():
 
 
 def test_jade_on_breathing_scene():
-    scene = Scene(
-        subjects=(sample_profile(101, 0.005), sample_profile(202, 0.005)),
-        mixing=np.array([[1.0, 0.6], [0.45, 1.0]]),
-        noise_std=0.01,
-        duration=60.0,
-        sample_rate=10.0,
-        seed=7,
-    )
-    mixed, sources = mix_scene(scene)
+    subjects = (sample_profile(101, 0.005), sample_profile(202, 0.005))
+    sources = np.stack([synth_displacement(p, 0.0, 60.0, 10.0).samples for p in subjects])
+    noise = np.random.default_rng(7).normal(0.0, 0.01, size=sources.shape)
+    mixed = np.array([[1.0, 0.6], [0.45, 1.0]]) @ sources + noise
     res = jade_separate(mixed, 2)
     for row in sources:
         assert match_sources(res.sources, row).correlation >= 0.95

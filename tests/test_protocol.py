@@ -407,6 +407,24 @@ def test_cross_subject_pairing_fails():
     assert out.failed_level == 0
 
 
+@pytest.mark.parametrize(
+    "change",
+    [
+        lambda iqs: (),
+        lambda iqs: (iqs[0], replace(iqs[1], sample_rate=100.0)),
+        lambda iqs: (iqs[0], replace(iqs[1], t_start=5.0)),
+        lambda iqs: (iqs[0], iqs[1].slice(0.0, 30.0)),
+    ],
+    ids=["no-channel", "other-rate", "other-start", "other-length"],
+)
+def test_radar_rejects_channels_off_one_time_base(change):
+    """The mixture is one (n, T) array on channel 0's time base, so every
+    channel must share its sample rate, start and sample count."""
+    _, prms_obs = observe_scene(two_subject_scene(3))
+    with pytest.raises(ValueError, match="time base"):
+        PrmsDevice(change(prms_obs), CONFIG)
+
+
 @pytest.mark.parametrize("radar_code", [(8, 255, 191), (7, 127, 97)])
 def test_a_radar_on_another_code_naks_every_commit(radar_code):
     """b decodes and opens with its own code, so every commit frame on the

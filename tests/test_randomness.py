@@ -38,6 +38,19 @@ def test_runs_pre_check_short_circuit():
     assert runs_test(bits) == 0.0
 
 
+def test_monobit_and_runs_reject_an_empty_string():
+    for test in (monobit_test, runs_test):
+        with pytest.raises(ValueError):
+            test(np.zeros(0, dtype=np.uint8))
+
+
+@pytest.mark.parametrize("bits", [np.ones(10), np.zeros(1), np.ones(1), np.zeros(15)])
+def test_runs_of_a_constant_string_below_16_bits_is_zero(bits):
+    """Below 16 bits the frequency pre-check does not fire, and pi(1 - pi)
+    = 0 divides; 0.0 is the formula's limit and the pre-check's verdict."""
+    assert runs_test(bits) == 0.0
+
+
 def test_nist_worked_example_monobit():
     # 1011010101 from the NIST SP 800-22 frequency-test walkthrough: p ~ 0.527
     bits = np.array([1, 0, 1, 1, 0, 1, 0, 1, 0, 1], dtype=np.uint8)
