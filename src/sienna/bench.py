@@ -1,12 +1,12 @@
 """Experiment bench: seeded scenarios, CSV artifacts, and acceptance checks.
 
 Each scenario reproduces one axis of the system evaluation at desk scale:
-source-separation quality, fingerprint similarity across window lengths,
-commitment randomness, decoder timing flatness, insider-adversary bit error
-rates across the jamming ladder, and end-to-end pairing success. Scenarios
-are deterministic per seed set; all timestamps come from the simulated
-clock, so artifacts are byte-identical across runs (wall-clock timing
-measurements in the rs-timing scenario are the one necessary exception).
+source separation on the radar path a round runs, fingerprint similarity
+across window lengths, commitment randomness, decoder timing flatness,
+insider-adversary bit error rates across the jamming ladder, and end-to-end
+pairing success. Scenarios are deterministic per seed set; all timestamps
+come from the simulated clock, so artifacts are byte-identical across runs
+(the rs-timing scenario's wall-clock times are the one necessary exception).
 """
 
 from __future__ import annotations
@@ -19,11 +19,11 @@ from pathlib import Path
 import numpy as np
 
 from .bits import Sha256Drbg
-from .breathing import sample_profile, sample_separable_pair, synth_displacement
+from .breathing import sample_profile, synth_displacement
 from .channel import ChannelParams, ber_theoretical, ladder_levels, noise_power_for_snr
 from .commitment import commit, new_salt
 from .fingerprint import extract, hamming_similarity
-from .ica import jade_separate, match_sources
+from .ica import match_sources
 from .protocol import (
     QAM,
     BeltDevice,
@@ -88,7 +88,6 @@ class ExperimentConfig:
 
 
 def _write_csv(path: Path, header: tuple[str, ...], rows: list[tuple]) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w") as fh:
         fh.write(",".join(header) + "\n")
         for row in rows:
@@ -97,14 +96,14 @@ def _write_csv(path: Path, header: tuple[str, ...], rows: list[tuple]) -> None:
 
 def run_experiment(config: ExperimentConfig) -> dict:
     """Run one scenario, write its CSV and summary JSON, return the summary."""
+    out_dir = Path(config.output_path)
+    out_dir.mkdir(parents=True, exist_ok=True)
     runner, header = SCENARIO_TABLE[config.scenario]
     rows, summary = runner(config)
-    out_dir = Path(config.output_path)
     _write_csv(out_dir / f"{config.scenario}.csv", header, rows)
     summary_blob = {"scenario": config.scenario, **summary}
     if config.scenario not in SEEDLESS_SCENARIOS:
         summary_blob["seeds"] = list(config.seeds)
-    out_dir.mkdir(parents=True, exist_ok=True)
     with open(out_dir / f"{config.scenario}-summary.json", "w") as fh:
         json.dump(summary_blob, fh, indent=2, sort_keys=True, default=float)
         fh.write("\n")
@@ -115,25 +114,24 @@ def run_experiment(config: ExperimentConfig) -> dict:
 
 
 def _run_separation(config: ExperimentConfig):
+    """The radar's separation as a round runs it: each trial observes a
+    two-subject scene, prepares the radar with ``PrmsDevice.prepare`` and
+    matches each subject's motion against the prepared sources."""
     trials = config.trials or 100
     rows = []
     hits = 0
     for i in range(trials):
         seed = config.trial_seed(i)
-        rng = np.random.default_rng(seed)
-        p1, p2 = sample_separable_pair(rng)
-        mixing = np.array([[1.0, 0.0], [0.0, 1.0]]) + rng.uniform(0.3, 0.7) * np.array(
-            [[0.0, 1.0], [1.0, 0.0]]
+        scene = two_subject_scene(seed)
+        sources = PrmsDevice.prepare(observe_scene(scene)[1])
+        span = (sources.t_start, sources.t_end, sources.sample_rate)
+        match, other = (
+            match_sources(sources.samples, synth_displacement(p, *span).samples)
+            for p in scene.subjects
         )
-        sources = np.stack([synth_displacement(p, 0.0, 60.0, 10.0).samples for p in (p1, p2)])
-        noise = np.random.default_rng(seed).normal(0.0, 0.01, size=sources.shape)
-        mixed = mixing @ sources + noise
-        result = jade_separate(mixed, 2)
-        match = match_sources(result.sources, sources[0])
-        other = match_sources(result.sources, sources[1])
         ok = match.correlation >= 0.90
         hits += ok
-        rows.append((i, seed, match.correlation, other.correlation, int(ok)))
+        rows.append((i, seed, len(sources.samples), match.correlation, other.correlation, int(ok)))
     summary = {
         "trials": trials,
         "fraction_target_corr_ge_090": hits / trials,
@@ -333,7 +331,8 @@ def _run_rs_timing(config: ExperimentConfig):
                 t0 = time.thread_time_ns()
                 out = codec.decode(words[n_err])
                 times[n_err, rep] = (time.thread_time_ns() - t0) * 1e-9
-                assert out is not None and np.array_equal(out, msg)
+                if out is None or not np.array_equal(out, msg):
+                    raise RuntimeError(f"parity {parity}: a decode of {n_err} errors is wrong")
         for n_err, count_times in enumerate(times):
             q25, median = np.quantile(count_times, [0.25, 0.5])
             rows.append((parity, n_err, float(q25), float(median)))
@@ -500,7 +499,7 @@ def _run_pairing_success(config: ExperimentConfig):
 SCENARIO_TABLE = {
     "separation": (
         _run_separation,
-        ("trial", "seed", "target_corr", "other_corr", "target_ok"),
+        ("trial", "seed", "n_sources", "target_corr", "other_corr", "target_ok"),
     ),
     "fingerprint-similarity": (
         _run_fingerprint_similarity,

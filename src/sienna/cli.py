@@ -2,12 +2,13 @@
 
 Subcommands: ``run <scenario>`` executes one bench scenario and writes its
 CSV plus summary JSON, ``selftest`` runs the exhaustive small-field codec
-and commitment suites, ``dump-config`` prints the default configuration in
-the flat key=value format the ``--config`` flag accepts; its floats are
-exact, so ``--config`` of its output is the default run. ``--check`` makes
-the exit status reflect the scenario's acceptance gates. The environment
-variable ``SIENNA_SEED`` overrides the default seed when ``--seed`` is not
-given; a value that is not an integer exits 2, like any bad override.
+and commitment suites and exits 1 if any fails, ``dump-config`` prints the
+default configuration in the flat key=value format the ``--config`` flag
+accepts; its floats are exact, so ``--config`` of its output is the default
+run. ``--check`` makes the exit status reflect the scenario's acceptance
+gates. The environment variable ``SIENNA_SEED`` overrides the default seed
+when ``--seed`` is not given; a value that is not an integer exits 2, like
+any bad override or an ``--out`` that cannot be made a directory.
 """
 
 from __future__ import annotations
@@ -81,64 +82,76 @@ def parse_config_text(text: str, base: ExperimentConfig | None = None) -> Experi
 
 
 def _selftest() -> int:
-    """Exhaustive small-field suites; prints one line per block."""
+    """Exhaustive small-field suites; prints PASS or FAIL per block and
+    returns 1 if any block fails. The checks are plain comparisons, not
+    ``assert`` statements, so ``python -O`` runs them too."""
     from .bits import random_bits
     from .commitment import commit, new_salt, open_commitment
     from .gf import gf_mul
 
+    verdicts = []
+
+    def report(block: str, ok: bool) -> None:
+        verdicts.append(ok)
+        print(f"selftest: {block} ... {'PASS' if ok else 'FAIL'}")
+
     field = FieldSpec(3)
     gf = field.tables()
-    for a in range(8):
-        for b in range(8):
-            assert gf.mul(a, b) == gf.mul(b, a)
-            for c in range(8):
-                assert gf.mul(gf.mul(a, b), c) == gf.mul(a, gf.mul(b, c))
-                assert gf_mul(a, b ^ c, field) == gf_mul(a, b, field) ^ gf_mul(a, c, field)
-    print("selftest: GF(2^3) field axioms (exhaustive) ... PASS")
+    axioms = all(
+        gf.mul(a, b) == gf.mul(b, a)
+        and gf.mul(gf.mul(a, b), c) == gf.mul(a, gf.mul(b, c))
+        and gf_mul(a, b ^ c, field) == gf_mul(a, b, field) ^ gf_mul(a, c, field)
+        for a, b, c in product(range(8), repeat=3)
+    )
+    report("GF(2^3) field axioms (exhaustive)", axioms)
 
     spec = RsCodeSpec(field, 7, 3)
     codec = spec.codec()
-    zero = np.zeros(7, dtype=np.int64)
-    for n_err in (1, 2):
-        for positions in combinations(range(7), n_err):
-            for values in product(range(1, 8), repeat=n_err):
-                word = zero.copy()
-                for pos, val in zip(positions, values):
-                    word[pos] ^= val
-                out = codec.decode(word)
-                assert out is not None and not out.any()
-    print("selftest: RS(2^3,7,3) corrects every <=2-symbol pattern ... PASS")
 
-    for positions in combinations(range(7), 3):
-        for values in product((1, 3, 7), repeat=3):
-            word = zero.copy()
-            for pos, val in zip(positions, values):
-                word[pos] ^= val
-            out = codec.decode(word)
-            assert out is None or out.any()
-    print("selftest: RS(2^3,7,3) never silently accepts 3 errors ... PASS")
+    def decodes_to_zero(positions, values) -> bool:
+        """The zero codeword with ``values`` added at ``positions`` decodes to zero."""
+        word = np.zeros(7, dtype=np.int64)
+        for pos, val in zip(positions, values):
+            word[pos] ^= val
+        out = codec.decode(word)
+        return out is not None and not out.any()
+
+    corrected = all(
+        decodes_to_zero(positions, values)
+        for n_err in (1, 2)
+        for positions in combinations(range(7), n_err)
+        for values in product(range(1, 8), repeat=n_err)
+    )
+    report("RS(2^3,7,3) corrects every <=2-symbol pattern", corrected)
+    miscorrected = any(
+        decodes_to_zero(positions, values)
+        for positions in combinations(range(7), 3)
+        for values in product((1, 3, 7), repeat=3)
+    )
+    report("RS(2^3,7,3) never silently accepts 3 errors", not miscorrected)
 
     rng = np.random.default_rng(0)
     salt = new_salt(spec, 1)
     fp = random_bits(spec.codeword_bits, rng)
-    c = commit(salt, fp, spec)
+    commitment = commit(salt, fp, spec)
     k = field.k_bits
-    for pos in range(7):
-        for val in range(1, 8):
-            noisy = fp.copy()
-            for b in range(k):
-                noisy[pos * k + b] ^= (val >> (k - 1 - b)) & 1
-            outcome = open_commitment(c, noisy, spec)
-            assert outcome.recovered and np.array_equal(outcome.salt, salt)
-    print("selftest: fuzzy commitment opens under 1-symbol corruption ... PASS")
 
+    def opens_under(pos: int, val: int) -> bool:
+        """The commitment opens to its salt with symbol ``pos`` of fp XORed by ``val``."""
+        noisy = fp.copy()
+        for b in range(k):
+            noisy[pos * k + b] ^= (val >> (k - 1 - b)) & 1
+        outcome = open_commitment(commitment, noisy, spec)
+        return outcome.recovered and np.array_equal(outcome.salt, salt)
+
+    opened = all(opens_under(pos, val) for pos in range(7) for val in range(1, 8))
+    report("fuzzy commitment opens under 1-symbol corruption", opened)
     rejected = sum(
-        not open_commitment(c, random_bits(spec.codeword_bits, rng), spec).recovered
+        not open_commitment(commitment, random_bits(spec.codeword_bits, rng), spec).recovered
         for _ in range(500)
     )
-    assert rejected >= 499
-    print("selftest: random wrong fingerprints rejected ... PASS")
-    return 0
+    report("random wrong fingerprints rejected", rejected >= 499)
+    return 0 if all(verdicts) else 1
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -215,6 +228,11 @@ def cli_entry(argv: list[str] | None = None) -> int:
         print(f"bad override: {exc}", file=sys.stderr)
         return 2
 
+    try:
+        Path(config.output_path).mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        print(f"bad output path: {exc}", file=sys.stderr)
+        return 2
     summary = run_experiment(config)
     checks = summary.get("checks", {})
     for name, passed in checks.items():

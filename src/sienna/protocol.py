@@ -110,8 +110,9 @@ RETRY_BUDGET = 3  # reattempts of a ladder level after its first NAK
 # Each ladder level commits against its own slot of the announced window;
 # 10 s of 10 Hz quantization is 2020 bits, one padded codeword.
 COMMIT_SLOT_MS = 10_000
-# Model-order selection: mixture eigenvalues below this fraction of the
-# leading one are treated as distortion/noise, not extra subjects.
+# Model-order selection: eigenvalues of the channels' correlation matrix
+# below this fraction of the leading one are treated as distortion/noise, not
+# extra subjects. Unlike the covariance, it does not change with channel gain.
 SOURCE_RANK_REL = 0.02
 RADAR_RATE_HZ = 50.0
 BELT_RATE_HZ = 100.0
@@ -453,7 +454,9 @@ class PrmsDevice(_Device):
         mixture = np.stack([linear_demodulate(iq) for iq in iq_channels])
         mixture = lowpass_filter(mixture, rate)
         centered = mixture - mixture.mean(axis=1, keepdims=True)
-        eigvals = np.linalg.eigvalsh(centered @ centered.T / centered.shape[1])[::-1]
+        cov = centered @ centered.T / centered.shape[1]
+        sd = np.sqrt(np.diag(cov))
+        eigvals = np.linalg.eigvalsh(cov / np.outer(sd, sd))[::-1]
         effective = int(np.sum(eigvals > SOURCE_RANK_REL * eigvals[0]))
         n_sources = min(MAX_SOURCES, effective)
         separation = jade_separate(mixture, n_sources)

@@ -138,7 +138,9 @@ def test_criterion_02_fuzzy_commitment_completeness_binding():
 
 
 def test_criterion_03_jade_recovery():
-    """100 two-subject scenes: matched correlation >= 0.90 in >= 90%."""
+    """100 two-subject scenes through the radar path a round runs
+    (``observe_scene`` then ``PrmsDevice.prepare``): the target's motion
+    matches a prepared source with correlation >= 0.90 in >= 90%."""
     t_start = time.perf_counter()
     summary = run_experiment(
         ExperimentConfig(scenario="separation", trials=100, output_path="/tmp/sienna-accept")

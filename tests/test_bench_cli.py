@@ -2,17 +2,23 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from sienna import protocol
+from sienna import bench, protocol
 from sienna.bench import ExperimentConfig, SCENARIOS, run_experiment
 from sienna.channel import ChannelParams
 from sienna.cli import cli_entry, default_config_text, parse_config_text
 from sienna.commitment import OpenOutcome
 from sienna.gf import FieldSpec
 from sienna.rs import RsCodeSpec
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def test_config_validation():
@@ -74,8 +80,24 @@ def test_separation_scenario(tmp_path):
     summary = run_experiment(config)
     assert summary["fraction_target_corr_ge_090"] >= 0.9
     rows = (tmp_path / "separation.csv").read_text().strip().splitlines()
-    assert rows[0] == "trial,seed,target_corr,other_corr,target_ok"
+    assert rows[0] == "trial,seed,n_sources,target_corr,other_corr,target_ok"
     assert len(rows) == 21
+    assert [row.split(",")[2] for row in rows[1:]] == ["2"] * 20
+
+
+def test_separation_prepares_the_radar_once_per_trial(tmp_path, monkeypatch):
+    """Each trial separates what the round separates: the scenario's one
+    source separation is ``PrmsDevice.prepare`` on the radar's I/Q."""
+    prepare = protocol.PrmsDevice.prepare
+    calls = []
+
+    def counting_prepare(iq_channels):
+        calls.append(len(iq_channels))
+        return prepare(iq_channels)
+
+    monkeypatch.setattr(protocol.PrmsDevice, "prepare", staticmethod(counting_prepare))
+    run_experiment(ExperimentConfig(scenario="separation", trials=5, output_path=str(tmp_path)))
+    assert calls == [2] * 5
 
 
 def test_pairing_scenario_small(tmp_path):
@@ -155,6 +177,28 @@ def test_fingerprint_similarity_scenario_small(tmp_path):
 
 def test_cli_selftest():
     assert cli_entry(["selftest"]) == 0
+
+
+def test_cli_selftest_fails_under_python_O_when_a_check_fails():
+    """``python -O`` strips ``assert`` statements; the selftest's checks are
+    comparisons, so with every open failing it still prints FAIL and exits 1."""
+    code = (
+        "import sys; from sienna import commitment; "
+        "fail = commitment.OpenOutcome('decode-failure'); "
+        "commitment.open_commitment = lambda c, fp, spec: fail; "
+        "from sienna.cli import cli_entry; sys.exit(cli_entry(['selftest']))"
+    )
+    done = subprocess.run(
+        [sys.executable, "-O", "-c", code],
+        env=dict(os.environ, PYTHONPATH=str(SRC)),
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert done.returncode == 1
+    lines = done.stdout.splitlines()
+    assert lines[3] == "selftest: fuzzy commitment opens under 1-symbol corruption ... FAIL"
+    assert [line.rsplit(" ", 1)[1] for line in lines] == ["PASS"] * 3 + ["FAIL", "PASS"]
 
 
 def test_cli_dump_config(capsys):
@@ -281,6 +325,21 @@ def test_cli_bad_env_seed_exits_2(tmp_path, monkeypatch, capsys):
     assert cli_entry(["run", "separation", "--trials", "3", "--out", str(out)]) == 2
     assert "bad override: SIENNA_SEED=abc" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_cli_bad_output_path_exits_2_before_the_scenario_runs(tmp_path, monkeypatch, capsys):
+    """An output directory under a regular file cannot be made; the run
+    stops there, before the scenario's runner is called."""
+    calls = []
+    header = bench.SCENARIO_TABLE["separation"][1]
+    monkeypatch.setitem(
+        bench.SCENARIO_TABLE, "separation", (lambda config: calls.append(config), header)
+    )
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    assert cli_entry(["run", "separation", "--out", str(blocker / "out")]) == 2
+    assert "bad output path" in capsys.readouterr().err
+    assert calls == []
 
 
 def test_all_scenarios_registered():

@@ -2,8 +2,8 @@
 
 The runtime needs numpy alone: importing the package loads no scipy. Every
 name a module exports and every field of a frozen dataclass has a reader
-outside the tests, every public class and function is exported, and every
-name a module imports is read.
+outside the tests, every public class and function is exported, every
+name a module imports is read, and no module has an ``assert`` statement.
 """
 
 import ast
@@ -132,6 +132,18 @@ def _unused_imports(text: str) -> list[str]:
 @pytest.mark.parametrize("module", [name for name in MODULES if name != "__init__.py"])
 def test_every_imported_name_is_used(module):
     assert _unused_imports(MODULES[module]) == []
+
+
+def test_no_assert_statements():
+    """``python -O`` strips ``assert``, so a check the package relies on is
+    an explicit comparison that raises or reports."""
+    asserts = [
+        f"{module}:{node.lineno}"
+        for module, text in MODULES.items()
+        for node in ast.walk(ast.parse(text))
+        if isinstance(node, ast.Assert)
+    ]
+    assert asserts == []
 
 
 def _bound_names(text: str) -> list[str]:

@@ -425,6 +425,35 @@ def test_radar_rejects_channels_off_one_time_base(change):
         PrmsDevice(change(prms_obs), CONFIG)
 
 
+def _scaled_about_mean(x, gain):
+    return x.mean() + gain * (x - x.mean())
+
+
+@pytest.mark.parametrize("seed", range(1, 21))
+def test_source_count_and_round_do_not_depend_on_channel_gain(seed):
+    """Channel 0's I and Q scaled about their means by 7.5 leave the radar
+    with two sources and the round succeeding: the rank rule reads the
+    channels' correlation, which a channel's gain does not change."""
+    belt_obs, prms_obs = observe_scene(two_subject_scene(seed))
+    iq = prms_obs[0]
+    louder = replace(
+        iq,
+        i_channel=_scaled_about_mean(iq.i_channel, 7.5),
+        q_channel=_scaled_about_mean(iq.q_channel, 7.5),
+    )
+    radar = (louder, *prms_obs[1:])
+    assert len(PrmsDevice.prepare(radar).samples) == 2
+    out = run_pairing(
+        BeltDevice(belt_obs, CONFIG),
+        PrmsDevice(radar, CONFIG),
+        CHANNEL,
+        LADDER,
+        np.random.default_rng(seed),
+        salt_seed=seed,
+    )
+    assert out.success
+
+
 @pytest.mark.parametrize("radar_code", [(8, 255, 191), (7, 127, 97)])
 def test_a_radar_on_another_code_naks_every_commit(radar_code):
     """b decodes and opens with its own code, so every commit frame on the
