@@ -5,7 +5,8 @@ Addition is XOR; multiplication is carry-less polynomial multiplication
 reduced by the width's primitive polynomial, realized through exp/log
 tables so the codec hot paths are plain numpy adds and gathers, often with
 one operand kept in log form. A product table also lets ``bytes.translate``
-multiply a byte string of symbols by one scalar.
+multiply a byte string of symbols by one scalar, and a quotient table
+divides one symbol by another with one index and no branch.
 """
 
 from __future__ import annotations
@@ -55,8 +56,10 @@ class FieldSpec:
 class GaloisField:
     """exp/log tables plus vectorized arithmetic for one field instance.
 
-    ``log[0]`` is the sentinel ``2 * order``, and ``exp`` is zero from that
-    index on: a sum of two logs lands in the periodic half of ``exp`` when
+    ``exp`` is byte-wide (uint8), so a gather from it yields symbols on
+    which numpy reductions run one byte per element. ``log[0]`` is the
+    sentinel ``2 * order``, and ``exp`` is zero from that index on: a sum
+    of two logs lands in the periodic half of ``exp`` when
     both operands are non-zero and in the zero half otherwise. A product is
     then one add and one gather, with no branch on zero operands.
     ``inv_log`` holds the log of each element's inverse, with the same
@@ -65,7 +68,9 @@ class GaloisField:
 
     ``product_rows`` is the 2^K x 256 product table: row ``c`` is a
     ``bytes.translate`` table that multiplies every symbol of a
-    one-byte-per-symbol string by ``c``.
+    one-byte-per-symbol string by ``c``. ``quotient_rows`` is the 2^K x 256
+    quotient table: row ``b`` maps ``a`` to ``a / b``, and row 0 maps every
+    byte to 0, so indexing a row with a symbol divides it by ``b``.
     """
 
     def __init__(self, spec: FieldSpec):
@@ -73,7 +78,7 @@ class GaloisField:
         q = spec.size
         self.order = order = q - 1
         zero_log = 2 * order
-        exp = np.zeros(2 * zero_log + 1, dtype=np.int64)
+        exp = np.zeros(2 * zero_log + 1, dtype=np.uint8)
         log = np.full(q, zero_log, dtype=np.int64)
         x = 1
         for i in range(order):
@@ -104,6 +109,14 @@ class GaloisField:
         q = self.spec.size
         table = np.zeros((q, 256), dtype=np.uint8)
         table[:, :q] = self.exp[self.log[:, None] + self.log[None, :]]
+        return tuple(row.tobytes() for row in table)
+
+    @cached_property
+    def quotient_rows(self) -> tuple[bytes, ...]:
+        """Row ``b`` maps byte ``a`` to ``a / b``; row 0 and bytes ``a >= 2^K`` map to 0."""
+        q = self.spec.size
+        table = np.zeros((q, 256), dtype=np.uint8)
+        table[:, :q] = self.exp[self.log[None, :] + self.inv_log[:, None]]
         return tuple(row.tobytes() for row in table)
 
 

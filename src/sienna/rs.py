@@ -3,13 +3,15 @@
 The code is systematic with codeword length M and message length N; up to
 ``t = (M - N) // 2`` corrupted symbols are corrected. The encoder is one
 product with a precomputed parity matrix. The decoder computes syndromes,
-then runs inversionless Berlekamp-Massey for exactly M - N iterations on a
-register that holds one symbol per byte: each iteration is two
-scalar-times-vector products, one ``bytes.translate`` each, and one XOR of
-two fixed-length ints. Chien search then evaluates the locator alone at
-every position, and the word is rejected unless the root count equals the
-locator's degree. Forney's formula and the final syndrome check run on t
-slots only: the roots, ranked into the slots, and zero-magnitude padding.
+then runs the reformulated Berlekamp-Massey register for exactly M - N
+iterations on a register that holds one symbol per byte. Each iteration
+divides the discrepancy by the one saved at the last swap through a row of
+a quotient table, with no branch, so it is one scalar-times-vector product
+(one ``bytes.translate``) and one XOR of two fixed-length ints. Chien
+search then evaluates the locator alone at every position, and the word is
+rejected unless the root count equals the locator's degree. Forney's
+formula and the final syndrome check run on t slots only: the roots,
+ranked into the slots, and zero-magnitude padding.
 Every array's shape depends on the code, not on the received word, so
 every correctable word runs the same operations, whatever its number of
 errors. Decode failure is a returned value (``None``), not an exception:
@@ -77,8 +79,9 @@ class RsCodec:
 
     Matrices whose entries are field constants are kept as logs, so a
     product with a word's symbols is one add of log arrays and one gather
-    from the field's ``exp`` table (see ``GaloisField``). The decoder's
-    register multiplies through the field's ``product_rows`` instead.
+    from the field's byte-wide ``exp`` table (see ``GaloisField``), so the
+    XOR reductions run on uint8. The decoder's register multiplies through
+    the field's ``product_rows`` and divides through its ``quotient_rows``.
     Position ``i`` of a codeword is the coefficient of ``x^(M-1-i)``; the
     message comes first, then the parity symbols.
     """
@@ -146,12 +149,18 @@ class RsCodec:
     def decode(self, received: np.ndarray) -> np.ndarray | None:
         """The message of the unique codeword within t symbols, else None.
 
-        Syndromes, then reformulated inversionless Berlekamp-Massey (riBM;
-        Sarwate & Shanbhag, IEEE TVLSI 2001) for exactly M - N iterations.
-        Each riBM iteration is ``delta = gamma * (delta >> 1) ^ d0 * theta``
-        on byte strings, one symbol per byte: each product is one
-        ``bytes.translate`` through a row of ``product_rows`` and the XOR is
-        one XOR of two ints of fixed length.
+        Syndromes, then the register of reformulated Berlekamp-Massey
+        (riBM; Sarwate & Shanbhag, IEEE TVLSI 2001) for exactly M - N
+        iterations. Where riBM computes ``gamma * (delta >> 1) ^ d0 * theta``
+        to avoid inverting gamma, each iteration here computes
+        ``delta = (delta >> 1) ^ (d0 / gamma) * theta``, dividing by the
+        saved discrepancy as Massey's LFSR synthesis does (IEEE T-IT 1969).
+        The quotient is one index into gamma's row of ``quotient_rows``, with
+        no branch on zero; the product is one ``bytes.translate`` through a
+        row of ``product_rows``; the XOR is one XOR of two ints of fixed
+        length. The final register is riBM's times the non-zero constant
+        1 / (product of the gammas), so the locator's degree and roots and
+        the Forney ratio are riBM's.
 
         Chien search evaluates only the locator (degrees 0..t) at all M
         positions, and a root count other than the locator's degree rejects
@@ -162,47 +171,47 @@ class RsCodec:
         and the final check compares S(e) over the slots with the syndromes
         of the received word: S(received ^ e) = S(received) ^ S(e) over the
         field, so this rejects exactly the words whose corrected word has a
-        non-zero syndrome. No step inverts a field element, sizes an array
-        by the data, or branches on the data except to reject, so
-        correctable words of any error count run the same operations.
+        non-zero syndrome. No step sizes an array by the data or branches
+        on the data except to reject, and every division is a table read,
+        so correctable words of any error count run the same operations.
         """
         spec, gf = self.spec, self.gf
-        exp, log, inv_log, rows = gf.exp, gf.log, gf.inv_log, gf.product_rows
+        exp, log, inv_log = gf.exp, gf.log, gf.inv_log
+        rows, qrows = gf.product_rows, gf.quotient_rows
         received = _check_symbols(received, spec, spec.m_symbols)
         p, t = spec.n_parity, spec.t
         width = p + t + 1  # 3t + 1 for even parity
-        # Above its width symbols, each XOR operand carries a zero symbol,
-        # which the next shift brings in, and a sentinel top byte. The
-        # sentinels 1 and 2 (3 after the XOR) fix the length of every int
-        # here, so the XOR's time depends neither on leading zero symbols
-        # nor on d0 == 0.
+        # Above its width symbols, the register carries a zero symbol, which
+        # the next shift brings in, and the sentinel top byte 3; the product
+        # carries two sentinel bytes 3. Shifted, the register's sentinel
+        # meets the product's lower one and leaves a zero symbol, so every
+        # int here has a fixed length and the XOR's time depends neither on
+        # leading zero symbols nor on d0 == 0.
         length = width + 2
 
         # delta starts as S(x) + x^(width-1); theta starts equal to it. After
         # iteration r, delta holds (lambda * (S + x^(width-1))) / x^r for the
         # scaled locator lambda, so after p iterations delta[t:] is lambda
         # and delta[:t] is the high evaluator (lambda * S) / x^p. The int
-        # reg holds delta's symbols little-endian, then the tails' XOR.
-        start = np.zeros(width, dtype=np.uint8)
+        # reg holds delta's symbols little-endian, then a zero symbol and the
+        # sentinel.
         syndromes = self._syndromes(received)
-        start[:p] = syndromes
-        start[width - 1] = 1
-        theta = start.tobytes()
+        theta = syndromes.tobytes() + bytes(t) + b"\x01"
         reg = int.from_bytes(theta + b"\x00\x03", "little")
-        gamma, k = 1, 0
+        # qrow is the quotient row of gamma, the discrepancy saved at the
+        # last swap (1 at the start), so rows[qrow[d0]] multiplies by d0/gamma.
+        qrow, k = qrows[1], 0
         for _ in range(p):
-            d0 = reg & 0xFF
-            shifted = reg.to_bytes(length, "little")[1 : width + 1]
-            lhs = int.from_bytes(shifted.translate(rows[gamma]) + b"\x00\x01", "little")
-            rhs = int.from_bytes(theta.translate(rows[d0]) + b"\x00\x02", "little")
-            reg = lhs ^ rhs
+            raw = reg.to_bytes(length, "little")
+            d0, shifted = raw[0], raw[1 : width + 1]
+            product = theta.translate(rows[qrow[d0]]) + b"\x03\x03"
+            reg = (reg >> 8) ^ int.from_bytes(product, "little")
             # The swap is a select: both outcomes cost the same.
-            swap = d0 != 0 and k >= 0
+            swap = (d0 != 0) & (k >= 0)
             theta = shifted if swap else theta
-            gamma = d0 if swap else gamma
+            qrow = qrows[d0] if swap else qrow
             k = -k - 1 if swap else k + 1
-        symbols = np.frombuffer(reg.to_bytes(length, "little"), dtype=np.uint8, count=width)
-        delta = symbols.astype(np.int64)
+        delta = np.frombuffer(reg.to_bytes(length, "little"), dtype=np.uint8, count=width)
 
         locator = delta[t:]
         degree = p - int(np.argmax(locator[::-1] != 0))  # p if all zero
@@ -274,7 +283,10 @@ def _codec_for(spec: RsCodeSpec) -> RsCodec:
 
 
 def _check_symbols(values, spec: RsCodeSpec, expected_len: int) -> np.ndarray:
-    arr = np.asarray(values, dtype=np.int64).ravel()
+    arr = np.asarray(values)
+    if arr.dtype.kind not in "iu":
+        raise ValueError(f"symbols must be integers, got dtype {arr.dtype}")
+    arr = arr.astype(np.int64, copy=False).ravel()
     if arr.size != expected_len:
         raise ValueError(f"expected {expected_len} symbols, got {arr.size}")
     if arr.size and (arr.min() < 0 or arr.max() >= spec.field.size):

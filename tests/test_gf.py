@@ -119,6 +119,24 @@ def test_product_rows_match_clmul(k):
         assert not any(row[field.size :])
 
 
+@pytest.mark.parametrize("k", range(2, 9))
+def test_quotient_rows_invert_product_rows(k):
+    """Row b of the quotient table maps a < 2^K to a / b; row 0 and every
+    byte >= 2^K map to 0."""
+    field = FieldSpec(k)
+    gf = field.tables()
+    products, quotients = gf.product_rows, gf.quotient_rows
+    assert len(quotients) == field.size
+    for b, row in enumerate(quotients):
+        assert len(row) == 256
+        assert not any(row[field.size :])
+        if b == 0:
+            assert not any(row)
+            continue
+        for a in range(field.size):
+            assert products[b][row[a]] == a
+
+
 @pytest.mark.parametrize("k", [3, 4])
 def test_quotient_through_inverse_log_table(k):
     """exp[log[a] + inv_log[b]] is a / b, and 0 when either operand is 0."""

@@ -342,6 +342,20 @@ def test_one_commit_slot_pads_into_one_codeword_and_never_folds():
     assert np.array_equal(fp[:2020], raw) and not fp[2020:].any()
 
 
+def test_a_slot_holds_at_most_12_bits_beyond_the_code_redundancy():
+    """README, "What a frame hides": a slot is 101 samples, each at one of
+    21 nested threshold levels, so it holds at most 101 * log2(21) ~ 443.6
+    bits, against the code's 432 redundancy bits. A change of quantizer,
+    slot or code that widens the margin must reopen that statement."""
+    n_samples = round(COMMIT_SLOT_MS / 1000 / SAMPLE_INTERVAL_S) + 1
+    levels = 2 * THRESHOLDS.size + 1  # the 2 * 10 nested thresholds cut 21 intervals
+    spec = CONFIG.rs_spec
+    redundancy_bits = spec.n_parity * spec.field.k_bits
+    assert (n_samples, levels, redundancy_bits) == (101, 21, 432)
+    margin = n_samples * np.log2(levels) - redundancy_bits
+    assert 0 <= margin <= 12
+
+
 def test_derive_fingerprint_empty_window():
     scene = single_subject_scene(2)
     belt_obs, _ = observe_scene(scene)

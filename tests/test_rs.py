@@ -185,6 +185,19 @@ def test_length_and_range_validation():
         RsCodeSpec(FieldSpec(3), 4, 3)  # t = 0
 
 
+def test_symbols_must_be_integers():
+    """Floats, bools and strings are rejected, not truncated or parsed."""
+    codec = standard_code().codec()
+    cw = codec.encode(np.arange(201) % 256)
+    for word in (cw.astype(float) + 0.7, cw.astype(float), cw.astype(bool), cw.astype(str)):
+        with pytest.raises(ValueError, match="integers"):
+            codec.decode(word)
+    for message in (np.ones(201), np.ones(201, dtype=bool), np.array(["1"] * 201)):
+        with pytest.raises(ValueError, match="integers"):
+            codec.encode(message)
+    assert np.array_equal(codec.decode(cw.astype(np.uint8)), np.arange(201) % 256)
+
+
 def test_codeword_bit_length():
     assert standard_code().codeword_bits == 2040
     assert SMALL.codeword_bits == 21
