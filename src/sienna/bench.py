@@ -6,7 +6,10 @@ across window lengths, commitment randomness, decoder timing flatness,
 insider-adversary bit error rates across the jamming ladder, and end-to-end
 pairing success. Scenarios are deterministic per seed set; all timestamps
 come from the simulated clock, so artifacts are byte-identical across runs
-(the rs-timing scenario's wall-clock times are the one necessary exception).
+(the one necessary exception: rs-timing's wall-clock times and the summary's
+``variation_by_parity``, ``zero_to_t_time_ratio_by_parity``,
+``error_count_rank_correlation_by_parity`` and
+``checks.timing_variation_below_10pct``, computed from them).
 """
 
 from __future__ import annotations
@@ -57,8 +60,8 @@ class ExperimentConfig:
     rs: RsCodeSpec = field(default_factory=standard_code)
     channel: ChannelParams = field(default_factory=ChannelParams)
     p_max: float = 1000.0
-    trials: int | None = None
-    samples: int | None = None
+    trials: int = 100
+    samples: int = 10_000
     output_path: str = "out"
 
     def __post_init__(self):
@@ -71,10 +74,10 @@ class ExperimentConfig:
         for d in self.durations:
             if not 6.0 <= d <= 60.0:
                 raise ValueError(f"window durations must lie in [6, 60] s, got {d}")
-        for name in ("population", "trials", "samples"):
-            value = getattr(self, name)
-            if value is not None and value < 1:
-                raise ValueError(f"{name} must be at least 1, got {value}")
+        # fingerprint-similarity compares every pair of distinct subjects.
+        for name, least in (("population", 2), ("trials", 1), ("samples", 1)):
+            if getattr(self, name) < least:
+                raise ValueError(f"{name} must be at least {least}, got {getattr(self, name)}")
         ladder_levels(self.p_max, self.channel.p0)  # every scenario's ladder must exist
         if self.scenario == "rs-timing" and self.rs.field.size < 256:
             raise ValueError(
@@ -117,10 +120,9 @@ def _run_separation(config: ExperimentConfig):
     """The radar's separation as a round runs it: each trial observes a
     two-subject scene, prepares the radar with ``PrmsDevice.prepare`` and
     matches each subject's motion against the prepared sources."""
-    trials = config.trials or 100
     rows = []
     hits = 0
-    for i in range(trials):
+    for i in range(config.trials):
         seed = config.trial_seed(i)
         scene = two_subject_scene(seed)
         sources = PrmsDevice.prepare(observe_scene(scene)[1])
@@ -133,9 +135,9 @@ def _run_separation(config: ExperimentConfig):
         hits += ok
         rows.append((i, seed, len(sources.samples), match.correlation, other.correlation, int(ok)))
     summary = {
-        "trials": trials,
-        "fraction_target_corr_ge_090": hits / trials,
-        "checks": {"separation_ge_090_in_90pct": hits / trials >= 0.90},
+        "trials": config.trials,
+        "fraction_target_corr_ge_090": hits / config.trials,
+        "checks": {"separation_ge_090_in_90pct": hits / config.trials >= 0.90},
     }
     return rows, summary
 
@@ -216,7 +218,6 @@ def _run_fingerprint_similarity(config: ExperimentConfig):
 
 
 def _run_commitment_entropy(config: ExperimentConfig):
-    n_samples = config.samples or 10_000
     spec = config.rs
     seed = config.trial_seed(0, salt=1)
     belt_series, _ = observe_scene(PairingScene(subjects=(sample_profile(seed),), seed=seed))
@@ -227,12 +228,12 @@ def _run_commitment_entropy(config: ExperimentConfig):
     # uniform source falls short of full rank with probability below 2^-64.
     # With fewer than R + 1 samples the rate is not measurable.
     rank_samples = spec.codeword_bits + 65
-    measurable = n_samples >= rank_samples
+    measurable = config.samples >= rank_samples
 
     rows = []
     stats = {"salt": [], "opening": [], "commitment": []}
     pooled = {"salt": [], "opening": [], "commitment": []}
-    for i in range(n_samples):
+    for i in range(config.samples):
         salt = new_salt(spec, drbg)
         commitment_bits = commit(salt, fingerprint, spec).masked_codeword
         opening = commitment_bits ^ fingerprint
@@ -445,14 +446,13 @@ def _run_adversarial_ber(config: ExperimentConfig):
 
 
 def _run_pairing_success(config: ExperimentConfig):
-    trials = config.trials or 100
     pipeline = PipelineConfig(rs_spec=config.rs)
     ladder = ladder_levels(config.p_max, config.channel.p0)
     rows = []
     successes = 0
     completions = 0
     key_matches = 0
-    for i in range(trials):
+    for i in range(config.trials):
         seed = config.trial_seed(i, salt=5)
         scene = two_subject_scene(seed)
         belt, radar = observe_scene(scene)
@@ -482,9 +482,9 @@ def _run_pairing_success(config: ExperimentConfig):
                 outcome.failed_level if outcome.failed_level is not None else -1,
             )
         )
-    rate = successes / trials
+    rate = successes / config.trials
     summary = {
-        "trials": trials,
+        "trials": config.trials,
         "success_rate": rate,
         "keys_identical_in_every_completed_round": key_matches == completions,
         "checks": {

@@ -13,6 +13,7 @@ import numpy as np
 
 __all__ = [
     "as_bits",
+    "bit_array",
     "bits_from_bytes",
     "bits_to_bytes",
     "random_bits",
@@ -20,12 +21,24 @@ __all__ = [
 ]
 
 
+def bit_array(values) -> np.ndarray:
+    """``values`` as a ``uint8`` array of its shape; any element other than
+    exactly 0 or 1 (256, -1, 0.9) or a non-numeric dtype raises ``ValueError``."""
+    arr = np.asarray(values)
+    if arr.dtype == np.uint8:
+        stray = arr.max(initial=0) > 1
+    elif arr.dtype.kind in "biuf":  # bool, signed, unsigned, float
+        stray = ((arr != 0) & (arr != 1)).any()
+    else:
+        raise ValueError(f"bit strings need a numeric dtype, got {arr.dtype}")
+    if stray:
+        raise ValueError("bit strings may only contain 0 and 1")
+    return arr.astype(np.uint8, copy=False)
+
+
 def as_bits(values) -> np.ndarray:
     """Coerce a sequence of 0/1 values into a canonical bit array."""
-    arr = np.asarray(values, dtype=np.uint8).ravel()
-    if arr.size and arr.max(initial=0) > 1:
-        raise ValueError("bit strings may only contain 0 and 1")
-    return arr
+    return bit_array(values).ravel()
 
 
 def bits_to_bytes(bits: np.ndarray) -> bytes:

@@ -119,14 +119,6 @@ def ladder_levels(p_max: float, p0: float) -> JammingLadder:
 # -- modulation ---------------------------------------------------------------
 
 
-def _gray_to_position(spec: QamSpec) -> np.ndarray:
-    side = spec.side
-    lookup = np.zeros(side, dtype=np.int64)
-    for pos in range(side):
-        lookup[pos ^ (pos >> 1)] = pos
-    return lookup
-
-
 def _position_to_gray(spec: QamSpec) -> np.ndarray:
     pos = np.arange(spec.side)
     return pos ^ (pos >> 1)
@@ -146,7 +138,9 @@ def qam_modulate(bits: np.ndarray, spec: QamSpec) -> np.ndarray:
     labels = np.zeros(bits.size // half, dtype=np.intp)
     for j in range(half):  # most significant bit first
         labels = (labels << 1) | bits[j::half]
-    levels = spec.amplitude_scale * (2 * _gray_to_position(spec) - spec.side + 1)
+    side = spec.side
+    levels = np.empty(side)
+    levels[_position_to_gray(spec)] = spec.amplitude_scale * (2 * np.arange(side) - side + 1)
     return levels[labels].view(np.complex128)
 
 

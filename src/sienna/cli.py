@@ -2,13 +2,14 @@
 
 Subcommands: ``run <scenario>`` executes one bench scenario and writes its
 CSV plus summary JSON, ``selftest`` runs the exhaustive small-field codec
-and commitment suites and exits 1 if any fails, ``dump-config`` prints the
-default configuration in the flat key=value format the ``--config`` flag
-accepts; its floats are exact, so ``--config`` of its output is the default
-run. ``--check`` makes the exit status reflect the scenario's acceptance
-gates. The environment variable ``SIENNA_SEED`` overrides the default seed
-when ``--seed`` is not given; a value that is not an integer exits 2, like
-any bad override or an ``--out`` that cannot be made a directory.
+and commitment suites and exits 1 if any fails, ``dump-config`` prints
+every field of the default configuration, counts included, in the flat
+key=value format ``--config`` reads; its floats are exact, so ``--config``
+of its output is the default run. ``--check`` makes the exit status reflect
+the scenario's gates. ``--seed`` (else ``SIENNA_SEED``), ``--out``,
+``--trials`` and ``--samples`` win over the file's lines. A file that
+cannot be read, a bad line, flag or seed, and an ``--out`` that cannot be
+made a directory exit 2; ``population`` must be at least 2.
 """
 
 from __future__ import annotations
@@ -42,16 +43,14 @@ def default_config_text(config: ExperimentConfig | None = None) -> str:
         f"channel={ch.p0!r},{ch.p1!r}",
         f"p_max={config.p_max!r}",
         f"output_path={config.output_path}",
+        f"trials={config.trials}",
+        f"samples={config.samples}",
     ]
-    if config.trials is not None:
-        lines.append(f"trials={config.trials}")
-    if config.samples is not None:
-        lines.append(f"samples={config.samples}")
     return "\n".join(lines) + "\n"
 
 
-def parse_config_text(text: str, base: ExperimentConfig | None = None) -> ExperimentConfig:
-    """Apply every key=value line to ``base`` at once, so lines may come in any order."""
+def parse_config_text(text: str) -> ExperimentConfig:
+    """Apply every key=value line to the default at once, so lines may come in any order."""
     changes = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
@@ -78,7 +77,7 @@ def parse_config_text(text: str, base: ExperimentConfig | None = None) -> Experi
             changes[key] = ChannelParams(p0=p0, p1=p1)
         else:
             raise ValueError(f"config line {lineno}: unknown key {key!r}")
-    return replace(base or ExperimentConfig(), **changes)
+    return ExperimentConfig(**changes)
 
 
 def _selftest() -> int:
@@ -194,40 +193,26 @@ def cli_entry(argv: list[str] | None = None) -> int:
         sys.stdout.write(default_config_text())
         return 0
 
-    config = ExperimentConfig(scenario=args.scenario)
-    if args.config is not None:
-        path = Path(args.config)
-        if not path.exists():
-            print(f"config file not found: {path}", file=sys.stderr)
-            return 2
-        try:
-            # The command line's scenario is read as the file's last line, so
-            # it and the file's lines apply together.
-            text = f"{path.read_text()}\nscenario={args.scenario}\n"
-            config = parse_config_text(text, base=config)
-        except ValueError as exc:
-            print(f"bad config {path}: {exc}", file=sys.stderr)
-            return 2
+    # SIENNA_SEED stands in for --seed. It is read first, so when the run
+    # stops with no seed while it is set, it is what could not be read.
     seed, env_seed = args.seed, os.environ.get("SIENNA_SEED")
-    if seed is None and env_seed:
-        try:
-            seed = int(env_seed)
-        except ValueError:
-            print(f"bad override: SIENNA_SEED={env_seed}", file=sys.stderr)
-            return 2
-    if seed is not None:
-        config = replace(config, seeds=(seed,))
-    if args.out is not None:
-        config = replace(config, output_path=args.out)
     try:
-        if args.trials is not None:
-            config = replace(config, trials=args.trials)
-        if args.samples is not None:
-            config = replace(config, samples=args.samples)
-    except ValueError as exc:
-        print(f"bad override: {exc}", file=sys.stderr)
+        if seed is None and env_seed:
+            seed = int(env_seed)
+        text = "" if args.config is None else Path(args.config).read_text()
+        # The command line's scenario is read as the file's last line, so it
+        # and the file's lines apply together; its flags then win over both.
+        config = parse_config_text(f"{text}\nscenario={args.scenario}\n")
+        seeds = None if seed is None else (seed,)
+        flags = dict(seeds=seeds, output_path=args.out, trials=args.trials, samples=args.samples)
+        config = replace(config, **{k: v for k, v in flags.items() if v is not None})
+    except (OSError, ValueError) as exc:
+        if seed is None and env_seed:
+            print(f"bad override: SIENNA_SEED={env_seed}", file=sys.stderr)
+        else:
+            source = "override" if args.config is None else f"config {args.config}"
+            print(f"bad {source}: {exc}", file=sys.stderr)
         return 2
-
     try:
         Path(config.output_path).mkdir(parents=True, exist_ok=True)
     except OSError as exc:

@@ -26,7 +26,7 @@ from dataclasses import replace
 
 import numpy as np
 
-from .bits import as_bits
+from .bits import as_bits, bit_array
 from .breathing import DisplacementSeries
 
 __all__ = [
@@ -50,16 +50,6 @@ NORMALIZED_STD = 0.20
 # padded (255, 201) codeword.
 THRESHOLDS = 0.05 * np.arange(1, 11)
 SAMPLE_INTERVAL_S = 0.1
-
-
-def _bit_rows(values) -> np.ndarray:
-    """Bit strings along the last axis, one per leading index."""
-    arr = np.asarray(values, dtype=np.uint8)
-    if arr.ndim == 0:
-        raise ValueError("bit strings need at least one axis")
-    if arr.max(initial=0) > 1:
-        raise ValueError("bit strings may only contain 0 and 1")
-    return arr
 
 
 def qtz(x: float, q_plus: float, q_minus: float) -> tuple[int, int]:
@@ -103,7 +93,9 @@ def segment_pad(bits: np.ndarray, target_len: int) -> np.ndarray:
     Returns shape (..., n_segments, target_len): the segments of each bit
     string along the last axis.
     """
-    bits = _bit_rows(bits)
+    bits = bit_array(bits)
+    if bits.ndim == 0:
+        raise ValueError("bit strings need at least one axis")
     if target_len <= 0:
         raise ValueError("target length must be positive")
     if bits.shape[-1] == 0:

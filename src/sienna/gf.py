@@ -68,9 +68,9 @@ class GaloisField:
 
     ``product_rows`` is the 2^K x 256 product table: row ``c`` is a
     ``bytes.translate`` table that multiplies every symbol of a
-    one-byte-per-symbol string by ``c``. ``quotient_rows`` is the 2^K x 256
-    quotient table: row ``b`` maps ``a`` to ``a / b``, and row 0 maps every
-    byte to 0, so indexing a row with a symbol divides it by ``b``.
+    one-byte-per-symbol string by ``c``. ``quotient_rows`` holds the same rows
+    re-indexed: row ``b`` maps ``a`` to ``a / b = a * b^-1``, and row 0 maps
+    every byte to 0, so indexing a row with a symbol divides it by ``b``.
     """
 
     def __init__(self, spec: FieldSpec):
@@ -113,11 +113,8 @@ class GaloisField:
 
     @cached_property
     def quotient_rows(self) -> tuple[bytes, ...]:
-        """Row ``b`` maps byte ``a`` to ``a / b``; row 0 and bytes ``a >= 2^K`` map to 0."""
-        q = self.spec.size
-        table = np.zeros((q, 256), dtype=np.uint8)
-        table[:, :q] = self.exp[self.log[None, :] + self.inv_log[:, None]]
-        return tuple(row.tobytes() for row in table)
+        """Row ``b`` is the product row of ``b^-1``; the ``inv_log`` sentinel maps 0 to row 0."""
+        return tuple(self.product_rows[c] for c in self.exp[self.inv_log])
 
 
 @lru_cache(maxsize=None)

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bits import as_bits
+from .bits import as_bits, bit_array
 
 __all__ = [
     "RandomnessReport",
@@ -103,7 +103,7 @@ def gf2_rank(rows: np.ndarray) -> int:
     Each row is packed into one Python int and reduced against the pivots
     found so far, keyed by their leading bit.
     """
-    rows = np.asarray(rows, dtype=np.uint8)
+    rows = bit_array(rows)
     if rows.ndim != 2:
         raise ValueError(f"need a 2-D bit array, got shape {rows.shape}")
     pivots: dict[int, int] = {}
@@ -128,7 +128,7 @@ def gf2_rank_rate(samples: np.ndarray) -> float:
     binary image of a linear code, masked by any fixed string, gives at
     most ``message_bits / codeword_bits``.
     """
-    samples = np.asarray(samples, dtype=np.uint8)
+    samples = bit_array(samples)
     if samples.ndim != 2 or samples.shape[0] < 2:
         raise ValueError(f"need at least two samples as rows, got shape {samples.shape}")
     return gf2_rank(samples[1:] ^ samples[0]) / samples.shape[1]

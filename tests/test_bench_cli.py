@@ -35,6 +35,8 @@ def test_config_validation():
     for name in ("population", "trials", "samples"):
         with pytest.raises(ValueError, match=name):
             ExperimentConfig(**{name: 0})
+    with pytest.raises(ValueError, match="population must be at least 2"):
+        ExperimentConfig(population=1)  # fingerprint-similarity needs a pair of subjects
     for p_max in (1.0, 0.5, math.nan, math.inf):
         with pytest.raises(ValueError, match="p_max"):
             ExperimentConfig(p_max=p_max)
@@ -206,6 +208,31 @@ def test_cli_dump_config(capsys):
     out = capsys.readouterr().out
     assert "rs=8,255,201" in out
     assert parse_config_text(out).rs.n_symbols == 201
+
+
+def test_cli_dump_config_prints_every_count(capsys):
+    assert cli_entry(["dump-config"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert "trials=100" in lines
+    assert "samples=10000" in lines
+
+
+def test_cli_flags_win_over_the_config_file(tmp_path):
+    """The dumped default says trials=100 and seeds=0; --trials and --seed win."""
+    cfg = tmp_path / "dumped.cfg"
+    cfg.write_text(default_config_text())
+    out = tmp_path / "out"
+    argv = ["run", "separation", "--config", str(cfg), "--trials", "2", "--seed", "9"]
+    assert cli_entry(argv + ["--out", str(out)]) == 0
+    blob = json.loads((out / "separation-summary.json").read_text())
+    assert (blob["trials"], blob["seeds"]) == (2, [9])
+
+
+def test_cli_config_that_is_a_directory_exits_2(tmp_path, capsys):
+    out = tmp_path / "out"
+    assert cli_entry(["run", "separation", "--config", str(tmp_path), "--out", str(out)]) == 2
+    assert f"bad config {tmp_path}" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_default_config_text_parses_back_to_the_default():

@@ -18,7 +18,9 @@ from sienna.commitment import (
     serialize_commitment,
     xor_fold,
 )
+from sienna.fingerprint import segment_pad
 from sienna.gf import FieldSpec
+from sienna.randomness import gf2_rank, gf2_rank_rate
 from sienna.rs import RsCodeSpec, standard_code
 
 SMALL = RsCodeSpec(FieldSpec(3), 7, 3)  # t = 2, 21-bit codewords, 9-bit salts
@@ -189,6 +191,27 @@ def test_non_bit_values_rejected():
             commit(bad_salt, bad_fp, SMALL)
     with pytest.raises(ValueError, match="only contain 0 and 1"):
         open_commitment(commit(salt, fp, SMALL), fp * 2, SMALL)
+
+
+def test_bits_out_of_range_are_rejected_whatever_their_dtype():
+    """Values a uint8 cast would wrap (256, -1) or truncate (0.9), and
+    strings, are not bits; exact 0/1 floats and bools are."""
+    spec = standard_code()
+    fp = random_bits(spec.codeword_bits, np.random.default_rng(17))
+    c = commit(new_salt(spec, 6), fp, spec)
+    assert open_commitment(c, fp.astype(float), spec).recovered
+    assert open_commitment(c, fp.astype(bool), spec).recovered
+    wide = fp.astype(np.int64)
+    for bad in (wide + 256, -wide, fp * 0.9, fp.astype(str)):
+        with pytest.raises(ValueError):
+            open_commitment(c, bad, spec)
+        rows = np.stack([bad, bad])
+        with pytest.raises(ValueError):
+            segment_pad(rows, spec.codeword_bits)
+        with pytest.raises(ValueError):
+            gf2_rank(rows)
+        with pytest.raises(ValueError):
+            gf2_rank_rate(rows)
 
 
 def test_open_rejects_a_spec_other_than_the_commitments():

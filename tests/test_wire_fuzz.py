@@ -153,7 +153,7 @@ def test_messages_reject_fields_the_wire_cannot_carry(build):
 # jamming ladder can span.
 noise_floors = st.floats(min_value=1e-6, max_value=1e9)
 powers = st.floats(min_value=0.0, max_value=1e9, exclude_min=True)
-counts = st.none() | st.integers(1, 10**6)
+counts = st.integers(1, 10**6)
 BYTE_CODES = [RsCodeSpec(FieldSpec(8), 255, n) for n in (201, 223)]
 
 
@@ -164,7 +164,7 @@ def scenario_configs(scenario, channel):
         ExperimentConfig,
         scenario=st.just(scenario),
         seeds=st.lists(st.integers(0, 2**31 - 1), min_size=1, max_size=3).map(tuple),
-        population=st.integers(1, 1000),
+        population=st.integers(2, 1000),
         durations=st.lists(st.floats(6.0, 60.0), min_size=1, max_size=5).map(tuple),
         rs=st.sampled_from(codes),
         channel=st.just(channel),
