@@ -2,11 +2,12 @@
 
 Each scenario reproduces one axis of the system evaluation at desk scale:
 source separation on the radar path a round runs, fingerprint similarity
-across window lengths, commitment randomness, decoder timing flatness,
-insider-adversary bit error rates across the jamming ladder, and end-to-end
-pairing success. Scenarios are deterministic per seed set; all timestamps
-come from the simulated clock, so artifacts are byte-identical across runs
-(the one necessary exception: rs-timing's wall-clock times and the summary's
+across window lengths, commitment randomness, decoder timing flatness (of
+GF(2^8) codes, whatever the configured code), insider-adversary bit error
+rates across the jamming ladder, and end-to-end pairing success. Scenarios
+are deterministic per seed set; all timestamps come from the simulated
+clock, so artifacts are byte-identical across runs (the one necessary
+exception: rs-timing's wall-clock times and the summary's
 ``variation_by_parity``, ``zero_to_t_time_ratio_by_parity``,
 ``error_count_rank_correlation_by_parity`` and
 ``checks.timing_variation_below_10pct``, computed from them).
@@ -26,6 +27,7 @@ from .breathing import sample_profile, synth_displacement
 from .channel import ChannelParams, ber_theoretical, ladder_levels, noise_power_for_snr
 from .commitment import commit, new_salt
 from .fingerprint import extract, hamming_similarity
+from .gf import FieldSpec
 from .ica import match_sources
 from .protocol import (
     QAM,
@@ -79,11 +81,6 @@ class ExperimentConfig:
             if getattr(self, name) < least:
                 raise ValueError(f"{name} must be at least {least}, got {getattr(self, name)}")
         ladder_levels(self.p_max, self.channel.p0)  # every scenario's ladder must exist
-        if self.scenario == "rs-timing" and self.rs.field.size < 256:
-            raise ValueError(
-                f"rs-timing decodes (255, 255 - p) codes, which need GF(2^8); "
-                f"got GF(2^{self.rs.field.k_bits})"
-            )
 
     def trial_seed(self, index: int, salt: int = 0) -> int:
         base = self.seeds[index % len(self.seeds)]
@@ -306,7 +303,7 @@ def _run_rs_timing(config: ExperimentConfig):
     rng = np.random.default_rng(config.trial_seed(0, salt=3))
     order_rng = np.random.default_rng(config.trial_seed(0, salt=6))
     for parity in RS_TIMING_PARITIES:
-        spec = RsCodeSpec(config.rs.field, 255, 255 - parity)
+        spec = RsCodeSpec(FieldSpec(8), 255, 255 - parity)
         codec = spec.codec()
         msg = rng.integers(0, spec.field.size, size=spec.n_symbols)
         clean = codec.encode(msg)

@@ -278,10 +278,8 @@ def linear_demodulate(iq: RadarIQ) -> np.ndarray:
     if data.shape[1] < 2:
         raise ValueError("need at least 2 samples")
     centered = data - data.mean(axis=1, keepdims=True)
-    variances = centered.var(axis=1)
-    for name, var in zip(("i_channel", "q_channel"), variances):
-        if var == 0 and variances.max() == 0:
-            raise ValueError(f"degenerate radar observation: {name} has zero variance")
+    if not centered.var(axis=1).any():
+        raise ValueError("degenerate radar observation: i_channel and q_channel have zero variance")
     cov = centered @ centered.T / centered.shape[1]
     eigvals, eigvecs = np.linalg.eigh(cov)
     principal = eigvecs[:, -1]

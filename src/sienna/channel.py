@@ -48,10 +48,8 @@ class QamSpec:
     order: int = 4
 
     def __post_init__(self):
-        if self.order < 4:
-            raise ValueError("binary modulation is not allowed; order must be >= 4")
         if self.order not in (4, 16, 64):
-            raise ValueError(f"unsupported QAM order {self.order}")
+            raise ValueError("binary modulation is not allowed; order must be 4, 16 or 64")
 
     @property
     def bits_per_symbol(self) -> int:
@@ -112,7 +110,7 @@ def ladder_levels(p_max: float, p0: float) -> JammingLadder:
     """
     if not (p0 > 0 and 1 < p_max / p0 < math.inf):
         raise ValueError(f"need p0 > 0 and 1 < p_max / p0 < inf, got p_max={p_max}, p0={p0}")
-    count = max(1, math.ceil(math.log(p_max / p0, 9.0)))
+    count = math.ceil(math.log(p_max / p0, 9.0))
     return JammingLadder(tuple(p_max / 9.0**i for i in range(count)))
 
 

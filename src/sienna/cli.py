@@ -17,7 +17,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 from itertools import combinations, product
 from pathlib import Path
 
@@ -59,24 +59,27 @@ def parse_config_text(text: str) -> ExperimentConfig:
         if "=" not in line:
             raise ValueError(f"config line {lineno}: expected key=value, got {raw!r}")
         key, value = (part.strip() for part in line.split("=", 1))
-        if key in ("scenario", "output_path"):
-            changes[key] = value
-        elif key in ("population", "trials", "samples"):
-            changes[key] = int(value)
-        elif key == "p_max":
-            changes[key] = float(value)
-        elif key == "seeds":
-            changes[key] = tuple(int(v) for v in value.split(","))
-        elif key == "durations":
-            changes[key] = tuple(float(v) for v in value.split(","))
-        elif key == "rs":
-            k, m, n = (int(v) for v in value.split(","))
-            changes[key] = RsCodeSpec(FieldSpec(k), m, n)
-        elif key == "channel":
-            p0, p1 = (float(v) for v in value.split(","))
-            changes[key] = ChannelParams(p0=p0, p1=p1)
-        else:
+        if key not in {f.name for f in fields(ExperimentConfig)}:
             raise ValueError(f"config line {lineno}: unknown key {key!r}")
+        try:
+            if key in ("scenario", "output_path"):
+                changes[key] = value
+            elif key in ("population", "trials", "samples"):
+                changes[key] = int(value)
+            elif key == "p_max":
+                changes[key] = float(value)
+            elif key == "seeds":
+                changes[key] = tuple(int(v) for v in value.split(","))
+            elif key == "durations":
+                changes[key] = tuple(float(v) for v in value.split(","))
+            elif key == "rs":
+                k, m, n = (int(v) for v in value.split(","))
+                changes[key] = RsCodeSpec(FieldSpec(k), m, n)
+            elif key == "channel":
+                p0, p1 = (float(v) for v in value.split(","))
+                changes[key] = ChannelParams(p0=p0, p1=p1)
+        except ValueError as exc:
+            raise ValueError(f"config line {lineno}: bad {key}={value}: {exc}") from None
     return ExperimentConfig(**changes)
 
 
@@ -230,7 +233,3 @@ def cli_entry(argv: list[str] | None = None) -> int:
 
 def main() -> None:
     sys.exit(cli_entry())
-
-
-if __name__ == "__main__":
-    main()

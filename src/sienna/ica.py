@@ -80,9 +80,8 @@ def whiten(observations: np.ndarray, n_components: int) -> WhiteningResult:
     means = X.mean(axis=1)
     centered = X - means[:, None]
     cov = centered @ centered.T / t
-    eigvals, eigvecs = np.linalg.eigh(cov)
-    order = np.argsort(eigvals)[::-1]
-    eigvals, eigvecs = eigvals[order], eigvecs[:, order]
+    eigvals, eigvecs = np.linalg.eigh(cov)  # ascending
+    eigvals, eigvecs = eigvals[::-1], eigvecs[:, ::-1]
 
     floor = max(eigvals[0], 0.0) * 1e-12
     effective_rank = int(np.sum(eigvals > floor))

@@ -249,7 +249,7 @@ def decode_message(data: bytes, rs_spec: RsCodeSpec) -> InitMessage | CommitMess
 
 # -- session state machine ----------------------------------------------------
 
-Phase = Literal["idle", "announced", "committing", "await-ack", "done", "failed"]
+Phase = Literal["idle", "committing", "await-ack", "done", "failed"]
 
 
 @dataclass
@@ -267,8 +267,8 @@ class SessionState:
     def announce_hash(self) -> bytes:
         return hash256(PUBLIC_PARAMETER if self.round_index == 0 else self.current_key)
 
-    def _require(self, *phases: Phase):
-        if self.phase not in phases:
+    def _require(self, phase: Phase):
+        if self.phase != phase:
             raise ProtocolError(f"{self.role}: illegal transition from phase {self.phase!r}")
 
     def fail(self, stage: str):
@@ -282,7 +282,7 @@ def initiate(state: SessionState) -> InitMessage:
         raise ProtocolError("only device a initiates")
     state._require("idle")
     msg = InitMessage(state.announce_hash(), state.window_ms[0], state.window_ms[1])
-    state.phase = "announced"
+    state.phase = "committing"
     return msg
 
 
@@ -295,11 +295,11 @@ def receive_init(state: SessionState, msg: InitMessage) -> None:
         state.fail("announce-key-mismatch")
         raise ProtocolError("announced key hash does not match this device's lineage")
     state.window_ms = (msg.t_str, msg.t_end)
-    state.phase = "announced"
+    state.phase = "committing"
 
 
 def begin_commit(state: SessionState, level: int) -> None:
-    state._require("announced", "committing")
+    state._require("committing")
     if level != state.level:
         raise ProtocolError(f"commit level {level} out of order (expected {state.level})")
     state.phase = "await-ack"

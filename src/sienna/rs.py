@@ -167,13 +167,14 @@ class RsCodec:
         the word before any Forney work. Ranking the roots with a cumulative
         sum places them in the first of t slots; the other slots keep a
         zero magnitude. Forney's formula (Forney, IEEE T-IT 1965) evaluates
-        the high evaluator and the locator's derivative at those t slots,
-        and the final check compares S(e) over the slots with the syndromes
-        of the received word: S(received ^ e) = S(received) ^ S(e) over the
-        field, so this rejects exactly the words whose corrected word has a
-        non-zero syndrome. No step sizes an array by the data or branches
-        on the data except to reject, and every division is a table read,
-        so correctable words of any error count run the same operations.
+        the high evaluator and the locator's derivative at those t slots
+        (non-zero at every root: v distinct roots of a degree-v locator are
+        simple), and the final check compares S(e) over the slots with the
+        syndromes of the received word: S(received ^ e) = S(received) ^ S(e)
+        over the field, so this rejects exactly the words whose corrected
+        word has a non-zero syndrome. No step sizes an array by the data or
+        branches on the data except to reject, and every division is a table
+        read, so correctable words of any error count run the same operations.
         """
         spec, gf = self.spec, self.gf
         exp, log, inv_log = gf.exp, gf.log, gf.inv_log
@@ -236,8 +237,6 @@ class RsCodec:
         terms = exp[self._forney_log[slot_pos] + log[delta[self._forney_coef]]]
         high_eval = np.bitwise_xor.reduce(terms[:, :t], axis=1)
         dloc_eval = np.bitwise_xor.reduce(terms[:, t:], axis=1)
-        if np.any(live & (dloc_eval == 0)):
-            return None
         # Forney with the high evaluator, e_i = x_i^(p-1) omega_h(x_i) / lambda'(x_i);
         # the scale of the riBM locator cancels.
         magnitudes = np.where(live, exp[log[high_eval] + inv_log[dloc_eval]], 0)

@@ -40,8 +40,6 @@ def test_config_validation():
     for p_max in (1.0, 0.5, math.nan, math.inf):
         with pytest.raises(ValueError, match="p_max"):
             ExperimentConfig(p_max=p_max)
-    with pytest.raises(ValueError, match="GF\\(2\\^8\\)"):
-        ExperimentConfig(scenario="rs-timing", rs=RsCodeSpec(FieldSpec(4), 15, 7))
 
 
 def test_config_round_trip_through_text():
@@ -75,6 +73,13 @@ def test_config_text_errors():
         parse_config_text("wat=1")
     with pytest.raises(ValueError):
         parse_config_text("channel=1,31.6,31.6,0")  # the eavesdropper and jam powers are gone
+
+
+def test_config_value_errors_name_their_line_and_key():
+    with pytest.raises(ValueError, match="config line 2: bad trials=abc: invalid literal"):
+        parse_config_text("seeds=0\ntrials=abc\n")
+    with pytest.raises(ValueError, match="config line 1: bad rs=8,255: not enough values"):
+        parse_config_text("rs=8,255\n")
 
 
 def test_separation_scenario(tmp_path):
@@ -272,15 +277,19 @@ def test_cli_config_with_unsupported_symbol_width_exits_2(tmp_path, capsys, line
     assert "bad config" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("text", ["rs=4,15,7\n", "scenario=separation\nrs=4,15,7\n"])
-def test_cli_rs_timing_with_field_narrower_than_a_byte_exits_2(tmp_path, capsys, text):
-    """rs-timing decodes (255, 255 - p) codes, which only GF(2^8) holds."""
-    bad = tmp_path / "bad.cfg"
-    bad.write_text(text)
-    out = tmp_path / "out"
-    assert cli_entry(["run", "rs-timing", "--config", str(bad), "--out", str(out)]) == 2
-    assert "bad config" in capsys.readouterr().err
-    assert not out.exists()
+def test_cli_rs_timing_decodes_byte_codes_whatever_the_rs_line(tmp_path):
+    """rs-timing decodes (255, 255 - p) codes over GF(2^8); the config's
+    code does not enter it, so a GF(2^4) line runs the default's rows."""
+    cfg = tmp_path / "small.cfg"
+    cfg.write_text("rs=4,15,7\n")
+    columns = []
+    for extra in ([], ["--config", str(cfg)]):
+        out = tmp_path / f"out{len(extra)}"
+        assert cli_entry(["run", "rs-timing", "--out", str(out)] + extra) == 0
+        rows = (out / "rs-timing.csv").read_text().splitlines()
+        columns.append([row.split(",")[:2] for row in rows])
+    assert columns[0] == columns[1]
+    assert columns[0][0] == ["parity_symbols", "n_errors"]
 
 
 @pytest.mark.parametrize(
@@ -297,8 +306,7 @@ def test_cli_config_with_powers_no_scenario_can_run_exits_2(tmp_path, capsys, li
 
 
 def test_cli_scenario_applies_together_with_the_config_lines(tmp_path):
-    """The file's rs-timing line would need GF(2^8), but the command line
-    runs separation, which takes the GF(2^4) code."""
+    """The command line's scenario wins over the file's ``scenario=`` line."""
     cfg = tmp_path / "other.cfg"
     cfg.write_text("scenario=rs-timing\nrs=4,15,7\n")
     out = tmp_path / "out"

@@ -60,7 +60,7 @@ def test_qam_padding_recorded_in_round_trip():
 
 
 def test_bpsk_prohibited():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="binary"):
         QamSpec(2)
     with pytest.raises(ValueError):
         QamSpec(8)

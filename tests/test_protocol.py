@@ -169,7 +169,7 @@ def test_initiate_round_one_uses_public_parameter():
     state = SessionState(role="a")
     msg = initiate(state)
     assert msg.key_hash == hash256(PUBLIC_PARAMETER)
-    assert state.phase == "announced"
+    assert state.phase == "committing"
 
 
 def test_initiate_round_two_uses_key_hash():
@@ -927,6 +927,22 @@ def test_insider_defeated_by_ladder():
     res = attack(out, CHANNEL.p1, CHANNEL, fingerprint, rng=np.random.default_rng(2))
     assert not res.salt_recovered
     assert any(not lvl.recovered for lvl in res.per_level)
+
+
+def test_outsider_with_a_shifted_recording_opens_an_unjammed_frame():
+    """README, "What a frame hides": the belt wearer's own breathing from
+    24.0 s on lies 14 symbols from slot 0's fingerprint, within t = 27, so
+    an outsider holding that later stretch opens slot 0's unjammed frame."""
+    belt_obs, prms_obs = observe_scene(two_subject_scene(9))
+    a, b = BeltDevice(belt_obs, CONFIG), PrmsDevice(prms_obs, CONFIG)
+    slot_0, shifted = (a.derive_fingerprints(w)[0] for w in ((0, 10_000), (24_000, 34_000)))
+    assert np.count_nonzero((shifted != slot_0).reshape(-1, 8).any(axis=1)) == 14
+    out = run_pairing(
+        a, b, CHANNEL, JammingLadder((0.0,)), np.random.default_rng(9), salt_seed=9
+    )
+    assert [(r.window_ms, r.verdict) for r in out.attempts] == [((0, 10_000), "ACK")]
+    res = attack(out, CHANNEL.p1, CHANNEL, lambda w: shifted, rng=np.random.default_rng(9))
+    assert res.salt_recovered
 
 
 def test_distribution_attacker_rejected():

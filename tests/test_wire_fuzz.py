@@ -154,19 +154,17 @@ def test_messages_reject_fields_the_wire_cannot_carry(build):
 noise_floors = st.floats(min_value=1e-6, max_value=1e9)
 powers = st.floats(min_value=0.0, max_value=1e9, exclude_min=True)
 counts = st.integers(1, 10**6)
-BYTE_CODES = [RsCodeSpec(FieldSpec(8), 255, n) for n in (201, 223)]
+CODES = [RsCodeSpec(FieldSpec(8), 255, n) for n in (201, 223)] + [SMALL]
 
 
 def scenario_configs(scenario, channel):
-    # rs-timing decodes (255, 255 - p) codes, so it only takes a GF(2^8) code.
-    codes = BYTE_CODES if scenario == "rs-timing" else BYTE_CODES + [SMALL]
     return st.builds(
         ExperimentConfig,
         scenario=st.just(scenario),
         seeds=st.lists(st.integers(0, 2**31 - 1), min_size=1, max_size=3).map(tuple),
         population=st.integers(2, 1000),
         durations=st.lists(st.floats(6.0, 60.0), min_size=1, max_size=5).map(tuple),
-        rs=st.sampled_from(codes),
+        rs=st.sampled_from(CODES),
         channel=st.just(channel),
         p_max=st.floats(min_value=channel.p0, max_value=1e12, exclude_min=True),
         trials=counts,
