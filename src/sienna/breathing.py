@@ -278,9 +278,9 @@ def linear_demodulate(iq: RadarIQ) -> np.ndarray:
     if data.shape[1] < 2:
         raise ValueError("need at least 2 samples")
     centered = data - data.mean(axis=1, keepdims=True)
-    if not centered.var(axis=1).any():
-        raise ValueError("degenerate radar observation: i_channel and q_channel have zero variance")
     cov = centered @ centered.T / centered.shape[1]
+    if not cov.diagonal().any():
+        raise ValueError("degenerate radar observation: i_channel and q_channel have zero variance")
     eigvals, eigvecs = np.linalg.eigh(cov)
     principal = eigvecs[:, -1]
     if principal[np.argmax(np.abs(principal))] < 0:

@@ -69,9 +69,10 @@ def extract(series: DisplacementSeries, t_str: float, t_end: float) -> np.ndarra
     T is ``SAMPLE_INTERVAL_S``. Only ``series.value_at`` is read, so any
     object with that method quantizes like a ``DisplacementSeries``.
     Returns uint8 bits of shape (..., branches * samples * 2),
-    branch-major. Every series of a stack is quantized by one comparison
-    against the upper and lower threshold vectors; row c of the result is
-    the fingerprint of series c.
+    branch-major. Every series of a stack is quantized by one comparison of
+    each value and its negation against the threshold vector, since
+    ``v <= -u`` is exactly ``-v >= u``; row c of the result is the
+    fingerprint of series c.
     """
     if t_end <= t_str:
         raise ValueError("window must have positive length")
@@ -80,11 +81,10 @@ def extract(series: DisplacementSeries, t_str: float, t_end: float) -> np.ndarra
     # (81.6 - 33.6) / 0.1 does; the tolerance keeps its last instant.
     n_samples = int(np.floor((t_end - t_str) / T + 1e-9)) + 1
     instants = t_str + np.arange(n_samples) * T
-    values = series.value_at(instants)[..., None, :]  # (..., 1, samples)
-
-    uppers = THRESHOLDS[:, None]  # (branches, 1); the lower thresholds are -uppers
-    codes = np.stack([values >= uppers, values <= -uppers], axis=-1)  # (..., branches, samples, 2)
-    return codes.reshape(*values.shape[:-2], -1).astype(np.uint8)
+    values = series.value_at(instants)  # (..., samples)
+    pairs = np.stack([values, -values], axis=-1)[..., None, :, :]  # (..., 1, samples, 2)
+    codes = pairs >= THRESHOLDS[:, None, None]  # (..., branches, samples, 2)
+    return codes.reshape(*values.shape[:-1], -1).view(np.uint8)
 
 
 def segment_pad(bits: np.ndarray, target_len: int) -> np.ndarray:
@@ -119,10 +119,11 @@ def hamming_similarity(a: np.ndarray, b: np.ndarray) -> float:
 def normalize_series(series: DisplacementSeries) -> DisplacementSeries:
     """Rescale each series to the working unit (std = NORMALIZED_STD), zero mean."""
     x = series.samples
-    std = x.std(axis=-1, keepdims=True)
+    d = x - x.mean(axis=-1, keepdims=True)
+    std = np.sqrt((d * d).sum(axis=-1, keepdims=True) / x.shape[-1])  # np.std's own steps
     if np.any(std == 0):
         raise ValueError("cannot normalize a constant series")
-    return replace(series, samples=(x - x.mean(axis=-1, keepdims=True)) * (NORMALIZED_STD / std))
+    return replace(series, samples=d * (NORMALIZED_STD / std))
 
 
 def skew(samples: np.ndarray) -> np.ndarray | float:
@@ -135,8 +136,9 @@ def skew(samples: np.ndarray) -> np.ndarray | float:
     x = np.asarray(samples, dtype=np.float64)
     mean = x.mean(axis=-1, keepdims=True)
     d = x - mean
-    m2 = (d * d).mean(axis=-1)
-    m3 = (d * d * d).mean(axis=-1)
+    dd = d * d
+    m2 = dd.mean(axis=-1)
+    m3 = (dd * d).mean(axis=-1)
     with np.errstate(all="ignore"):
         zero = m2 <= (np.finfo(np.float64).eps * mean[..., 0]) ** 2
         return np.where(zero, np.nan, m3 / m2**1.5)[()]

@@ -144,12 +144,17 @@ def jade_separate(observations: np.ndarray, n_sources: int) -> SeparationResult:
     demixer = rotation.T @ white.whitener
     sources = demixer @ (np.asarray(observations, dtype=np.float64) - white.row_means[:, None])
 
-    # Deterministic ordering (most energetic mixing column first) and sign
-    # convention (dominant demixer weight positive) to pin down the
-    # permutation/sign ambiguity.
-    mixing = np.linalg.pinv(demixer)
-    order = np.argsort(-(mixing**2).sum(axis=0))
-    demixer, sources = demixer[order], sources[order]
+    # The sources come out in a fixed order, the most energetic mixing
+    # column first, with no sort. The demixer is R^T L^(-1/2) E^T, with
+    # orthonormal E and the whitening variances L = diag(l_0, l_1) in
+    # descending order, so the mixing matrix (its pseudo-inverse) is
+    # E L^(1/2) R and column k has energy r_k^T L r_k. For the rotation by
+    # theta, column 0 exceeds column 1 by (c^2 - s^2)(l_0 - l_1) =
+    # cos(2 theta)(l_0 - l_1), which is never negative: theta lies in
+    # [-pi/4, pi/4], arctan2 of a non-negative second argument halved. That
+    # holds however many channels E spans, and one source needs no order.
+    # The sign convention (dominant demixer weight positive) pins down the
+    # sign ambiguity.
     signs = np.sign(demixer[np.arange(n), np.abs(demixer).argmax(axis=1)])
     signs[signs == 0] = 1.0
     sources = sources * signs[:, None]
@@ -190,6 +195,14 @@ def lowpass_filter(signal: np.ndarray, sample_rate: float) -> np.ndarray:
     ends, convolved with the taps forward and then backward, and trimmed.
     filtfilt's initial-condition terms only reach outputs inside the trimmed
     pad, so plain convolutions give its output bit for bit.
+
+    Only the outputs that survive the trim are computed. With k = numtaps - 1,
+    the kept outputs of the backward pass read forward outputs padlen through
+    the k-th past the pad's far edge, and those read the extended row from k
+    before the pad's near edge on. Each pass is a ``valid`` convolution over
+    exactly that span, and the backward one yields the row itself. numpy
+    computes every full-overlap output as the same (k + 1)-term dot product in
+    ``valid`` as in ``full`` mode, so the trimmed passes give the same bits.
     """
     signal = np.asarray(signal, dtype=np.float64)
     if LOWPASS_CUTOFF_HZ >= sample_rate / 2:
@@ -202,13 +215,13 @@ def lowpass_filter(signal: np.ndarray, sample_rate: float) -> np.ndarray:
     taps = _fir_taps(numtaps, sample_rate)
     rows = signal.reshape(-1, n)
     out = np.empty_like(rows)
+    k = numtaps - 1
     for x, y in zip(rows, out):
         ext = np.concatenate(
             (2 * x[0] - x[padlen:0:-1], x, 2 * x[-1] - x[-2 : -padlen - 2 : -1])
         )
-        forward = np.convolve(ext, taps)[: ext.size]
-        backward = np.convolve(forward[::-1], taps)[: ext.size][::-1]
-        y[:] = backward[padlen:-padlen]
+        forward = np.convolve(ext[padlen - k : ext.size - padlen + k], taps, "valid")
+        y[:] = np.convolve(forward[::-1], taps, "valid")[::-1]
     return out.reshape(signal.shape)
 
 

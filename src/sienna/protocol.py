@@ -386,7 +386,9 @@ class _Device:
     observation so every window is quantized alike. The candidates are
     those rows, then the leakage-corrected recombinations ``s_i - mu * s_j``
     for each ordered pair of distinct sources and each ``mu`` in
-    ``LEAKAGE_GRID``, each normalized and oriented likewise. Recombining,
+    ``LEAKAGE_GRID``, each normalized and oriented likewise. One source has
+    no pairs, so its only candidate is itself: the map is the 1 x 1
+    identity with a zero offset, and no moments are formed. Recombining,
     normalizing and orienting are affine in the sources, so the device
     keeps the (n, T) sources and a (C, n) map with (C,) offsets, built
     from the sources' moments; a window interpolates the n sources and
@@ -397,24 +399,23 @@ class _Device:
         self.config = config
         sources = self.prepare(observation)
         n = sources.samples.shape[0]
-        eye = np.eye(n)
-        pairs = [(i, j) for i in range(n) for j in range(n) if i != j]
-        # Rows in the order (i, j, mu): every mu of a pair, pair by pair.
-        mixes = np.array([eye[i] - mu * eye[j] for i, j in pairs for mu in LEAKAGE_GRID])
-        mixes = mixes.reshape(-1, n)
-        mean, std, third = _affine_moments(sources.samples, mixes)
-        # Both sources have std NORMALIZED_STD and |mu| <= 0.08, so
-        # std(s_i - mu * s_j) >= NORMALIZED_STD * (1 - |mu|) > 0. The gain
-        # normalizes each recombination and orients it to a non-negative
-        # third central moment, as _orient does.
-        gain = np.where(third < 0, -NORMALIZED_STD, NORMALIZED_STD) / std
         # The sources are already centred, so their rows map to themselves
         # bit for bit: 1.0 * v + 0.0 * w + 0.0 == v.
-        self.candidates = _Candidates(
-            sources,
-            np.concatenate([eye, gain[:, None] * mixes]),
-            np.concatenate([np.zeros(n), -gain * mean]),
-        )
+        eye = np.eye(n)
+        weights, offsets = eye, np.zeros(n)
+        pairs = [(i, j) for i in range(n) for j in range(n) if i != j]
+        if pairs:
+            # Rows in the order (i, j, mu): every mu of a pair, pair by pair.
+            mixes = np.array([eye[i] - mu * eye[j] for i, j in pairs for mu in LEAKAGE_GRID])
+            mean, std, third = _affine_moments(sources.samples, mixes)
+            # Both sources have std NORMALIZED_STD and |mu| <= 0.08, so
+            # std(s_i - mu * s_j) >= NORMALIZED_STD * (1 - |mu|) > 0. The gain
+            # normalizes each recombination and orients it to a non-negative
+            # third central moment, as _orient does.
+            gain = np.where(third < 0, -NORMALIZED_STD, NORMALIZED_STD) / std
+            weights = np.concatenate([eye, gain[:, None] * mixes])
+            offsets = np.concatenate([offsets, -gain * mean])
+        self.candidates = _Candidates(sources, weights, offsets)
 
     def derive_fingerprints(self, window_ms: tuple[int, int]) -> list[np.ndarray]:
         """Folded fingerprint of every candidate over a window, in candidate order."""

@@ -150,6 +150,13 @@ def test_linear_demodulate_degenerate_input():
         linear_demodulate(iq)
 
 
+def test_linear_demodulate_needs_only_one_varying_channel():
+    iq = radar_observe(DisplacementSeries(np.zeros(50), 10.0))
+    q = 0.01 * np.sin(2 * np.pi * 0.2 * np.arange(50) / 10)
+    out = linear_demodulate(type(iq)(i_channel=iq.i_channel, q_channel=q, sample_rate=10.0))
+    np.testing.assert_allclose(out, q - q.mean(), rtol=0, atol=1e-15)
+
+
 def test_belt_gain_and_resampling():
     x = synth_displacement(SubjectProfile(seed=8), 0, 10, 10)
     belt = belt_observe(x, gain=2.0, noise_std=0.0, sample_rate=100.0)

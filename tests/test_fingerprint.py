@@ -232,6 +232,53 @@ def test_extract_matches_per_branch_qtz():
         assert np.array_equal(fp.reshape(THRESHOLDS.size, -1, 2)[b], np.array(expected))
 
 
+def _two_compare_extract(series, t_str, t_end):
+    """The quantizer as two comparisons stacked on the last axis, then cast."""
+    n_samples = int(np.floor((t_end - t_str) / SAMPLE_INTERVAL_S + 1e-9)) + 1
+    instants = t_str + np.arange(n_samples) * SAMPLE_INTERVAL_S
+    values = series.value_at(instants)[..., None, :]
+    uppers = THRESHOLDS[:, None]
+    codes = np.stack([values >= uppers, values <= -uppers], axis=-1)
+    return codes.reshape(*values.shape[:-2], -1).astype(np.uint8)
+
+
+class _Held:
+    """Given values at the instants, whatever they are: thresholds stay exact."""
+
+    def __init__(self, values):
+        self.values = values
+
+    def value_at(self, instants):
+        return self.values[..., : instants.size]
+
+
+@pytest.mark.parametrize("window", [(0.0, d) for d in (6.0, 12.0, 24.0, 48.0, 60.0)] + [(10.0, 20.0)])
+def test_extract_equals_the_two_compare_stack(window):
+    """One comparison of each value and its negation gives the two-compare bits."""
+    rng = np.random.default_rng(int(window[1]))
+    samples = rng.normal(0, 0.25, size=(14, 3051))
+    held = samples[:, :601].copy()
+    held[:, ::3] = rng.choice(np.concatenate([THRESHOLDS, -THRESHOLDS, [0.0]]), size=(14, 201))
+    for rows in (slice(None), 5):
+        for series in (DisplacementSeries(samples[rows], 50.0), _Held(held[rows])):
+            fp = extract(series, *window)
+            assert fp.dtype == np.uint8
+            assert np.array_equal(fp, _two_compare_extract(series, *window))
+
+
+def test_normalize_and_skew_equal_the_numpy_moment_formulas():
+    """Centring once gives np.std's bits, and m3 from d * d gives (d * d * d)'s."""
+    rng = np.random.default_rng(300)
+    for trial in range(300):
+        shape = ((1, 2, 14)[trial % 3], int(rng.integers(2, 3000)))
+        x = rng.gamma(2.0, size=shape) * rng.uniform(0.01, 100.0) + rng.normal(0, 50.0)
+        centred = x - x.mean(axis=-1, keepdims=True)
+        expected = centred * (NORMALIZED_STD / x.std(axis=-1, keepdims=True))
+        assert np.array_equal(normalize_series(DisplacementSeries(x, 50.0)).samples, expected)
+        m3 = (centred * centred * centred).mean(axis=-1)
+        assert np.array_equal(skew(x), m3 / (centred * centred).mean(axis=-1) ** 1.5)
+
+
 def test_stacked_segment_pad_equals_each_row_segmented():
     rng = np.random.default_rng(9)
     bits = rng.integers(0, 2, size=(3, 5000), dtype=np.uint8)

@@ -5,6 +5,7 @@ import pytest
 
 from sienna.breathing import linear_demodulate, sample_profile, synth_displacement
 from sienna.ica import (
+    LOWPASS_TAPS,
     _cumulant_matrices,
     _fir_taps,
     jade_separate,
@@ -218,3 +219,69 @@ def test_lowpass_taps_designed_once_and_read_only():
     assert _fir_taps(65, 50.0) is taps
     with pytest.raises(ValueError):
         taps[0] = 1.0
+
+
+def _full_length_lowpass(x, rate):
+    """The filter as two full-length convolutions of the padded row, trimmed after both."""
+    numtaps = min(LOWPASS_TAPS, max(3, x.shape[-1] // 4) | 1)
+    padlen = 3 * numtaps
+    taps = _fir_taps(numtaps, rate)
+    rows = []
+    for row in x.reshape(-1, x.shape[-1]):
+        ext = np.concatenate(
+            (2 * row[0] - row[padlen:0:-1], row, 2 * row[-1] - row[-2 : -padlen - 2 : -1])
+        )
+        forward = np.convolve(ext, taps)[: ext.size]
+        backward = np.convolve(forward[::-1], taps)[: ext.size][::-1]
+        rows.append(backward[padlen:-padlen])
+    return np.array(rows).reshape(x.shape)
+
+
+@pytest.mark.parametrize(
+    "n, rate",
+    # 10 is one past the 3-tap filter's pad; below 260 samples the taps shrink
+    # to n // 4 (odd); 260 is the first length with all 65.
+    [(10, 50.0), (11, 50.0), (40, 50.0), (101, 50.0), (196, 50.0), (259, 50.0), (260, 50.0)]
+    + [(350, 50.0), (650, 50.0), (700, 100.0), (6100, 100.0)],
+)
+def test_lowpass_equals_the_full_length_convolutions(n, rate):
+    """Computing only the outputs the trim keeps changes no bit."""
+    rng = np.random.default_rng(n)
+    for shape in ((n,), (2, n), (3, n)):
+        x = rng.normal(size=shape).cumsum(axis=-1)
+        assert np.array_equal(lowpass_filter(x, rate), _full_length_lowpass(x, rate))
+
+
+def _pinv_ordered_sources(X, result):
+    """jade_separate's sources rebuilt with the mixing matrix as ``pinv(demixer)``,
+    its columns ordered by energy, most energetic first."""
+    n = result.sources.shape[0]
+    white = whiten(X, n)
+    c, s = np.cos(result.angle), np.sin(result.angle)
+    demixer = np.array([[c, -s], [s, c]])[:n, :n].T @ white.whitener
+    sources = demixer @ (X - white.row_means[:, None])
+    order = np.argsort(-(np.linalg.pinv(demixer) ** 2).sum(axis=0))
+    demixer, sources = demixer[order], sources[order]
+    signs = np.sign(demixer[np.arange(n), np.abs(demixer).argmax(axis=1)])
+    signs[signs == 0] = 1.0
+    return sources * signs[:, None], order
+
+
+def test_jade_order_equals_the_pseudo_inverse_column_energies():
+    """Sorting by pinv's column energies never moves a source: the whitened
+    order with a rotation of at most pi/4 already puts the most energetic
+    mixing column first, and the sources equal the sorted ones bit for bit."""
+    rng = np.random.default_rng(30)
+    t = np.arange(400) / 50.0
+    orders = set()
+    for trial in range(320):
+        m, n = (2, 3)[trial % 2], 1 if trial % 5 == 0 else 2
+        f = rng.uniform(0.1, 0.6, size=2)
+        S = np.stack([np.sin(2 * np.pi * f[0] * t), 2 * ((f[1] * t) % 1.0) - 1.0])
+        S = S[:n] * rng.uniform(0.2, 3.0, size=(n, 1))
+        X = rng.normal(size=(m, n)) @ S + 0.01 * rng.normal(size=(m, t.size))
+        result = jade_separate(X, n)
+        expected, order = _pinv_ordered_sources(X, result)
+        orders.add(tuple(order))
+        assert np.array_equal(result.sources, expected), trial
+    assert orders == {(0,), (0, 1)}

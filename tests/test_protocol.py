@@ -800,6 +800,19 @@ def test_candidate_map_matches_the_full_candidate_matrix(seed, subjects):
             assert np.array_equal(np.array(device.derive_fingerprints(window)), folded)
 
 
+@pytest.mark.parametrize("seed", range(4))
+def test_one_source_candidates_are_the_source_itself(seed):
+    """One source has no pairs, so its map is exactly eye(1) with a zero offset."""
+    belt_obs, prms_obs = observe_scene(single_subject_scene(seed))
+    devices = [BeltDevice(belt_obs, CONFIG), PrmsDevice(prms_obs, CONFIG)]
+    devices.append(BeltDevice(observe_scene(two_subject_scene(seed))[0], CONFIG))
+    for device in devices:
+        candidates = device.candidates
+        assert candidates.weights.dtype == candidates.offsets.dtype == np.float64
+        assert np.array_equal(candidates.weights, np.eye(1))
+        assert np.array_equal(candidates.offsets, np.zeros(1))
+
+
 @settings(max_examples=60, deadline=None)
 @given(
     n_samples=st.integers(50, 4000),
