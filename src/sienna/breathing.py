@@ -299,7 +299,7 @@ def belt_observe(
     rng = np.random.default_rng(seed)
     n = round((displacement.t_end - displacement.t_start) * sample_rate)
     t = displacement.t_start + np.arange(n) / sample_rate
-    t = np.minimum(t, displacement.times[-1])
+    # np.interp holds the last sample for every t past the series' end
     resampled = np.interp(t, displacement.times, displacement.samples)
     noise = rng.normal(0.0, noise_std, size=n) if noise_std > 0 else 0.0
     return DisplacementSeries(gain * resampled + noise, sample_rate, displacement.t_start)

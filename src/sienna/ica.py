@@ -154,9 +154,10 @@ def jade_separate(observations: np.ndarray, n_sources: int) -> SeparationResult:
     # [-pi/4, pi/4], arctan2 of a non-negative second argument halved. That
     # holds however many channels E spans, and one source needs no order.
     # The sign convention (dominant demixer weight positive) pins down the
-    # sign ambiguity.
+    # sign ambiguity. No sign is zero: the whitener's rows are orthonormal
+    # eigenvectors scaled by 1/sqrt(l_k) with l_k > 0, and R^T is
+    # orthogonal, so no demixer row is zero and its largest entry is not.
     signs = np.sign(demixer[np.arange(n), np.abs(demixer).argmax(axis=1)])
-    signs[signs == 0] = 1.0
     sources = sources * signs[:, None]
 
     return SeparationResult(sources=sources, angle=float(theta), off_diagonal=off)

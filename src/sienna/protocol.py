@@ -93,12 +93,11 @@ __all__ = [
 ]
 
 WIRE_MAGIC = b"SNNA"
-WIRE_VERSION = 1
+WIRE_VERSION = 2
 MSG_INIT, MSG_COMMIT, MSG_ACKNAK = 0x01, 0x02, 0x03
 # Where the masked codeword starts in an encoded CommitMessage: after the
-# SNNA header, the length-prefixed 4-byte level, the commitment's length
-# prefix and the SNCM header.
-COMMIT_MASK_OFFSET_BITS = 8 * (len(WIRE_MAGIC) + 2 + (4 + 4) + 4 + COMMITMENT_HEADER_BYTES)
+# SNNA header, the 4-byte level and the SNCM header.
+COMMIT_MASK_OFFSET_BITS = 8 * (len(WIRE_MAGIC) + 2 + 4 + COMMITMENT_HEADER_BYTES)
 
 # Known to every party; the first-round announcement carries its hash in
 # place of a key hash, and the first-round prior key derives from it.
@@ -176,52 +175,28 @@ class AckNak:
         _check_uint(self.level_index, 32, "level")
 
 
-def _field(data: bytes) -> bytes:
-    return len(data).to_bytes(4, "big") + data
-
-
 def encode_message(msg: InitMessage | CommitMessage | AckNak) -> bytes:
-    """SNNA wire form: magic, version, type, u32-length-prefixed fields."""
+    """SNNA wire form: magic, version, type, then the fields back to back at
+    the widths the type fixes: INIT key hash, u64 window start and end;
+    COMMIT u32 level and the SNCM blob; ACKNAK verdict byte and u32 level."""
     if isinstance(msg, InitMessage):
-        body = (
-            _field(msg.key_hash)
-            + _field(msg.t_str.to_bytes(8, "big"))
-            + _field(msg.t_end.to_bytes(8, "big"))
-        )
+        body = msg.key_hash + msg.t_str.to_bytes(8, "big") + msg.t_end.to_bytes(8, "big")
         mtype = MSG_INIT
     elif isinstance(msg, CommitMessage):
-        body = _field(msg.level_index.to_bytes(4, "big")) + _field(
-            serialize_commitment(msg.commitment)
-        )
+        body = msg.level_index.to_bytes(4, "big") + serialize_commitment(msg.commitment)
         mtype = MSG_COMMIT
     elif isinstance(msg, AckNak):
-        body = _field(b"\x01" if msg.verdict == "ACK" else b"\x00") + _field(
-            msg.level_index.to_bytes(4, "big")
-        )
+        verdict = b"\x01" if msg.verdict == "ACK" else b"\x00"
+        body = verdict + msg.level_index.to_bytes(4, "big")
         mtype = MSG_ACKNAK
     else:
         raise TypeError(f"not a protocol message: {type(msg)!r}")
     return WIRE_MAGIC + bytes([WIRE_VERSION, mtype]) + body
 
 
-def _split_fields(body: bytes) -> list[bytes]:
-    fields, pos = [], 0
-    while pos < len(body):
-        if pos + 4 > len(body):
-            raise ValueError("truncated field length")
-        n = int.from_bytes(body[pos : pos + 4], "big")
-        pos += 4
-        if pos + n > len(body):
-            raise ValueError("truncated field body")
-        fields.append(body[pos : pos + n])
-        pos += n
-    return fields
-
-
-def _uint(data: bytes, width: int, what: str) -> int:
-    if len(data) != width:
-        raise ValueError(f"{what} must be {width} bytes, got {len(data)}")
-    return int.from_bytes(data, "big")
+def _check_body(body: bytes, width: int, what: str) -> None:
+    if len(body) != width:
+        raise ValueError(f"{what} body must be {width} bytes, got {len(body)}")
 
 
 def decode_message(data: bytes, rs_spec: RsCodeSpec) -> InitMessage | CommitMessage | AckNak:
@@ -232,18 +207,21 @@ def decode_message(data: bytes, rs_spec: RsCodeSpec) -> InitMessage | CommitMess
         raise ValueError("bad message magic")
     if data[4] != WIRE_VERSION:
         raise ValueError(f"unsupported message version {data[4]}")
-    mtype, fields = data[5], _split_fields(data[6:])
+    mtype, body = data[5], data[6:]
     if mtype == MSG_INIT:
-        key_hash, t_str, t_end = fields  # a wrong field count raises ValueError
-        return InitMessage(key_hash, _uint(t_str, 8, "window start"), _uint(t_end, 8, "window end"))
+        _check_body(body, 48, "init")
+        t_str, t_end = int.from_bytes(body[32:40], "big"), int.from_bytes(body[40:], "big")
+        return InitMessage(body[:32], t_str, t_end)
     if mtype == MSG_COMMIT:
-        level, blob = fields
-        return CommitMessage(_uint(level, 4, "level"), deserialize_commitment(blob, rs_spec))
+        # deserialize_commitment checks the blob's exact length for rs_spec,
+        # so a body shorter than the level fails there too
+        level = int.from_bytes(body[:4], "big")
+        return CommitMessage(level, deserialize_commitment(body[4:], rs_spec))
     if mtype == MSG_ACKNAK:
-        verdict, level = fields
-        if verdict not in (b"\x00", b"\x01"):
-            raise ValueError(f"verdict must be 0x00 or 0x01, got {verdict!r}")
-        return AckNak("ACK" if verdict == b"\x01" else "NAK", _uint(level, 4, "level"))
+        _check_body(body, 5, "acknak")
+        if body[0] not in (0, 1):
+            raise ValueError(f"verdict must be 0x00 or 0x01, got 0x{body[0]:02x}")
+        return AckNak("ACK" if body[0] else "NAK", int.from_bytes(body[1:], "big"))
     raise ValueError(f"unknown message type 0x{mtype:02x}")
 
 

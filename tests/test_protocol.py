@@ -127,10 +127,6 @@ def test_wire_rejects_garbage():
         decode_message(blob[:-3], CONFIG.rs_spec)
 
 
-def _fields(*values: bytes) -> bytes:
-    return b"".join(len(v).to_bytes(4, "big") + v for v in values)
-
-
 def test_wire_rejects_short_header():
     blob = encode_message(AckNak("ACK", 0))
     for cut in range(6):  # b"SNNA" included
@@ -139,22 +135,37 @@ def test_wire_rejects_short_header():
 
 
 def test_wire_rejects_verdict_bytes_other_than_ack_and_nak():
+    level = (0).to_bytes(4, "big")
     for verdict in (b"\x07", b"\x02", b"", b"\x01\x00"):
-        blob = b"SNNA\x01\x03" + _fields(verdict, (0).to_bytes(4, "big"))
         with pytest.raises(ValueError):
-            decode_message(blob, CONFIG.rs_spec)
-    ack = b"SNNA\x01\x03" + _fields(b"\x01", (0).to_bytes(4, "big"))
+            decode_message(b"SNNA\x02\x03" + verdict + level, CONFIG.rs_spec)
+    ack = b"SNNA\x02\x03\x01" + level
     assert decode_message(ack, CONFIG.rs_spec) == AckNak("ACK", 0)
 
 
 @pytest.mark.parametrize("width", [0, 4, 7, 9])
 def test_wire_rejects_timestamps_not_eight_bytes(width):
+    """An init body is the key hash and two u64 window bounds, 48 bytes, so
+    a bound of any other width makes a body of another length."""
     good = (60_000).to_bytes(8, "big")
     bad = (30_000).to_bytes(width, "big") if width else b""
     for t_str, t_end in ((bad, good), (bytes(8), bad)):
-        blob = b"SNNA\x01\x01" + _fields(hash256(b"k"), t_str, t_end)
+        blob = b"SNNA\x02\x01" + hash256(b"k") + t_str + t_end
         with pytest.raises(ValueError):
             decode_message(blob, CONFIG.rs_spec)
+    ok = b"SNNA\x02\x01" + hash256(b"k") + bytes(8) + good
+    assert decode_message(ok, CONFIG.rs_spec) == InitMessage(hash256(b"k"), 0, 60_000)
+
+
+def test_wire_rejects_length_prefixed_version_one_frames():
+    def fields(*values: bytes) -> bytes:
+        return b"".join(len(v).to_bytes(4, "big") + v for v in values)
+
+    old_ack = b"SNNA\x01\x03" + fields(b"\x01", (0).to_bytes(4, "big"))
+    with pytest.raises(ValueError):
+        decode_message(old_ack, CONFIG.rs_spec)
+    with pytest.raises(ValueError):  # nor as a version-2 frame of another length
+        decode_message(b"SNNA\x02" + old_ack[5:], CONFIG.rs_spec)
 
 
 def test_init_message_window_validation():
@@ -502,7 +513,7 @@ def test_pairing_transcript_jsonl():
     lines = transcript_to_jsonl(out).strip().splitlines()
     records = [json.loads(line) for line in lines]
     assert records[0]["type"] == "init" and records[0]["direction"] == "a->b"
-    assert {r["bits"] for r in records if r["type"] == "commit"} == {2528}  # one SNNA frame
+    assert {r["bits"] for r in records if r["type"] == "commit"} == {2464}  # one SNNA frame
     assert any(r["type"] == "acknak" for r in records)
     # Simulated ms: init at 1, each commit 10 after the event before it, each
     # ACK/NAK 5 after its commit, and the key derivation with the last ACK.
@@ -705,7 +716,7 @@ def test_every_message_of_a_round_crosses_the_codec(monkeypatch, seed):
 # SHA-256 over the JSONL transcript and each level's (retries, candidate_used,
 # window_ms, stitched_bit_errors, verdict) of the default round of every scene
 # seed in 40..99, failed round 49 and round 95 with retries among them.
-PINNED_TRANSCRIPTS = "efff02e530e3cd867c8f01af9ca4ef94783c3ee5d2642256aa7fe1f63bcadf02"
+PINNED_TRANSCRIPTS = "215d8ec1d0e4269c1bb945b1c0a670cd10189da95d2cea2623c855c804f6f413"
 
 
 def test_whole_transcripts_per_seed():
