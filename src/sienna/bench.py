@@ -469,7 +469,6 @@ def _run_pairing_success(config: ExperimentConfig):
                 i,
                 seed,
                 int(outcome.success),
-                int(outcome.success),
                 retries,
                 outcome.failed_level if outcome.failed_level is not None else -1,
             )
@@ -508,7 +507,7 @@ SCENARIO_TABLE = {
     ),
     "pairing-success": (
         _run_pairing_success,
-        ("trial", "seed", "success", "keys_equal", "total_retries", "failed_level"),
+        ("trial", "seed", "success", "total_retries", "failed_level"),
     ),
 }
 SCENARIOS = tuple(SCENARIO_TABLE)

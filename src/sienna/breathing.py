@@ -14,7 +14,9 @@ gain at its own sample rate. Everything is deterministic per seed.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -80,8 +82,8 @@ class DisplacementSeries:
         object.__setattr__(self, "samples", np.asarray(self.samples, dtype=np.float64))
         if self.samples.ndim not in (1, 2):
             raise ValueError("samples must be one series (T,) or a stack of series (C, T)")
-        if self.sample_rate <= 0:
-            raise ValueError("sample rate must be positive")
+        if not 0 < self.sample_rate < math.inf:
+            raise ValueError(f"sample_rate must be finite and positive, got {self.sample_rate}")
         if not np.all(np.isfinite(self.samples)):
             raise ValueError("displacement contains non-finite values")
 
@@ -89,9 +91,12 @@ class DisplacementSeries:
     def t_end(self) -> float:
         return self.t_start + self.samples.shape[-1] / self.sample_rate
 
-    @property
+    @cached_property
     def times(self) -> np.ndarray:
-        return self.t_start + np.arange(self.samples.shape[-1]) / self.sample_rate
+        """Sample instants, computed once per series and read-only."""
+        times = self.t_start + np.arange(self.samples.shape[-1]) / self.sample_rate
+        times.flags.writeable = False
+        return times
 
     def value_at(self, instants: np.ndarray) -> np.ndarray:
         """Linear interpolation of every series; instants must fall inside the span.
@@ -108,7 +113,7 @@ class DisplacementSeries:
                 f"series span [{self.t_start:.3f}, {times[-1]:.3f}] s"
             )
         rows = self.samples.reshape(-1, times.size)
-        values = np.stack([np.interp(instants, times, row) for row in rows])
+        values = np.array([np.interp(instants, times, row) for row in rows])
         return values.reshape(*self.samples.shape[:-1], instants.size)
 
     def slice(self, t0: float, t1: float) -> DisplacementSeries:
@@ -211,8 +216,13 @@ class RadarIQ:
         object.__setattr__(self, "q_channel", np.asarray(self.q_channel, dtype=np.float64))
         if self.i_channel.size != self.q_channel.size:
             raise ValueError("I and Q channels must have equal length")
-        if self.wavelength <= 0:
-            raise ValueError("wavelength must be positive")
+        for name in ("i_channel", "q_channel"):
+            if not np.all(np.isfinite(getattr(self, name))):
+                raise ValueError(f"{name} contains non-finite values")
+        for name in ("sample_rate", "wavelength"):
+            value = getattr(self, name)
+            if not 0 < value < math.inf:
+                raise ValueError(f"{name} must be finite and positive, got {value}")
 
     def slice(self, t0: float, t1: float) -> RadarIQ:
         """The I/Q samples at t0 through t1, both ends included, starting at t0."""

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -117,9 +118,20 @@ def ladder_levels(p_max: float, p0: float) -> JammingLadder:
 # -- modulation ---------------------------------------------------------------
 
 
-def _position_to_gray(spec: QamSpec) -> np.ndarray:
-    pos = np.arange(spec.side)
-    return pos ^ (pos >> 1)
+@lru_cache(maxsize=None)
+def _qam_tables(spec: QamSpec) -> tuple[np.ndarray, np.ndarray]:
+    """Per-axis tables, built once per spec and read-only: the amplitude of
+    each Gray label, and the bits of the Gray label at each amplitude
+    position (lowest position first), most significant bit first."""
+    side, half = spec.side, spec.bits_per_symbol // 2
+    pos = np.arange(side)
+    gray = pos ^ (pos >> 1)
+    levels = np.empty(side)
+    levels[gray] = spec.amplitude_scale * (2 * pos - side + 1)
+    position_bits = ((gray[:, None] >> np.arange(half - 1, -1, -1)) & 1).astype(np.uint8)
+    for table in (levels, position_bits):
+        table.flags.writeable = False
+    return levels, position_bits
 
 
 def qam_modulate(bits: np.ndarray, spec: QamSpec) -> np.ndarray:
@@ -136,9 +148,7 @@ def qam_modulate(bits: np.ndarray, spec: QamSpec) -> np.ndarray:
     labels = np.zeros(bits.size // half, dtype=np.intp)
     for j in range(half):  # most significant bit first
         labels = (labels << 1) | bits[j::half]
-    side = spec.side
-    levels = np.empty(side)
-    levels[_position_to_gray(spec)] = spec.amplitude_scale * (2 * np.arange(side) - side + 1)
+    levels, _ = _qam_tables(spec)
     return levels[labels].view(np.complex128)
 
 
@@ -149,11 +159,14 @@ def qam_demodulate(symbols: np.ndarray, spec: QamSpec, n_bits: int | None = None
     """
     planes = np.ascontiguousarray(symbols, dtype=np.complex128).view(np.float64)
     side = spec.side
-    half = spec.bits_per_symbol // 2
-    pos = np.clip(np.round((planes / spec.amplitude_scale + side - 1) / 2), 0, side - 1)
-    labels = _position_to_gray(spec)[pos.astype(np.intp)]
-    shifts = np.arange(half - 1, -1, -1)
-    bits = ((labels[:, None] >> shifts) & 1).ravel().astype(np.uint8)
+    _, position_bits = _qam_tables(spec)
+    # (planes / scale + side - 1) / 2, rounded half to even and clipped, in place.
+    pos = planes / spec.amplitude_scale
+    pos += side
+    pos -= 1
+    pos /= 2
+    np.clip(np.rint(pos, out=pos), 0, side - 1, out=pos)
+    bits = position_bits.take(pos.astype(np.intp), axis=0).ravel()
     if n_bits is not None:
         if not 0 <= n_bits <= bits.size:
             raise ValueError(f"asked for {n_bits} bits, frame holds {bits.size}")
@@ -164,15 +177,19 @@ def qam_demodulate(symbols: np.ndarray, spec: QamSpec, n_bits: int | None = None
 def _add_noise(planes: np.ndarray, power: float, rng: np.random.Generator) -> None:
     """Add complex Gaussian noise of total power ``power`` to (n, 2) float
     planes in place; every real part is drawn before any imaginary part."""
-    scale = math.sqrt(power / 2)
-    for part in (0, 1):
-        planes[:, part] += scale * rng.standard_normal(planes.shape[0])
+    noise = rng.standard_normal((2, planes.shape[0]))
+    noise *= math.sqrt(power / 2)
+    np.add(planes.T, noise, out=planes.T)
+
+
+def _check_power(power: float, what: str) -> None:
+    if not 0 <= power < math.inf:
+        raise ValueError(f"{what} power must be finite and non-negative, got {power}")
 
 
 def awgn(symbols: np.ndarray, noise_power: float, rng: np.random.Generator) -> np.ndarray:
     """Complex Gaussian noise of total power ``noise_power`` per symbol."""
-    if not 0 <= noise_power < math.inf:
-        raise ValueError(f"noise power must be finite and non-negative, got {noise_power}")
+    _check_power(noise_power, "noise")
     noisy = np.array(symbols, dtype=np.complex128, copy=True)
     if noise_power > 0:
         _add_noise(noisy.view(np.float64).reshape(-1, 2), noise_power, rng)
@@ -189,6 +206,14 @@ def noise_power_for_snr(snr: float, spec: QamSpec) -> float:
 # -- dialog codes -------------------------------------------------------------
 
 
+@lru_cache(maxsize=16)
+def _first_copies(n_pairs: int) -> np.ndarray:
+    """Read-only frame index of each pair's first copy, ``2 * i``."""
+    index = 2 * np.arange(n_pairs)
+    index.flags.writeable = False
+    return index
+
+
 def dup_and_jam(
     symbols: np.ndarray,
     jam_mask: np.ndarray,
@@ -201,20 +226,23 @@ def dup_and_jam(
     Returns the on-air frame: complex symbols, pair i at 2i and 2i + 1, the
     copy ``jam_mask[i]`` of pair i jammed. The jam is zero-mean complex
     Gaussian with the same form as the modulated signal; channel noise of
-    ``noise_power`` lands on both copies.
+    ``noise_power`` lands on both copies, drawn after the jam as ``awgn``
+    draws it, and added in place to the frame.
     """
     symbols = np.ascontiguousarray(symbols, dtype=np.complex128)
     jam_mask = as_bits(jam_mask)
     if jam_mask.size != symbols.size:
         raise ValueError("need one mask bit per symbol pair")
-    if not 0 <= jam_power < math.inf:
-        raise ValueError(f"jam power must be finite and non-negative, got {jam_power}")
+    _check_power(jam_power, "jam")
+    _check_power(noise_power, "noise")
     on_air = np.repeat(symbols, 2)
     if jam_power > 0:
         jammed = symbols.view(np.float64).reshape(-1, 2).copy()
         _add_noise(jammed, jam_power, rng)
-        on_air[2 * np.arange(symbols.size) + jam_mask] = jammed.view(np.complex128).ravel()
-    return awgn(on_air, noise_power, rng)
+        on_air[_first_copies(symbols.size) + jam_mask] = jammed.view(np.complex128).ravel()
+    if noise_power > 0:
+        _add_noise(on_air.view(np.float64).reshape(-1, 2), noise_power, rng)
+    return on_air
 
 
 def _pairs(frame: np.ndarray) -> np.ndarray:

@@ -49,6 +49,7 @@ NORMALIZED_STD = 0.20
 # units, at instants SAMPLE_INTERVAL_S apart. 10 s of it is 2020 bits, one
 # padded (255, 201) codeword.
 THRESHOLDS = 0.05 * np.arange(1, 11)
+THRESHOLDS.flags.writeable = False
 SAMPLE_INTERVAL_S = 0.1
 
 
@@ -82,8 +83,14 @@ def extract(series: DisplacementSeries, t_str: float, t_end: float) -> np.ndarra
     n_samples = int(np.floor((t_end - t_str) / T + 1e-9)) + 1
     instants = t_str + np.arange(n_samples) * T
     values = series.value_at(instants)  # (..., samples)
-    pairs = np.stack([values, -values], axis=-1)[..., None, :, :]  # (..., 1, samples, 2)
-    codes = pairs >= THRESHOLDS[:, None, None]  # (..., branches, samples, 2)
+    pairs = np.empty((*values.shape, 2))  # (..., samples, 2)
+    pairs[..., 0] = values
+    np.negative(values, out=pairs[..., 1])
+    pairs = pairs.reshape(-1, 2 * n_samples)  # (rows, samples * 2)
+    # With the branches on the outer axis, each compares one threshold with
+    # the whole stack; one copy then puts the rows outermost.
+    codes = THRESHOLDS[:, None, None] <= pairs  # (branches, rows, samples * 2)
+    codes = np.ascontiguousarray(codes.transpose(1, 0, 2))
     return codes.reshape(*values.shape[:-1], -1).view(np.uint8)
 
 

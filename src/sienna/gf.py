@@ -54,7 +54,7 @@ class FieldSpec:
 
 
 class GaloisField:
-    """exp/log tables plus vectorized arithmetic for one field instance.
+    """Read-only exp/log tables plus vectorized arithmetic for one field instance.
 
     ``exp`` is byte-wide (uint8), so a gather from it yields symbols on
     which numpy reductions run one byte per element. ``log[0]`` is the
@@ -94,6 +94,9 @@ class GaloisField:
         exp[order:zero_log] = exp[:order]
         inv_log = (order - log) % order
         inv_log[0] = zero_log
+        # Every codec of this width shares these tables, so none may change.
+        for table in (exp, log, inv_log):
+            table.flags.writeable = False
         self.exp = exp
         self.log = log
         self.inv_log = inv_log

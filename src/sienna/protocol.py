@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field, replace
+from functools import lru_cache
 from typing import Callable, Literal
 
 import numpy as np
@@ -356,6 +357,20 @@ class _Candidates:
         return self.weights @ self.sources.value_at(instants) + self.offsets[:, None]
 
 
+@lru_cache(maxsize=None)
+def _leakage_mixes(n: int) -> np.ndarray:
+    """The recombinations ``s_i - mu * s_j`` of n sources as a read-only
+    (rows, n) map, built once per source count. Rows are in the order
+    (i, j, mu): every mu of a pair, pair by pair. One source has no pairs,
+    so its map has no rows."""
+    eye = np.eye(n)
+    pairs = [(i, j) for i in range(n) for j in range(n) if i != j]
+    mixes = np.array([eye[i] - mu * eye[j] for i, j in pairs for mu in LEAKAGE_GRID])
+    mixes = mixes.reshape(-1, n)
+    mixes.flags.writeable = False
+    return mixes
+
+
 class _Device:
     """One device's fingerprint pipeline over what its sensor gives.
 
@@ -381,10 +396,8 @@ class _Device:
         # bit for bit: 1.0 * v + 0.0 * w + 0.0 == v.
         eye = np.eye(n)
         weights, offsets = eye, np.zeros(n)
-        pairs = [(i, j) for i in range(n) for j in range(n) if i != j]
-        if pairs:
-            # Rows in the order (i, j, mu): every mu of a pair, pair by pair.
-            mixes = np.array([eye[i] - mu * eye[j] for i, j in pairs for mu in LEAKAGE_GRID])
+        mixes = _leakage_mixes(n)
+        if mixes.size:
             mean, std, third = _affine_moments(sources.samples, mixes)
             # Both sources have std NORMALIZED_STD and |mu| <= 0.08, so
             # std(s_i - mu * s_j) >= NORMALIZED_STD * (1 - |mu|) > 0. The gain

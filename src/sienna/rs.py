@@ -75,7 +75,7 @@ def standard_code() -> RsCodeSpec:
 
 
 class RsCodec:
-    """Table-driven encoder/decoder; every matrix is built once per code.
+    """Table-driven encoder/decoder; every matrix is built once per code, read-only.
 
     Matrices whose entries are field constants are kept as logs, so a
     product with a word's symbols is one add of log arrays and one gather
@@ -134,6 +134,10 @@ class RsCodec:
         # as many distinct table rows and columns as one with t, which
         # keeps the tail's time flat in the error count.
         self._pad_pos = self._slots * m // (t + 1)
+        # One codec serves every caller of its spec (``_codec_for``).
+        for table in vars(self).values():
+            if isinstance(table, np.ndarray):
+                table.flags.writeable = False
 
     # -- encoding ---------------------------------------------------------
 

@@ -1,5 +1,8 @@
 """Signal models: envelopes, determinism, demodulation round trips."""
 
+import dataclasses
+import math
+
 import numpy as np
 import pytest
 
@@ -247,3 +250,50 @@ def test_slice_keeps_the_inclusive_end_sample(t0, t1):
     assert iq_part.t_start == t0
     for name in ("sample_rate", "wavelength", "a_i", "a_q"):
         assert getattr(iq_part, name) == getattr(iq, name)
+
+
+def test_replaced_series_interpolate_at_their_own_time_base():
+    x = DisplacementSeries(np.arange(10.0), 10.0, 0.0)
+    np.testing.assert_array_equal(x.value_at(np.array([0.0, 0.5])), [0.0, 5.0])
+    shifted = dataclasses.replace(x, t_start=2.0)
+    np.testing.assert_array_equal(shifted.times, 2.0 + np.arange(10) / 10.0)
+    np.testing.assert_array_equal(shifted.value_at(np.array([2.0, 2.5])), [0.0, 5.0])
+    with pytest.raises(ValueError):
+        shifted.value_at(np.array([0.5]))
+    np.testing.assert_array_equal(x.value_at(np.array([0.0, 0.5])), [0.0, 5.0])
+
+
+def test_a_series_time_base_is_computed_once_and_read_only():
+    x = DisplacementSeries(np.arange(10.0), 10.0, 1.0)
+    assert x.times is x.times
+    with pytest.raises(ValueError):
+        x.times[0] = 0.0
+    np.testing.assert_array_equal(x.value_at(np.array([1.0])), [0.0])
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [("sample_rate", math.nan), ("sample_rate", math.inf), ("sample_rate", 0.0),
+     ("sample_rate", -10.0), ("wavelength", math.inf), ("wavelength", math.nan),
+     ("wavelength", 0.0), ("wavelength", -1.07)],
+)
+def test_radar_iq_rejects_a_rate_or_wavelength_that_is_not_finite_and_positive(field, value):
+    iq = radar_observe(synth_displacement(SubjectProfile(), 0, 2, 10))
+    with pytest.raises(ValueError, match=field):
+        dataclasses.replace(iq, **{field: value})
+
+
+@pytest.mark.parametrize("field", ["i_channel", "q_channel"])
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_radar_iq_rejects_non_finite_samples(field, bad):
+    iq = radar_observe(synth_displacement(SubjectProfile(), 0, 2, 10))
+    samples = getattr(iq, field).copy()
+    samples[3] = bad
+    with pytest.raises(ValueError, match=field):
+        dataclasses.replace(iq, **{field: samples})
+
+
+@pytest.mark.parametrize("rate", [math.nan, math.inf])
+def test_displacement_series_rejects_a_non_finite_sample_rate(rate):
+    with pytest.raises(ValueError, match="sample_rate"):
+        DisplacementSeries(np.zeros(4), rate)

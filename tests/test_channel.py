@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from sienna import channel
 from sienna.bits import bits_from_bytes, random_bits
 from sienna.channel import (
     ChannelParams,
@@ -441,3 +442,37 @@ def test_demodulation_ties_round_half_to_even():
         edges = spec.amplitude_scale * np.arange(-side, side + 1, 2, dtype=np.float64)
         symbols = (edges[:, None] + 1j * edges[None, :]).ravel()
         _same(qam_demodulate(symbols, spec), _ref_qam_demodulate(symbols, spec))
+
+
+@pytest.mark.parametrize("order", [4, 16, 64])
+@pytest.mark.parametrize("jam_power, noise_power", [(0.0, 0.0), (0.0, 0.02), (0.37, 0.0), (0.37, 0.02)])
+def test_cached_tables_are_read_only_and_never_reach_an_output(order, jam_power, noise_power):
+    """The QAM tables and the frame's scatter index are built once and shared;
+    each call returns arrays of its own, and writing them changes no later call."""
+    spec = QamSpec(order)
+    bits = random_bits(2 * 101 + 3, np.random.default_rng(order))
+    symbols = qam_modulate(bits, spec)
+    kept = symbols.copy()
+    mask = random_bits(symbols.size, np.random.default_rng(1))
+    frame = dup_and_jam(symbols, mask, jam_power, np.random.default_rng(2), noise_power=noise_power)
+    for table in (*channel._qam_tables(spec), channel._first_copies(symbols.size)):
+        assert not np.shares_memory(table, frame) and not np.shares_memory(table, symbols)
+        with pytest.raises(ValueError):
+            table[0] = 1
+    # The channel noise lands in place on the frame, never on the caller's symbols.
+    assert not np.shares_memory(frame, symbols)
+    _same(symbols, kept)
+    ref = _ref_dup_and_jam(kept, mask, jam_power, np.random.default_rng(2), noise_power)
+    _same(frame, ref)
+
+    stitched = receiver_stitch(frame, mask)
+    received = qam_demodulate(stitched, spec, n_bits=bits.size)
+    if jam_power == noise_power == 0:
+        _same(received, bits)
+    for array in (symbols, frame, stitched, received):
+        array[:] = 0
+    _same(qam_modulate(bits, spec), kept)
+    frame = dup_and_jam(kept, mask, jam_power, np.random.default_rng(2), noise_power=noise_power)
+    _same(frame, ref)
+    _same(qam_demodulate(receiver_stitch(frame, mask), spec, n_bits=bits.size),
+          _ref_qam_demodulate(_ref_receiver_stitch(ref, mask), spec, n_bits=bits.size))

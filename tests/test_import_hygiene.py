@@ -3,17 +3,22 @@
 The runtime needs numpy alone: importing the package loads no scipy. Every
 name a module exports and every field of a frozen dataclass has a reader
 outside the tests, every public class and function is exported, every
-name a module imports is read, and no module has an ``assert`` statement.
+name a module imports is read, no module has an ``assert`` statement, and
+no array the whole process shares can be written.
 """
 
 import ast
+import importlib
 import os
 import re
 import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
+
+from sienna.rs import standard_code
 
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src"
@@ -171,3 +176,26 @@ def test_every_top_level_name_is_read_from_the_package():
         if not re.search(rf"\bsienna\.{re.escape(name)}\b", readers)
     ]
     assert unread == []
+
+
+def test_shared_arrays_are_read_only():
+    """A module's arrays and the standard code's cached codec and field
+    tables serve every caller in the process, so a write into one would
+    change every later result: one flipped ``exp`` entry made the next
+    decode of a word with one error return None."""
+    owners = {
+        f"sienna.{name[:-3]}": vars(importlib.import_module(f"sienna.{name[:-3]}"))
+        for name in MODULES
+        if name not in ("__init__.py", "__main__.py")
+    }
+    codec = standard_code().codec()
+    owners.update(codec=vars(codec), field=vars(codec.gf))
+    writable = [
+        f"{owner}.{name}"
+        for owner, namespace in owners.items()
+        for name, value in namespace.items()
+        if isinstance(value, np.ndarray) and value.flags.writeable
+    ]
+    assert writable == []
+    with pytest.raises(ValueError):
+        codec.gf.exp[5] ^= 1

@@ -824,6 +824,19 @@ def test_one_source_candidates_are_the_source_itself(seed):
         assert np.array_equal(candidates.offsets, np.zeros(1))
 
 
+@pytest.mark.parametrize("n", [1, 2])
+def test_leakage_mixes_are_built_once_per_source_count_and_read_only(n):
+    mixes = protocol._leakage_mixes(n)
+    assert mixes is protocol._leakage_mixes(n)
+    eye = np.eye(n)
+    pairs = [(i, j) for i in range(n) for j in range(n) if i != j]
+    expected = [eye[i] - mu * eye[j] for i, j in pairs for mu in protocol.LEAKAGE_GRID]
+    assert mixes.shape == (len(expected), n)
+    assert np.array_equal(mixes, np.reshape(expected, mixes.shape))
+    with pytest.raises(ValueError):
+        mixes[...] = 0.0
+
+
 @settings(max_examples=60, deadline=None)
 @given(
     n_samples=st.integers(50, 4000),
