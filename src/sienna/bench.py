@@ -2,10 +2,13 @@
 
 Each scenario reproduces one axis of the system evaluation at desk scale:
 source separation on the radar path a round runs, fingerprint similarity
-across window lengths, commitment randomness, decoder timing flatness (of
-GF(2^8) codes, whatever the configured code), insider-adversary bit error
-rates across the jamming ladder, and end-to-end pairing success. Scenarios
-are deterministic per seed set; all timestamps come from the simulated
+across window lengths, commitment randomness, decoder timing flatness
+across the error counts of three GF(2^8) codes, insider-adversary bit
+error rates across the jamming ladder, and end-to-end pairing success.
+Every scenario runs the paper's one setting: the (255, 201) code, the
+15 dB link over a unit noise floor and the p_max = 1000 p0 ladder; a run
+varies only its seeds, trial and sample counts. Scenarios are
+deterministic per seed set; all timestamps come from the simulated
 clock, so artifacts are byte-identical across runs (the one necessary
 exception: rs-timing's wall-clock times and the summary's
 ``variation_by_parity``, ``zero_to_t_time_ratio_by_parity``,
@@ -17,7 +20,7 @@ from __future__ import annotations
 
 import json
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -44,8 +47,12 @@ from .rs import RsCodeSpec, standard_code
 
 __all__ = ["ExperimentConfig", "SCENARIOS", "SCENARIO_TABLE", "run_experiment"]
 
-# Fixed shapes of three scenarios.
+# Fixed shapes of the scenarios.
+POPULATION = 20  # subjects in fingerprint-similarity
+DURATIONS = (6.0, 12.0, 24.0, 48.0, 60.0)  # window lengths in s in fingerprint-similarity, sorted
 SIMILARITY_OFFSETS = 6  # window start offsets per duration in fingerprint-similarity
+CHANNEL = ChannelParams()  # the main link of adversarial-ber and pairing-success
+P_MAX = 1000.0  # the top jamming power, over the same noise floor
 RS_TIMING_PARITIES = (16, 32, 54)  # parity symbols of the codes rs-timing decodes
 RS_TIMING_REPS = 40  # timed decodes of every error count in rs-timing
 ADVERSARIAL_GRID_POINTS = 20  # insider powers, log-spaced from p0 to p_max
@@ -57,11 +64,6 @@ SEEDLESS_SCENARIOS = ("adversarial-ber",)
 class ExperimentConfig:
     scenario: str = "pairing-success"
     seeds: tuple[int, ...] = (0,)
-    population: int = 20
-    durations: tuple[float, ...] = (6.0, 12.0, 24.0, 48.0, 60.0)
-    rs: RsCodeSpec = field(default_factory=standard_code)
-    channel: ChannelParams = field(default_factory=ChannelParams)
-    p_max: float = 1000.0
     trials: int = 100
     samples: int = 10_000
     output_path: str = "out"
@@ -71,16 +73,9 @@ class ExperimentConfig:
             raise ValueError(f"unknown scenario {self.scenario!r}; choose from {SCENARIOS}")
         if len(self.seeds) == 0:
             raise ValueError("need at least one seed")
-        if len(self.durations) == 0:
-            raise ValueError("need at least one window duration")
-        for d in self.durations:
-            if not 6.0 <= d <= 60.0:
-                raise ValueError(f"window durations must lie in [6, 60] s, got {d}")
-        # fingerprint-similarity compares every pair of distinct subjects.
-        for name, least in (("population", 2), ("trials", 1), ("samples", 1)):
-            if getattr(self, name) < least:
-                raise ValueError(f"{name} must be at least {least}, got {getattr(self, name)}")
-        ladder_levels(self.p_max, self.channel.p0)  # every scenario's ladder must exist
+        for name in ("trials", "samples"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be at least 1, got {getattr(self, name)}")
 
     def trial_seed(self, index: int, salt: int = 0) -> int:
         base = self.seeds[index % len(self.seeds)]
@@ -161,7 +156,7 @@ def _run_fingerprint_similarity(config: ExperimentConfig):
     """
     obs_len = 91.0
     observations = []
-    for i in range(config.population):
+    for i in range(POPULATION):
         seed = config.trial_seed(i, salt=1)
         scene = PairingScene(
             subjects=(sample_profile(seed, drift_std=0.02),),
@@ -173,7 +168,7 @@ def _run_fingerprint_similarity(config: ExperimentConfig):
         observations.append(observe_scene(scene))
     rows = []
     same_means = {}
-    for duration in sorted(config.durations):
+    for duration in DURATIONS:
         offsets = np.linspace(0.0, obs_len - 1.0 - duration, SIMILARITY_OFFSETS)
         sims_same = []
         for i, (belt, radar) in enumerate(observations):
@@ -188,8 +183,8 @@ def _run_fingerprint_similarity(config: ExperimentConfig):
         *(_window_bits(belt, radar, 0.0, 60.0) for belt, radar in observations)
     )
     cross_sims = []
-    for i in range(config.population):
-        for j in range(config.population):
+    for i in range(POPULATION):
+        for j in range(POPULATION):
             if i == j:
                 continue
             sim = hamming_similarity(full_bits_belt[i], full_bits_radar[j])
@@ -198,9 +193,9 @@ def _run_fingerprint_similarity(config: ExperimentConfig):
     cross_mean = float(np.mean(cross_sims))
     ordered = list(same_means.values())  # built in sorted duration order
     monotone = all(a <= b + 1e-12 for a, b in zip(ordered, ordered[1:]))
-    gap = same_means[max(same_means)] - cross_mean
+    gap = same_means[60.0] - cross_mean
     summary = {
-        "same_subject_mean_by_duration": {str(k): v for k, v in sorted(same_means.items())},
+        "same_subject_mean_by_duration": {str(k): v for k, v in same_means.items()},
         "cross_subject_mean_at_60s": cross_mean,
         "gap_at_60s": gap,
         "checks": {
@@ -215,10 +210,10 @@ def _run_fingerprint_similarity(config: ExperimentConfig):
 
 
 def _run_commitment_entropy(config: ExperimentConfig):
-    spec = config.rs
+    spec = standard_code()
     seed = config.trial_seed(0, salt=1)
     belt_series, _ = observe_scene(PairingScene(subjects=(sample_profile(seed),), seed=seed))
-    belt = BeltDevice(belt_series, PipelineConfig(rs_spec=spec))
+    belt = BeltDevice(belt_series, PipelineConfig())
     fingerprint = belt.derive_fingerprints((0, 60_000))[0]
     drbg = Sha256Drbg(config.trial_seed(0, salt=2))
     # The rank rate stacks R = codeword_bits + 64 differences x_i ^ x_0, so a
@@ -396,18 +391,18 @@ def _run_adversarial_ber(config: ExperimentConfig):
     jamming off at p2 = p1, checks the harness: there the insider must win.
     The scenario reads no trial count and no seed.
     """
-    p0 = config.channel.p0
-    ladder = ladder_levels(config.p_max, p0)
-    grid = np.logspace(np.log10(p0), np.log10(config.p_max), ADVERSARIAL_GRID_POINTS)
+    p0 = CHANNEL.p0
+    ladder = ladder_levels(P_MAX, p0)
+    grid = np.logspace(np.log10(p0), np.log10(P_MAX), ADVERSARIAL_GRID_POINTS)
     points = [(float(p2), level) for p2 in grid for level in ladder.levels]
-    points.append((config.channel.p1, 0.0))
+    points.append((CHANNEL.p1, 0.0))
     p_clean, p_jammed = [], []
     for p2, level in points:
         noise = noise_power_for_snr(p2 / p0, QAM)
         p_clean.append(ber_theoretical(QAM.order, p2 / p0))
         p_jammed.append(ber_theoretical(QAM.order, 1.0 / (2.0 * (noise + level / p2))))
     p_clean, p_jammed = np.array(p_clean), np.array(p_jammed)
-    success = _insider_success(config.rs, p_clean, p_jammed)
+    success = _insider_success(standard_code(), p_clean, p_jammed)
     bers = 0.5 * (p_clean + p_jammed)
     n_levels = ladder.count
     failure_rates = 1.0 - np.prod(success[:-1].reshape(-1, n_levels), axis=1)
@@ -441,8 +436,8 @@ def _run_adversarial_ber(config: ExperimentConfig):
 
 
 def _run_pairing_success(config: ExperimentConfig):
-    pipeline = PipelineConfig(rs_spec=config.rs)
-    ladder = ladder_levels(config.p_max, config.channel.p0)
+    pipeline = PipelineConfig()
+    ladder = ladder_levels(P_MAX, CHANNEL.p0)
     rows = []
     successes = 0
     completions = 0
@@ -453,7 +448,7 @@ def _run_pairing_success(config: ExperimentConfig):
         outcome = run_pairing(
             BeltDevice(belt, pipeline),
             PrmsDevice(radar, pipeline),
-            config.channel,
+            CHANNEL,
             ladder,
             np.random.default_rng(seed ^ 0x9E3779B9),
             salt_seed=seed,

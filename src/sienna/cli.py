@@ -4,12 +4,12 @@ Subcommands: ``run <scenario>`` executes one bench scenario and writes its
 CSV plus summary JSON, ``selftest`` runs the exhaustive small-field codec
 and commitment suites and exits 1 if any fails, ``dump-config`` prints
 every field of the default configuration, counts included, in the flat
-key=value format ``--config`` reads; its floats are exact, so ``--config``
-of its output is the default run. ``--check`` makes the exit status reflect
-the scenario's gates. ``--seed`` (else ``SIENNA_SEED``), ``--out``,
-``--trials`` and ``--samples`` win over the file's lines. A file that
-cannot be read, a bad line, flag or seed, and an ``--out`` that cannot be
-made a directory exit 2; ``population`` must be at least 2.
+key=value format ``--config`` reads, so ``--config`` of its output is the
+default run. ``--check`` makes the exit status reflect the scenario's
+gates. The command line's scenario, ``--seed`` (else ``SIENNA_SEED``),
+``--out``, ``--trials`` and ``--samples`` win over the file's lines. A file that cannot be read, a bad
+or repeated line, a bad flag or seed, and an ``--out`` that cannot be made
+a directory exit 2.
 """
 
 from __future__ import annotations
@@ -24,7 +24,6 @@ from pathlib import Path
 import numpy as np
 
 from .bench import SCENARIO_TABLE, SCENARIOS, ExperimentConfig, run_experiment
-from .channel import ChannelParams
 from .gf import FieldSpec
 from .rs import RsCodeSpec
 
@@ -33,15 +32,9 @@ __all__ = ["main", "cli_entry", "parse_config_text", "default_config_text"]
 
 def default_config_text(config: ExperimentConfig | None = None) -> str:
     config = config or ExperimentConfig()
-    ch = config.channel
     lines = [
         f"scenario={config.scenario}",
         "seeds=" + ",".join(str(s) for s in config.seeds),
-        f"population={config.population}",
-        "durations=" + ",".join(repr(d) for d in config.durations),
-        f"rs={config.rs.field.k_bits},{config.rs.m_symbols},{config.rs.n_symbols}",
-        f"channel={ch.p0!r},{ch.p1!r}",
-        f"p_max={config.p_max!r}",
         f"output_path={config.output_path}",
         f"trials={config.trials}",
         f"samples={config.samples}",
@@ -50,7 +43,8 @@ def default_config_text(config: ExperimentConfig | None = None) -> str:
 
 
 def parse_config_text(text: str) -> ExperimentConfig:
-    """Apply every key=value line to the default at once, so lines may come in any order."""
+    """Apply every key=value line to the default at once, so lines may come in
+    any order; a key may appear on one line only."""
     changes = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
@@ -61,23 +55,15 @@ def parse_config_text(text: str) -> ExperimentConfig:
         key, value = (part.strip() for part in line.split("=", 1))
         if key not in {f.name for f in fields(ExperimentConfig)}:
             raise ValueError(f"config line {lineno}: unknown key {key!r}")
+        if key in changes:
+            raise ValueError(f"config line {lineno}: repeated key {key!r}")
         try:
             if key in ("scenario", "output_path"):
                 changes[key] = value
-            elif key in ("population", "trials", "samples"):
+            elif key in ("trials", "samples"):
                 changes[key] = int(value)
-            elif key == "p_max":
-                changes[key] = float(value)
-            elif key == "seeds":
+            else:
                 changes[key] = tuple(int(v) for v in value.split(","))
-            elif key == "durations":
-                changes[key] = tuple(float(v) for v in value.split(","))
-            elif key == "rs":
-                k, m, n = (int(v) for v in value.split(","))
-                changes[key] = RsCodeSpec(FieldSpec(k), m, n)
-            elif key == "channel":
-                p0, p1 = (float(v) for v in value.split(","))
-                changes[key] = ChannelParams(p0=p0, p1=p1)
         except ValueError as exc:
             raise ValueError(f"config line {lineno}: bad {key}={value}: {exc}") from None
     return ExperimentConfig(**changes)
@@ -203,12 +189,12 @@ def cli_entry(argv: list[str] | None = None) -> int:
         if seed is None and env_seed:
             seed = int(env_seed)
         text = "" if args.config is None else Path(args.config).read_text()
-        # The command line's scenario is read as the file's last line, so it
-        # and the file's lines apply together; its flags then win over both.
-        config = parse_config_text(f"{text}\nscenario={args.scenario}\n")
+        config = parse_config_text(text)
+        # The command line's scenario and flags win over the file's lines.
         seeds = None if seed is None else (seed,)
         flags = dict(seeds=seeds, output_path=args.out, trials=args.trials, samples=args.samples)
-        config = replace(config, **{k: v for k, v in flags.items() if v is not None})
+        flags = {k: v for k, v in flags.items() if v is not None}
+        config = replace(config, scenario=args.scenario, **flags)
     except (OSError, ValueError) as exc:
         if seed is None and env_seed:
             print(f"bad override: SIENNA_SEED={env_seed}", file=sys.stderr)

@@ -26,7 +26,7 @@ from dataclasses import replace
 
 import numpy as np
 
-from .bits import as_bits, bit_array
+from .bits import as_bits
 from .breathing import DisplacementSeries
 
 __all__ = [
@@ -34,7 +34,6 @@ __all__ = [
     "hamming_similarity",
     "normalize_series",
     "qtz",
-    "segment_pad",
     "skew",
 ]
 
@@ -92,25 +91,6 @@ def extract(series: DisplacementSeries, t_str: float, t_end: float) -> np.ndarra
     codes = THRESHOLDS[:, None, None] <= pairs  # (branches, rows, samples * 2)
     codes = np.ascontiguousarray(codes.transpose(1, 0, 2))
     return codes.reshape(*values.shape[:-1], -1).view(np.uint8)
-
-
-def segment_pad(bits: np.ndarray, target_len: int) -> np.ndarray:
-    """Split into target_len chunks, zero-padding the final one.
-
-    Returns shape (..., n_segments, target_len): the segments of each bit
-    string along the last axis.
-    """
-    bits = bit_array(bits)
-    if bits.ndim == 0:
-        raise ValueError("bit strings need at least one axis")
-    if target_len <= 0:
-        raise ValueError("target length must be positive")
-    if bits.shape[-1] == 0:
-        raise ValueError("cannot segment an empty bit string")
-    n_segments = -(-bits.shape[-1] // target_len)
-    padded = np.zeros((*bits.shape[:-1], n_segments * target_len), dtype=np.uint8)
-    padded[..., : bits.shape[-1]] = bits
-    return padded.reshape(*bits.shape[:-1], n_segments, target_len)
 
 
 def hamming_similarity(a: np.ndarray, b: np.ndarray) -> float:

@@ -58,7 +58,7 @@ from .commitment import (
     deserialize_commitment,
     xor_fold,
 )
-from .fingerprint import NORMALIZED_STD, extract, normalize_series, segment_pad, skew
+from .fingerprint import NORMALIZED_STD, extract, normalize_series, skew
 from .ica import MAX_SOURCES, jade_separate, lowpass_filter
 from .rs import RsCodeSpec, standard_code
 
@@ -411,9 +411,15 @@ class _Device:
     def derive_fingerprints(self, window_ms: tuple[int, int]) -> list[np.ndarray]:
         """Folded fingerprint of every candidate over a window, in candidate order."""
         t_str, t_end = window_ms[0] / 1000.0, window_ms[1] / 1000.0
-        bits = extract(self.candidates, t_str, t_end)
-        segments = segment_pad(bits, self.config.rs_spec.codeword_bits)
-        return list(np.bitwise_xor.reduce(segments, axis=-2))
+        bits = extract(self.candidates, t_str, t_end)  # (C, L)
+        n = self.config.rs_spec.codeword_bits
+        # Zero-pad each row to whole codewords and XOR them into the first.
+        padded = np.zeros((bits.shape[0], -(-bits.shape[1] // n) * n), dtype=np.uint8)
+        padded[:, : bits.shape[1]] = bits
+        folded = padded[:, :n]
+        for start in range(n, padded.shape[1], n):
+            folded ^= padded[:, start : start + n]
+        return list(folded)
 
 
 class BeltDevice(_Device):

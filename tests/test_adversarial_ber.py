@@ -14,7 +14,14 @@ from math import comb
 import numpy as np
 import pytest
 
-from sienna.bench import ADVERSARIAL_GRID_POINTS, ExperimentConfig, _insider_success, run_experiment
+from sienna.bench import (
+    ADVERSARIAL_GRID_POINTS,
+    CHANNEL,
+    P_MAX,
+    ExperimentConfig,
+    _insider_success,
+    run_experiment,
+)
 from sienna.bits import random_bits
 from sienna.channel import (
     ChannelParams,
@@ -70,17 +77,34 @@ def _binomial_bound(n, p):
     ids=["K8", "K7", "K3"],
 )
 def test_level_odds_match_a_seeded_monte_carlo(spec, tmp_path):
-    """Odd K puts a QAM symbol across two RS symbols; the walk must still hold."""
-    config = ExperimentConfig(scenario="adversarial-ber", rs=spec, output_path=str(tmp_path))
-    run_experiment(config)
-    lines = (tmp_path / "adversarial-ber.csv").read_text().splitlines()[1:]
-    rows = [[float(v) for v in line.split(",")] for line in lines]
-    n_levels = len(rows) // ADVERSARIAL_GRID_POINTS
+    """Odd K puts a QAM symbol across two RS symbols; the walk must still hold.
+
+    The odds are taken on the scenario's grid of insider powers and ladder;
+    for the standard code they are the scenario's own CSV rows."""
+    p0 = CHANNEL.p0
+    ladder = ladder_levels(P_MAX, p0)
+    grid = np.logspace(np.log10(p0), np.log10(P_MAX), ADVERSARIAL_GRID_POINTS)
+    points = [(float(p2), level) for p2 in grid for level in ladder.levels]
+    # The flip odds of a clean and a jammed copy, as the scenario takes them.
+    p_clean = np.array([ber_theoretical(QAM.order, p2 / p0) for p2, _ in points])
+    p_jammed = np.array([
+        ber_theoretical(QAM.order, 1.0 / (2.0 * (noise_power_for_snr(p2 / p0, QAM) + level / p2)))
+        for p2, level in points
+    ])
+    odds = _insider_success(spec, p_clean, p_jammed)
+    rows = [(p2, level / p2, float(o)) for (p2, level), o in zip(points, odds)]
+    if spec == standard_code():
+        run_experiment(ExperimentConfig(scenario="adversarial-ber", output_path=str(tmp_path)))
+        lines = (tmp_path / "adversarial-ber.csv").read_text().splitlines()[1:]
+        assert [tuple(float(line.split(",")[i]) for i in (0, 2, 4)) for line in lines] == rows
+    n_levels = ladder.count
     rng = np.random.default_rng(2024)
     n = ORACLE_TRIALS
     for g in ORACLE_GRID_INDICES:
-        for p2, level_index, jam_to_signal, _, exact, _ in rows[g * n_levels : (g + 1) * n_levels]:
-            hits = _monte_carlo_success(spec, p2, jam_to_signal, config.channel.p0, rng)
+        for level_index, (p2, jam_to_signal, exact) in enumerate(
+            rows[g * n_levels : (g + 1) * n_levels]
+        ):
+            hits = _monte_carlo_success(spec, p2, jam_to_signal, p0, rng)
             bound = _binomial_bound(n, exact)
             assert abs(hits - n * exact) <= bound, (g, level_index, hits / n, exact)
 

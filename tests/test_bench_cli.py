@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -12,11 +13,8 @@ import pytest
 
 from sienna import bench, protocol
 from sienna.bench import ExperimentConfig, SCENARIOS, run_experiment
-from sienna.channel import ChannelParams
 from sienna.cli import cli_entry, default_config_text, parse_config_text
 from sienna.commitment import OpenOutcome
-from sienna.gf import FieldSpec
-from sienna.rs import RsCodeSpec
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -26,43 +24,31 @@ def test_config_validation():
         ExperimentConfig(scenario="nope")
     with pytest.raises(ValueError):
         ExperimentConfig(seeds=())
-    with pytest.raises(ValueError, match="duration"):
-        ExperimentConfig(scenario="fingerprint-similarity", durations=())
-    with pytest.raises(ValueError):
-        ExperimentConfig(durations=(5.0,))
-    with pytest.raises(ValueError):
-        ExperimentConfig(durations=(61.0,))
-    for name in ("population", "trials", "samples"):
+    for name in ("trials", "samples"):
         with pytest.raises(ValueError, match=name):
             ExperimentConfig(**{name: 0})
-    with pytest.raises(ValueError, match="population must be at least 2"):
-        ExperimentConfig(population=1)  # fingerprint-similarity needs a pair of subjects
-    for p_max in (1.0, 0.5, math.nan, math.inf):
-        with pytest.raises(ValueError, match="p_max"):
-            ExperimentConfig(p_max=p_max)
+        assert getattr(ExperimentConfig(**{name: 1}), name) == 1
+
+
+def test_config_holds_only_what_a_run_varies():
+    assert [f.name for f in fields(ExperimentConfig)] == [
+        "scenario", "seeds", "trials", "samples", "output_path"
+    ]
 
 
 def test_config_round_trip_through_text():
     config = ExperimentConfig(
         scenario="separation",
         seeds=(3, 4),
-        population=5,
-        durations=(6.0, 24.0),
-        rs=RsCodeSpec(FieldSpec(8), 255, 223),
-        channel=ChannelParams(p0=2.0, p1=20.0),
-        p_max=500.0,
         trials=7,
+        samples=11,
         output_path="artifacts",
     )
     back = parse_config_text(default_config_text(config))
     assert back.scenario == "separation"
     assert back.seeds == (3, 4)
-    assert back.population == 5
-    assert back.durations == (6.0, 24.0)
-    assert back.rs.n_symbols == 223
-    assert back.channel == ChannelParams(p0=2.0, p1=20.0)
-    assert back.p_max == 500.0
     assert back.trials == 7
+    assert back.samples == 11
     assert back.output_path == "artifacts"
 
 
@@ -71,15 +57,16 @@ def test_config_text_errors():
         parse_config_text("justnonsense")
     with pytest.raises(ValueError, match="unknown key"):
         parse_config_text("wat=1")
-    with pytest.raises(ValueError):
-        parse_config_text("channel=1,31.6,31.6,0")  # the eavesdropper and jam powers are gone
+    for key in ("population=20", "durations=6.0", "rs=8,255,201", "channel=1.0,31.6", "p_max=1e3"):
+        with pytest.raises(ValueError, match="config line 1: unknown key"):
+            parse_config_text(key)  # the paper's setting is not a config value
 
 
 def test_config_value_errors_name_their_line_and_key():
     with pytest.raises(ValueError, match="config line 2: bad trials=abc: invalid literal"):
         parse_config_text("seeds=0\ntrials=abc\n")
-    with pytest.raises(ValueError, match="config line 1: bad rs=8,255: not enough values"):
-        parse_config_text("rs=8,255\n")
+    with pytest.raises(ValueError, match="config line 1: bad seeds=3,x: invalid literal"):
+        parse_config_text("seeds=3,x\n")
 
 
 def test_separation_scenario(tmp_path):
@@ -169,19 +156,6 @@ def test_rs_timing_scenario(tmp_path):
     assert len(rows) == 1 + (8 + 1) + (16 + 1) + (27 + 1)
 
 
-def test_fingerprint_similarity_scenario_small(tmp_path):
-    config = ExperimentConfig(
-        scenario="fingerprint-similarity",
-        population=6,
-        durations=(6.0, 60.0),
-        output_path=str(tmp_path),
-    )
-    summary = run_experiment(config)
-    by_dur = summary["same_subject_mean_by_duration"]
-    assert by_dur["6.0"] <= by_dur["60.0"]
-    assert summary["gap_at_60s"] > 0.10
-
-
 def test_cli_selftest():
     assert cli_entry(["selftest"]) == 0
 
@@ -211,8 +185,10 @@ def test_cli_selftest_fails_under_python_O_when_a_check_fails():
 def test_cli_dump_config(capsys):
     assert cli_entry(["dump-config"]) == 0
     out = capsys.readouterr().out
-    assert "rs=8,255,201" in out
-    assert parse_config_text(out).rs.n_symbols == 201
+    assert out.splitlines() == [
+        "scenario=pairing-success", "seeds=0", "output_path=out", "trials=100", "samples=10000"
+    ]
+    assert parse_config_text(out) == ExperimentConfig()
 
 
 def test_cli_dump_config_prints_every_count(capsys):
@@ -269,58 +245,72 @@ def test_cli_bad_config_exits_2(tmp_path, capsys):
     assert cli_entry(["run", "separation", "--config", str(bad)]) == 2
 
 
-@pytest.mark.parametrize("line", ["rs=9,255,201", "rs=17,255,201"])
-def test_cli_config_with_unsupported_symbol_width_exits_2(tmp_path, capsys, line):
-    bad = tmp_path / "bad.cfg"
-    bad.write_text(line + "\n")
-    assert cli_entry(["run", "separation", "--config", str(bad)]) == 2
-    assert "bad config" in capsys.readouterr().err
-
-
-def test_cli_rs_timing_decodes_byte_codes_whatever_the_rs_line(tmp_path):
-    """rs-timing decodes (255, 255 - p) codes over GF(2^8); the config's
-    code does not enter it, so a GF(2^4) line runs the default's rows."""
-    cfg = tmp_path / "small.cfg"
-    cfg.write_text("rs=4,15,7\n")
-    columns = []
-    for extra in ([], ["--config", str(cfg)]):
-        out = tmp_path / f"out{len(extra)}"
-        assert cli_entry(["run", "rs-timing", "--out", str(out)] + extra) == 0
-        rows = (out / "rs-timing.csv").read_text().splitlines()
-        columns.append([row.split(",")[:2] for row in rows])
-    assert columns[0] == columns[1]
-    assert columns[0][0] == ["parity_symbols", "n_errors"]
-
-
-@pytest.mark.parametrize(
-    "line", ["p_max=0.5", "channel=0.0,1.0", "channel=1.0,0.0", "channel=1.0,nan"]
-)
-def test_cli_config_with_powers_no_scenario_can_run_exits_2(tmp_path, capsys, line):
-    """Zero and NaN powers are divisors, and the ladder needs p_max above p0."""
-    bad = tmp_path / "bad.cfg"
-    bad.write_text(line + "\n")
-    out = tmp_path / "out"
-    assert cli_entry(["run", "adversarial-ber", "--config", str(bad), "--out", str(out)]) == 2
-    assert "bad config" in capsys.readouterr().err
-    assert not out.exists()
-
-
 def test_cli_scenario_applies_together_with_the_config_lines(tmp_path):
     """The command line's scenario wins over the file's ``scenario=`` line."""
     cfg = tmp_path / "other.cfg"
-    cfg.write_text("scenario=rs-timing\nrs=4,15,7\n")
+    cfg.write_text("scenario=rs-timing\nsamples=5\n")
     out = tmp_path / "out"
     argv = ["run", "separation", "--config", str(cfg), "--trials", "3", "--check"]
     assert cli_entry(argv + ["--out", str(out)]) == 0
     assert json.loads((out / "separation-summary.json").read_text())["scenario"] == "separation"
 
 
+def test_cli_config_naming_no_scenario_exits_2_whatever_the_command_line(tmp_path, capsys):
+    cfg = tmp_path / "typo.cfg"
+    cfg.write_text("scenario=separatoin\n")
+    out = tmp_path / "out"
+    assert cli_entry(["run", "separation", "--config", str(cfg), "--out", str(out)]) == 2
+    assert "unknown scenario 'separatoin'" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_config_lines_apply_in_any_order():
-    """p_max is checked against p0 once every line is read, not line by line."""
-    text = "channel=2000.0,20000.0\np_max=5000.0\n"
-    for order in (text, "".join(reversed(text.splitlines(keepends=True)))):
-        config = parse_config_text(order)
-        assert (config.channel.p0, config.p_max) == (2000.0, 5000.0)
+    lines = ["scenario=separation", "seeds=4,5", "trials=3", "samples=7", "output_path=x"]
+    expected = ExperimentConfig("separation", (4, 5), trials=3, samples=7, output_path="x")
+    for order in (lines, lines[::-1], lines[2:] + lines[:2]):
+        assert parse_config_text("\n".join(order)) == expected
+
+
+@pytest.mark.parametrize(
+    "text", ["trials=3\ntrials=5", "trials=5\n# note\n\ntrials=3"], ids=["next", "apart"]
+)
+def test_a_repeated_key_is_a_bad_config_naming_its_second_line(text):
+    """Taking either value would make the lines' order matter."""
+    second = len(text.splitlines())
+    with pytest.raises(ValueError, match=f"config line {second}: repeated key 'trials'"):
+        parse_config_text(text)
+
+
+def test_cli_config_with_a_repeated_key_exits_2_and_writes_nothing(tmp_path, capsys):
+    cfg = tmp_path / "twice.cfg"
+    cfg.write_text("scenario=separation\nseeds=1\nseeds=2\n")
+    out = tmp_path / "out"
+    assert cli_entry(["run", "separation", "--config", str(cfg), "--out", str(out)]) == 2
+    assert "config line 3: repeated key 'seeds'" in capsys.readouterr().err
+    assert not out.exists()
+
+
+# ``sienna dump-config`` output from when the config also held the code, powers and windows.
+OLD_DUMP = """scenario=pairing-success
+seeds=0
+population=20
+durations=6.0,12.0,24.0,48.0,60.0
+rs=8,255,201
+channel=1.0,31.622776601683793
+p_max=1000.0
+output_path=out
+trials=100
+samples=10000
+"""
+
+
+def test_cli_old_dump_config_output_exits_2_and_writes_nothing(tmp_path, capsys):
+    cfg = tmp_path / "old.cfg"
+    cfg.write_text(OLD_DUMP)
+    out = tmp_path / "out"
+    assert cli_entry(["run", "separation", "--config", str(cfg), "--out", str(out)]) == 2
+    assert "config line 3: unknown key 'population'" in capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("flag", ["--trials", "--samples"])

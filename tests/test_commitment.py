@@ -18,7 +18,6 @@ from sienna.commitment import (
     serialize_commitment,
     xor_fold,
 )
-from sienna.fingerprint import segment_pad
 from sienna.gf import FieldSpec
 from sienna.randomness import gf2_rank, gf2_rank_rate
 from sienna.rs import RsCodeSpec, standard_code
@@ -206,8 +205,6 @@ def test_bits_out_of_range_are_rejected_whatever_their_dtype():
         with pytest.raises(ValueError):
             open_commitment(c, bad, spec)
         rows = np.stack([bad, bad])
-        with pytest.raises(ValueError):
-            segment_pad(rows, spec.codeword_bits)
         with pytest.raises(ValueError):
             gf2_rank(rows)
         with pytest.raises(ValueError):

@@ -19,9 +19,9 @@ from sienna.fingerprint import (
     hamming_similarity,
     normalize_series,
     qtz,
-    segment_pad,
     skew,
 )
+from sienna.protocol import PipelineConfig, PrmsDevice, observe_scene, two_subject_scene
 
 
 def test_qtz_piecewise_definition():
@@ -109,33 +109,25 @@ def test_threshold_ladder_constants():
     assert SAMPLE_INTERVAL_S == 0.1
 
 
-def test_segment_pad_examples():
-    rng = np.random.default_rng(3)
-    bits = rng.integers(0, 2, size=2040, dtype=np.uint8)
-    segs = segment_pad(bits, 2040)
-    assert len(segs) == 1 and np.array_equal(segs[0], bits)
-
-    bits = rng.integers(0, 2, size=2041, dtype=np.uint8)
-    segs = segment_pad(bits, 2040)
-    assert len(segs) == 2
-    assert segs[1][0] == bits[2040]
-    assert not segs[1][1:].any()
-
-    bits = rng.integers(0, 2, size=4080, dtype=np.uint8)
-    segs = segment_pad(bits, 2040)
-    assert len(segs) == 2 and np.array_equal(np.concatenate(segs), bits)
-
-    with pytest.raises(ValueError):
-        segment_pad(np.array([], dtype=np.uint8), 2040)
-    with pytest.raises(ValueError):
-        segment_pad(bits, 0)
-
-
-def test_segment_concat_reproduces_input():
-    rng = np.random.default_rng(4)
-    bits = rng.integers(0, 2, size=5000, dtype=np.uint8)
-    segs = segment_pad(bits, 2040)
-    assert np.array_equal(np.concatenate(segs)[:5000], bits)
+@pytest.mark.parametrize(
+    "window_ms, codewords", [(10_000, 1), (10_100, 1), (10_200, 2), (60_000, 6)]
+)
+def test_derive_fingerprints_xors_the_zero_padded_codewords(window_ms, codewords):
+    """10 s of the bank is 2020 bits, one padded codeword; 10.1 s is exactly
+    one (2040 bits), 10.2 s spills into a second, and 60 s spans six."""
+    _, prms_obs = observe_scene(two_subject_scene(1))
+    device = PrmsDevice(prms_obs, PipelineConfig())
+    n = device.config.rs_spec.codeword_bits
+    bits = extract(device.candidates, 0.0, window_ms / 1000)
+    padded = np.pad(bits, ((0, 0), (0, codewords * n - bits.shape[1])))
+    folded = np.array(device.derive_fingerprints((0, window_ms)))
+    assert folded.shape == (len(bits), n)
+    for row, fingerprint in zip(padded, folded):
+        codeword_rows = row.reshape(codewords, n)
+        assert np.array_equal(fingerprint, np.bitwise_xor.reduce(codeword_rows, axis=0))
+    if codewords == 1:
+        assert np.array_equal(folded[:, : bits.shape[1]], bits)
+        assert not folded[:, bits.shape[1] :].any()
 
 
 def test_hamming_similarity_examples():
@@ -277,14 +269,3 @@ def test_normalize_and_skew_equal_the_numpy_moment_formulas():
         assert np.array_equal(normalize_series(DisplacementSeries(x, 50.0)).samples, expected)
         m3 = (centred * centred * centred).mean(axis=-1)
         assert np.array_equal(skew(x), m3 / (centred * centred).mean(axis=-1) ** 1.5)
-
-
-def test_stacked_segment_pad_equals_each_row_segmented():
-    rng = np.random.default_rng(9)
-    bits = rng.integers(0, 2, size=(3, 5000), dtype=np.uint8)
-    segs = segment_pad(bits, 2040)
-    assert segs.shape == (3, 3, 2040)
-    for row, row_segs in zip(bits, segs):
-        assert np.array_equal(row_segs, segment_pad(row, 2040))
-    with pytest.raises(ValueError):
-        segment_pad(np.array([[0, 2]]), 2040)

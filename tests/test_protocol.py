@@ -27,7 +27,6 @@ from sienna.fingerprint import (
     extract,
     hamming_similarity,
     normalize_series,
-    segment_pad,
     skew,
 )
 from sienna.gf import FieldSpec
@@ -806,8 +805,10 @@ def test_candidate_map_matches_the_full_candidate_matrix(seed, subjects):
             t_str, t_end = window[0] / 1000, window[1] / 1000
             expected = extract(matrix, t_str, t_end)
             assert np.array_equal(extract(device.candidates, t_str, t_end), expected)
-            segments = segment_pad(expected, CONFIG.rs_spec.codeword_bits)
-            folded = np.bitwise_xor.reduce(segments, axis=-2)
+            # Zero-pad each row to whole codewords, then XOR its codewords.
+            n = CONFIG.rs_spec.codeword_bits
+            padded = np.pad(expected, ((0, 0), (0, -expected.shape[1] % n)))
+            folded = np.bitwise_xor.reduce(padded.reshape(len(expected), -1, n), axis=1)
             assert np.array_equal(np.array(device.derive_fingerprints(window)), folded)
 
 
