@@ -7,11 +7,12 @@ then runs the reformulated Berlekamp-Massey register for exactly M - N
 iterations on a register that holds one symbol per byte. Each iteration
 divides the discrepancy by the one saved at the last swap through a row of
 a quotient table, with no branch, so it is one scalar-times-vector product
-(one ``bytes.translate``) and one XOR of two fixed-length ints. Chien
-search then evaluates the locator alone at every position, and the word is
-rejected unless the root count equals the locator's degree. Forney's
-formula and the final syndrome check run on t slots only: the roots,
-ranked into the slots, and zero-magnitude padding.
+(one ``bytes.translate``) and one XOR of two fixed-length ints. The word
+is rejected unless the locator's degree is at most t and equals the
+register's LFSR length. Chien search then evaluates the locator alone at
+every position, and the word is rejected unless the root count equals the
+locator's degree. Forney's formula runs on t slots only: the roots, ranked
+into the slots, and zero-magnitude padding.
 Every array's shape depends on the code, not on the received word, so
 every correctable word runs the same operations, whatever its number of
 errors. Decode failure is a returned value (``None``), not an exception:
@@ -166,19 +167,33 @@ class RsCodec:
         1 / (product of the gammas), so the locator's degree and roots and
         the Forney ratio are riBM's.
 
-        Chien search evaluates only the locator (degrees 0..t) at all M
-        positions, and a root count other than the locator's degree rejects
-        the word before any Forney work. Ranking the roots with a cumulative
-        sum places them in the first of t slots; the other slots keep a
-        zero magnitude. Forney's formula (Forney, IEEE T-IT 1965) evaluates
-        the high evaluator and the locator's derivative at those t slots
-        (non-zero at every root: v distinct roots of a degree-v locator are
-        simple), and the final check compares S(e) over the slots with the
-        syndromes of the received word: S(received ^ e) = S(received) ^ S(e)
-        over the field, so this rejects exactly the words whose corrected
-        word has a non-zero syndrome. No step sizes an array by the data or
-        branches on the data except to reject, and every division is a table
-        read, so correctable words of any error count run the same operations.
+        The swap follows Berlekamp-Massey's length update: it happens
+        exactly when d0 != 0 and 2L <= r at iteration r, so ``k`` stays
+        r - 2L and the register's LFSR length after p iterations is
+        L = (p - k) / 2. The word is rejected unless the locator's degree
+        is at most t and equals L. Chien search then evaluates only the
+        locator (degrees 0..t) at all M positions, and a root count other
+        than the degree rejects the word before any Forney work. Ranking the
+        roots with a cumulative sum places them in the first of t slots; the
+        other slots keep a zero magnitude. Forney's formula (Forney, IEEE
+        T-IT 1965) evaluates the high evaluator and the locator's derivative
+        at those t slots (non-zero at every root: v distinct roots of a
+        degree-v locator are simple).
+
+        These three rejections leave exactly the words within t symbols of
+        a codeword, with no syndrome check of the corrected word. The
+        register's (lambda, L) is the shortest LFSR that generates
+        S_0..S_{p-1}. If deg lambda = L and lambda has L distinct roots at
+        code positions X_1..X_L, the order-L recurrence holds from index 0,
+        so S_j = sum_k Y_k X_k^j for j < p. Forney's e then has S(e) =
+        S(received), and received ^ e is a codeword within L <= t symbols.
+        Conversely, the locator of v <= t errors generates the syndromes,
+        and as 2v <= p the shortest LFSR is unique, so it is lambda up to
+        scale and deg lambda = L = v. If deg lambda < L, the first
+        L - deg lambda syndromes are not constrained, and no codeword lies
+        within t symbols. No step sizes an array by the data or branches on
+        the data except to reject, and every division is a table read, so
+        correctable words of any error count run the same operations.
         """
         spec, gf = self.spec, self.gf
         exp, log, inv_log = gf.exp, gf.log, gf.inv_log
@@ -200,7 +215,7 @@ class RsCodec:
         # and delta[:t] is the high evaluator (lambda * S) / x^p. The int
         # reg holds delta's symbols little-endian, then a zero symbol and the
         # sentinel.
-        syndromes = self._syndromes(received)
+        syndromes = np.bitwise_xor.reduce(exp[self._synd_log + log[received]], axis=1)
         theta = syndromes.tobytes() + bytes(t) + b"\x01"
         reg = int.from_bytes(theta + b"\x00\x03", "little")
         # qrow is the quotient row of gamma, the discrepancy saved at the
@@ -216,15 +231,17 @@ class RsCodec:
             theta = shifted if swap else theta
             qrow = qrows[d0] if swap else qrow
             k = -k - 1 if swap else k + 1
-        delta = np.frombuffer(reg.to_bytes(length, "little"), dtype=np.uint8, count=width)
+        raw = reg.to_bytes(length, "little")
 
-        locator = delta[t:]
-        degree = p - int(np.argmax(locator[::-1] != 0))  # p if all zero
-        if degree > t:
+        # The locator is delta[t:]; 2 * degree must be p - k, twice the
+        # register's LFSR length (see the docstring).
+        degree = len(raw[t:width].rstrip(b"\x00")) - 1  # -1 if all zero
+        if degree > t or 2 * degree != p - k:
             return None
+        logs = log[np.frombuffer(raw, dtype=np.uint8, count=width)]
 
-        # Chien search on the locator alone.
-        terms = exp[self._locator_log + log[locator[: t + 1, None]]]
+        # Chien search on the locator alone, degrees 0..t.
+        terms = exp[self._locator_log + logs[t : 2 * t + 1, None]]
         roots = np.bitwise_xor.reduce(terms, axis=0) == 0
         count = int(roots.sum())
         if count != degree:
@@ -238,25 +255,15 @@ class RsCodec:
         slot_pos[slot_of] = self._positions
         live = self._slots < count
 
-        terms = exp[self._forney_log[slot_pos] + log[delta[self._forney_coef]]]
-        high_eval = np.bitwise_xor.reduce(terms[:, :t], axis=1)
-        dloc_eval = np.bitwise_xor.reduce(terms[:, t:], axis=1)
+        # Column 0 of evals is the high evaluator, column 1 the locator's
+        # derivative, at each slot's position.
+        terms = exp[self._forney_log[slot_pos] + logs[self._forney_coef]]
+        evals = np.bitwise_xor.reduceat(terms, (0, t), axis=1)
         # Forney with the high evaluator, e_i = x_i^(p-1) omega_h(x_i) / lambda'(x_i);
         # the scale of the riBM locator cancels.
-        magnitudes = np.where(live, exp[log[high_eval] + inv_log[dloc_eval]], 0)
-
-        # Final check: S(received ^ e) == 0, i.e. S(e) == S(received) by
-        # linearity, with S(e) summed over the slots. A zero magnitude reads
-        # the zero half of exp whatever its slot's position.
-        terms = exp[self._synd_log[:, slot_pos] + log[magnitudes]]
-        if np.any(np.bitwise_xor.reduce(terms, axis=1) != syndromes):
-            return None
+        magnitudes = np.where(live, exp[log[evals[:, 0]] + inv_log[evals[:, 1]]], 0)
         n = spec.n_symbols
         return received[:n] ^ magnitudes[slot_of[:n]]
-
-    def _syndromes(self, word: np.ndarray) -> np.ndarray:
-        terms = self.gf.exp[self._synd_log + self.gf.log[word][None, :]]
-        return np.bitwise_xor.reduce(terms, axis=1)
 
     # -- bit-level views ----------------------------------------------------
 
@@ -292,6 +299,9 @@ def _check_symbols(values, spec: RsCodeSpec, expected_len: int) -> np.ndarray:
     arr = arr.astype(np.int64, copy=False).ravel()
     if arr.size != expected_len:
         raise ValueError(f"expected {expected_len} symbols, got {arr.size}")
-    if arr.size and (arr.min() < 0 or arr.max() >= spec.field.size):
+    # The field's size is a power of two and a negative int64 ORs to a
+    # negative value, so the OR of all symbols lies in range exactly when
+    # every symbol does.
+    if not 0 <= np.bitwise_or.reduce(arr) < spec.field.size:
         raise ValueError(f"symbols must lie in [0, {spec.field.size})")
     return arr

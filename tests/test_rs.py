@@ -244,23 +244,38 @@ def test_bounded_distance_soundness(name):
                 assert np.count_nonzero(codec.encode(got) != word) <= t
 
 
-def test_decode_equals_brute_force_bounded_distance_small_field():
-    """On random words of the (7, 3) code, decode returns exactly the
-    message of the unique codeword within t = 2 symbols, or None."""
-    messages = np.array(list(product(range(8), repeat=3)))
-    codewords = np.array([SMALL.codec().encode(m) for m in messages])
-    rng = np.random.default_rng(47)
-    outcomes = set()
-    for _ in range(2000):
-        word = rng.integers(0, 8, size=7)
-        near = np.flatnonzero((codewords != word).sum(axis=1) <= SMALL.t)
-        got = SMALL.codec().decode(word)
-        if near.size:
-            assert got is not None and np.array_equal(got, messages[near[0]])
+# Every word of a shortened code (p = 4) and of an odd-parity code (p = 3),
+# and 2000 random words of the (7, 3) code.
+BRUTE_FORCE_CODES = {
+    "K3-7-3": (SMALL, 2000),
+    "K3-5-1": (RsCodeSpec(FieldSpec(3), 5, 1), None),
+    "K3-5-2": (RsCodeSpec(FieldSpec(3), 5, 2), None),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BRUTE_FORCE_CODES))
+def test_decode_equals_brute_force_bounded_distance_small_field(name):
+    """Decode returns exactly the message of the unique codeword within t
+    symbols, or None."""
+    spec, samples = BRUTE_FORCE_CODES[name]
+    codec, q, m = spec.codec(), spec.field.size, spec.m_symbols
+    messages = np.array(list(product(range(q), repeat=spec.n_symbols)))
+    if samples is None:
+        words = np.array(list(product(range(q), repeat=m)))
+    else:
+        rng = np.random.default_rng(47)
+        words = np.array([rng.integers(0, q, size=m) for _ in range(samples)])
+    # Codewords lie at least 2t + 1 apart, so at most one is within t of a word.
+    near = np.full(len(words), -1)
+    for i, message in enumerate(messages):
+        near[(words != codec.encode(message)).sum(axis=1) <= spec.t] = i
+    for word, i in zip(words, near):
+        got = codec.decode(word)
+        if i >= 0:
+            assert got is not None and np.array_equal(got, messages[i])
         else:
             assert got is None
-        outcomes.add(near.size)
-    assert outcomes == {0, 1}
+    assert 0 < np.count_nonzero(near >= 0) < len(words)
 
 
 # The decoder's register is a byte string whose XOR operands carry a
