@@ -63,7 +63,18 @@ def qtz(x: float, q_plus: float, q_minus: float) -> tuple[int, int]:
     return (0, 0)
 
 
-def extract(series: DisplacementSeries, t_str: float, t_end: float) -> np.ndarray:
+def _sample_count(t_str: float, t_end: float) -> int:
+    """Instants t_str + j*T of a window, through the last one in it."""
+    if t_end <= t_str:
+        raise ValueError("window must have positive length")
+    # A window of whole instants can divide to just below its count, as
+    # (81.6 - 33.6) / 0.1 does; the tolerance keeps its last instant.
+    return int(np.floor((t_end - t_str) / SAMPLE_INTERVAL_S + 1e-9)) + 1
+
+
+def extract(
+    series: DisplacementSeries, t_str: float | np.ndarray, t_end: float | np.ndarray
+) -> np.ndarray:
     """Quantize a window at instants t_str + j*T, through the last one in it.
 
     T is ``SAMPLE_INTERVAL_S``. Only ``series.value_at`` is read, so any
@@ -73,15 +84,28 @@ def extract(series: DisplacementSeries, t_str: float, t_end: float) -> np.ndarra
     each value and its negation against the threshold vector, since
     ``v <= -u`` is exactly ``-v >= u``; row c of the result is the
     fingerprint of series c.
+
+    ``t_str`` and ``t_end`` may also be (k,) arrays of k windows with as
+    many instants each (else ``ValueError``). Their instants, each window's
+    computed as for that window alone, are interpolated by one
+    ``value_at`` and quantized by one comparison, and the result, of shape
+    (k, ..., branches * samples * 2), holds in row i the bits of
+    ``extract(series, t_str[i], t_end[i])``.
     """
-    if t_end <= t_str:
-        raise ValueError("window must have positive length")
-    T = SAMPLE_INTERVAL_S
-    # A window of whole instants can divide to just below its count, as
-    # (81.6 - 33.6) / 0.1 does; the tolerance keeps its last instant.
-    n_samples = int(np.floor((t_end - t_str) / T + 1e-9)) + 1
-    instants = t_str + np.arange(n_samples) * T
-    values = series.value_at(instants)  # (..., samples)
+    # Scalars take the one-window path with no array conversion.
+    if not (isinstance(t_str, np.ndarray) and t_str.ndim):
+        n_samples = _sample_count(t_str, t_end)
+        values = series.value_at(t_str + np.arange(n_samples) * SAMPLE_INTERVAL_S)
+    else:
+        ends = np.asarray(t_end, dtype=np.float64).tolist()
+        counts = {_sample_count(*w) for w in zip(t_str.tolist(), ends, strict=True)}
+        if len(counts) != 1:
+            raise ValueError(f"windows must hold equal sample counts, got {sorted(counts)}")
+        (n_samples,) = counts
+        instants = t_str[:, None] + np.arange(n_samples) * SAMPLE_INTERVAL_S  # (k, samples)
+        values = series.value_at(instants.ravel())  # (..., k * samples)
+        # Window-major: (k, ..., samples).
+        values = np.moveaxis(values.reshape(*values.shape[:-1], -1, n_samples), -2, 0)
     pairs = np.empty((*values.shape, 2))  # (..., samples, 2)
     pairs[..., 0] = values
     np.negative(values, out=pairs[..., 1])

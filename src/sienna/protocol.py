@@ -20,7 +20,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field, replace
 from functools import lru_cache
-from typing import Callable, Literal
+from typing import Callable, Literal, Sequence
 
 import numpy as np
 
@@ -386,6 +386,9 @@ class _Device:
     keeps the (n, T) sources and a (C, n) map with (C,) offsets, built
     from the sources' moments; a window interpolates the n sources and
     maps them to all C candidates, which it quantizes and folds at once.
+    Several windows of one length are interpolated, quantized and folded
+    together in the same way, as ``run_pairing`` does with every level's
+    first slot.
     """
 
     def __init__(self, observation, config: PipelineConfig):
@@ -408,17 +411,32 @@ class _Device:
             offsets = np.concatenate([offsets, -gain * mean])
         self.candidates = _Candidates(sources, weights, offsets)
 
-    def derive_fingerprints(self, window_ms: tuple[int, int]) -> list[np.ndarray]:
-        """Folded fingerprint of every candidate over a window, in candidate order."""
-        t_str, t_end = window_ms[0] / 1000.0, window_ms[1] / 1000.0
-        bits = extract(self.candidates, t_str, t_end)  # (C, L)
+    def derive_fingerprints(
+        self, window_ms: tuple[int, int] | Sequence[tuple[int, int]]
+    ) -> list[np.ndarray]:
+        """Folded fingerprint of every candidate over a (t0, t1) window in ms,
+        in candidate order.
+
+        Given a sequence of k windows of one length, it returns one (C, n)
+        array of them per window, each equal to that window's own call:
+        one ``extract`` quantizes all k windows and one fold folds them.
+        """
+        # A window of plain numbers is divided without an array, which a
+        # one-window call (the sense path) would otherwise pay for; any other
+        # form converts, and a (2,) array of ms converts to two scalars.
+        if isinstance(window_ms[0], (int, float)):
+            t_str, t_end = window_ms[0] / 1000.0, window_ms[1] / 1000.0
+        else:
+            t_str, t_end = (np.asarray(window_ms, dtype=np.float64) / 1000.0).T
+        bits = extract(self.candidates, t_str, t_end)
         n = self.config.rs_spec.codeword_bits
+        length = bits.shape[-1]  # bits: ([k,] C, L)
         # Zero-pad each row to whole codewords and XOR them into the first.
-        padded = np.zeros((bits.shape[0], -(-bits.shape[1] // n) * n), dtype=np.uint8)
-        padded[:, : bits.shape[1]] = bits
-        folded = padded[:, :n]
-        for start in range(n, padded.shape[1], n):
-            folded ^= padded[:, start : start + n]
+        padded = np.zeros((*bits.shape[:-1], -(-length // n) * n), dtype=np.uint8)
+        padded[..., :length] = bits
+        folded = padded[..., :n]
+        for start in range(n, padded.shape[-1], n):
+            folded ^= padded[..., start : start + n]
         return list(folded)
 
 
@@ -472,8 +490,15 @@ def slot_window(
     retries need more slots than the window holds. A wrapped slot is
     committed on twice, and device a's fingerprint of a slot does not
     change, so the two masks XOR to RS(s ^ s'); the code is systematic, so
-    anyone on the air reads s ^ s', the XOR of those two sub-salts.
+    anyone on the air reads s ^ s', the XOR of those two sub-salts. Only
+    the slot index wraps: a level outside ``[0, n_levels)`` or a negative
+    attempt raises ``ValueError``.
     """
+    if not 0 <= level < n_levels or attempt < 0:
+        raise ValueError(
+            f"need 0 <= level < n_levels and attempt >= 0, got level {level} "
+            f"of {n_levels}, attempt {attempt}"
+        )
     n_slots = max(1, (window_ms[1] - window_ms[0]) // COMMIT_SLOT_MS)
     slot = (level + attempt * n_levels) % n_slots
     t0 = window_ms[0] + slot * COMMIT_SLOT_MS
@@ -633,6 +658,15 @@ def run_pairing(
     ``candidate_used`` first (index 0 at level 0), then with the others in
     index order, and stops at the first that opens: that one is the
     attempt's ``candidate_used``.
+
+    Every level's first attempt uses slot ``slot_window(window, n, level,
+    0)``, known from the window alone, so each device derives those slots
+    in one ``derive_fingerprints`` call at round start, b over the window
+    it decoded from the init frame. A retry derives its slot alone. Only
+    the ladder's first attempts are batched, not every slot of the window:
+    at six slots the radar's temporaries pass glibc's 128 KB trim
+    threshold, and in a tight loop such a call took twice the time of a
+    four-slot one, with page faults on every call.
     """
     spec_a, spec_b = device_a.config.rs_spec, device_b.config.rs_spec
     state_a = SessionState(role="a")
@@ -641,6 +675,12 @@ def run_pairing(
     receive_init(state_b, decode_message(encode_message(init), spec_b))
 
     drbg = Sha256Drbg(salt_seed)
+    firsts_a, firsts_b = (
+        device.derive_fingerprints(
+            [slot_window(state.window_ms, ladder.count, level, 0) for level in range(ladder.count)]
+        )
+        for device, state in ((device_a, state_a), (device_b, state_b))
+    )
 
     attempts: list[Attempt] = []
     for level_idx, jam_level in enumerate(ladder.levels):
@@ -653,7 +693,7 @@ def run_pairing(
             # received, and re-randomizes its jam mask per transmission.
             window = slot_window(state_a.window_ms, ladder.count, level_idx, retry)
             window_b = slot_window(state_b.window_ms, ladder.count, level_idx, retry)
-            fp_a = device_a.derive_fingerprints(window)[0]
+            fp_a = (device_a.derive_fingerprints(window) if retry else firsts_a[level_idx])[0]
             sub_salt = new_salt(spec_a, drbg)
             commitment = commit(sub_salt, fp_a, spec_a)
             payload, mask, frame_b = _on_air(
@@ -668,7 +708,9 @@ def run_pairing(
                 received = None
             # A frame that does not parse as this level's commitment is a NAK.
             if isinstance(received, CommitMessage) and received.level_index == level_idx:
-                fingerprints = device_b.derive_fingerprints(window_b)
+                fingerprints = (
+                    device_b.derive_fingerprints(window_b) if retry else firsts_b[level_idx]
+                )
                 order = [last_match] + [c for c in range(len(fingerprints)) if c != last_match]
                 for cand_idx in order:
                     opened = open_commitment(received.commitment, fingerprints[cand_idx], spec_b)

@@ -1,7 +1,10 @@
 """Level-crossing quantizer and fingerprint plumbing."""
 
+from functools import lru_cache
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from sienna.breathing import (
     DisplacementSeries,
@@ -170,6 +173,11 @@ def _stacked_breathing(n_series=5, seconds=30.0, rate=50.0):
     return DisplacementSeries(np.stack(rows), rate)
 
 
+@lru_cache(maxsize=None)
+def _normalized_stack():
+    return normalize_series(_stacked_breathing())
+
+
 @pytest.mark.parametrize("shape", [(3000,), (6, 2500), (1, 7)])
 def test_skew_matches_scipy(shape):
     stats = pytest.importorskip("scipy.stats")
@@ -212,6 +220,51 @@ def test_stacked_extract_equals_stack_of_single_extracts(window):
     singles = [extract(DisplacementSeries(row, 50.0), *window) for row in stacked.samples]
     assert fp.shape == (5, singles[0].size)
     assert np.array_equal(fp, np.stack(singles))
+
+
+class _Recording:
+    """A series that records the instants each ``value_at`` call asks for."""
+
+    def __init__(self, series):
+        self.series, self.calls = series, []
+
+    def value_at(self, instants):
+        self.calls.append(instants)
+        return self.series.value_at(instants)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    starts=st.lists(st.integers(0, 199), min_size=1, max_size=6),
+    length=st.integers(1, 100),
+    stacked=st.booleans(),
+)
+def test_extract_over_windows_equals_one_extract_per_window(starts, length, stacked):
+    """k windows of one length on the 0.1 s grid give, row by row, the k
+    windows' own extracts, from the same instants bit for bit."""
+    series = _normalized_stack()
+    if not stacked:
+        series = DisplacementSeries(series.samples[2], series.sample_rate)
+    series = _Recording(series)
+    t_str = np.array(starts) / 10
+    t_end = (np.array(starts) + length) / 10
+    fp = extract(series, t_str, t_end)
+    (batched,) = series.calls
+    assert fp.dtype == np.uint8
+    series.calls.clear()
+    singles = [extract(series, float(a), float(b)) for a, b in zip(t_str, t_end)]
+    assert np.array_equal(fp, np.stack(singles))
+    assert np.array_equal(batched, np.concatenate(series.calls))
+
+
+@settings(max_examples=30, deadline=None)
+@given(starts=st.lists(st.integers(0, 199), min_size=2, max_size=6), data=st.data())
+def test_extract_over_windows_of_unequal_sample_counts_raises(starts, data):
+    lengths = data.draw(st.lists(st.integers(1, 99), min_size=len(starts), max_size=len(starts)))
+    if len(set(lengths)) == 1:
+        lengths[-1] += 1
+    with pytest.raises(ValueError, match="equal sample counts"):
+        extract(_normalized_stack(), np.array(starts) / 10, (np.array(starts) + lengths) / 10)
 
 
 def test_extract_matches_per_branch_qtz():

@@ -314,6 +314,15 @@ def test_slot_window_layout():
     assert slot_window(win, 4, 2, 1) == (0, 10_000)  # wraps
 
 
+@pytest.mark.parametrize(
+    "n_levels, level, attempt", [(4, -1, 0), (4, 4, 0), (4, 7, 0), (4, 0, -2), (0, 0, 0)]
+)
+def test_slot_window_rejects_what_it_would_wrap(n_levels, level, attempt):
+    """Only the slot wraps: an out-of-range level or a negative attempt is an error."""
+    with pytest.raises(ValueError):
+        slot_window((0, 60_000), n_levels, level, attempt)
+
+
 # -- fingerprints from observations ---------------------------------------------
 
 
@@ -364,6 +373,29 @@ def test_a_slot_holds_at_most_12_bits_beyond_the_code_redundancy():
     assert (n_samples, levels, redundancy_bits) == (101, 21, 432)
     margin = n_samples * np.log2(levels) - redundancy_bits
     assert 0 <= margin <= 12
+
+
+BATCHED_WINDOWS = (
+    [(k * COMMIT_SLOT_MS, (k + 1) * COMMIT_SLOT_MS) for k in range(6)],
+    [(0, 24_000), (36_000, 60_000)],
+    [(0, 60_000)],
+)
+
+
+@pytest.mark.parametrize("seed", range(1, 21))
+def test_derive_over_several_windows_equals_each_window_alone(seed):
+    """One call over k equal-length windows gives, window by window, the
+    fingerprints of k one-window calls, bit for bit: the six 10 s slots of
+    the default window, two 24 s windows and the 60 s one."""
+    belt_obs, prms_obs = observe_scene(two_subject_scene(seed))
+    for device in (BeltDevice(belt_obs, CONFIG), PrmsDevice(prms_obs, CONFIG)):
+        for windows in BATCHED_WINDOWS:
+            batched = device.derive_fingerprints(windows)
+            assert len(batched) == len(windows)
+            for window, fingerprints in zip(windows, batched):
+                alone = device.derive_fingerprints(window)
+                assert fingerprints.shape == (len(alone), CONFIG.rs_spec.codeword_bits)
+                assert np.array_equal(fingerprints, np.array(alone))
 
 
 def test_derive_fingerprint_empty_window():
@@ -905,7 +937,8 @@ def test_b_derives_candidates_from_the_window_it_received(monkeypatch):
 
     The init frame is made to decode as a window shifted by 2.5 s, so every
     commitment slot b measures lies 2.5 s off a's. The same round untampered
-    is pinned to succeed (seed 63 in PINNED_ROUNDS).
+    is pinned to succeed (seed 63 in PINNED_ROUNDS). b derives every level's
+    first slot in one call at round start, then each level-0 retry's slot.
     """
     decode = protocol.decode_message
     windows_b = []
@@ -932,7 +965,10 @@ def test_b_derives_candidates_from_the_window_it_received(monkeypatch):
     assert not out.success and out.key_a is None and out.key_b is None
     assert out.failed_level == 0
     assert out.levels[0].verdict == "NAK"
-    assert windows_b == [slot_window((2_500, 52_500), LADDER.count, 0, k) for k in range(4)]
+    received = (2_500, 52_500)
+    firsts = [slot_window(received, LADDER.count, level, 0) for level in range(LADDER.count)]
+    retries = [slot_window(received, LADDER.count, 0, k) for k in range(1, 4)]
+    assert windows_b == [firsts, *retries]
 
 
 # -- adversary ------------------------------------------------------------------
